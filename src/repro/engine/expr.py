@@ -118,57 +118,68 @@ def evaluate_pred(table: Table, pred, packed=None) -> np.ndarray:
     raise TypeError(f"unsupported predicate node {type(pred).__name__}")
 
 
-def evaluate_pred_at(table: Table, pred, sel: np.ndarray, packed=None) -> np.ndarray:
+def evaluate_pred_at(table: Table, pred, sel: "np.ndarray | slice", packed=None) -> np.ndarray:
     """Evaluate a predicate tree only at the rows named by ``sel``.
 
     The late-materialization counterpart of :func:`evaluate_pred`: instead
-    of producing a full-width mask, each referenced column is gathered once
-    at selection-vector width (``table[column][sel]``) and every comparison
-    runs over the gathered values.  Returns a boolean array of ``sel.size``
-    -- ``sel[evaluate_pred_at(table, pred, sel)]`` is the refined selection
-    vector.  When the surviving fraction is small this touches a tiny slice
-    of each column instead of re-scanning it, which is the whole point of
-    carrying selection vectors between operators.
+    of producing a full-width mask, each referenced column is read once at
+    the width of ``sel`` and every comparison runs over those values.
+    ``sel`` is either a row-id vector -- a gather, ``table[column][sel]`` --
+    or a ``slice`` of contiguous rows, which reads a zero-copy view: the
+    sequential tile scan the paper prices at ``bytes / bandwidth``.  Returns
+    one boolean per selected row, so ``sel[evaluate_pred_at(table, pred,
+    sel)]`` is the refined selection vector (for a slice, the mask equals
+    ``evaluate_pred(table, pred)[sel]``).
 
     Columns named in ``packed`` gather from their packed twin
     (:meth:`~repro.storage.compression.BitPackedColumn.unpack_at`: a
     word-aligned gather plus shift/mask) -- the compressed scan path, which
     touches ``bit_width`` bits per surviving row instead of a 4-byte value.
+    Twins serve row-id gathers only; a slice streams the plain column.
     """
+    contiguous = isinstance(sel, slice)
+    width = len(range(*sel.indices(table.num_rows))) if contiguous else sel.shape[0]
     gathered: dict[str, np.ndarray] = {}
 
     def gather(column: str) -> np.ndarray:
         values = gathered.get(column)
         if values is None:
-            if packed and column in packed:
+            if packed and column in packed and not contiguous:
                 values = packed[column].unpack_at(sel)
             else:
                 values = table[column][sel]
             gathered[column] = values
         return values
 
-    def walk(node) -> np.ndarray:
-        if isinstance(node, Leaf):
-            spec = node.spec
-            constant = resolve_filter_value(table, spec)
-            values = gather(spec.column)
-            _check_filter_types(values, spec, constant)
-            return compare_values(values, spec, constant)
-        if isinstance(node, And):
-            keep = np.ones(sel.shape[0], dtype=bool)
-            for child in node.children:
-                keep &= walk(child)
-            return keep
-        if isinstance(node, Or):
-            keep = np.zeros(sel.shape[0], dtype=bool)
-            for child in node.children:
-                keep |= walk(child)
-            return keep
-        if isinstance(node, Not):
-            return ~walk(node.child)
-        raise TypeError(f"unsupported predicate node {type(node).__name__}")
+    return _walk_at(table, as_pred(pred), gather, width)
 
-    return walk(as_pred(pred))
+
+def _walk_at(table: Table, node, gather, width: int) -> np.ndarray:
+    """:func:`evaluate_pred_at`'s recursion over one node.
+
+    Module-level on purpose: a nested function that calls itself forms a
+    reference cycle with its own closure, which would keep the gathered
+    columns and the selection vector alive until the cycle collector runs.
+    """
+    if isinstance(node, Leaf):
+        spec = node.spec
+        constant = resolve_filter_value(table, spec)
+        values = gather(spec.column)
+        _check_filter_types(values, spec, constant)
+        return compare_values(values, spec, constant)
+    if isinstance(node, And):
+        keep = np.ones(width, dtype=bool)
+        for child in node.children:
+            keep &= _walk_at(table, child, gather, width)
+        return keep
+    if isinstance(node, Or):
+        keep = np.zeros(width, dtype=bool)
+        for child in node.children:
+            keep |= _walk_at(table, child, gather, width)
+        return keep
+    if isinstance(node, Not):
+        return ~_walk_at(table, node.child, gather, width)
+    raise TypeError(f"unsupported predicate node {type(node).__name__}")
 
 
 def evaluate_filters(table: Table, specs) -> np.ndarray:

@@ -19,8 +19,15 @@ all six engines cost identical profiles to the seed monolithic executor
 (:func:`~repro.engine.plan.execute_query_monolithic`) -- the differential
 tests in ``tests/test_physical.py`` hold the two paths byte-identical.
 
-The data plane is **late-materialization selection vectors**: the first
-operator to touch the fact table compacts the survivors once
+The data plane is a **row span, then late-materialization selection
+vectors**.  An execution covers fact rows ``[lo, hi)`` -- the whole table
+for :func:`execute_physical`, one shard's range for
+:func:`execute_physical_partial` -- and until an operator actually drops a
+row, "every row of the span is alive" is a state (``sel is None``), not a
+materialized row-id vector: the first filter conjunct and the first probe
+read ``column[lo:hi]`` views, the sequential tile loads the paper prices at
+``bytes / bandwidth`` (Sections 3.2 and 4.1-4.2), never a span-wide gather.
+The first operator that drops rows compacts the survivors once
 (``np.flatnonzero``), and every downstream operator -- later filter
 conjuncts, probes, payload gathers, the measure expression, the group-by --
 works at selection-vector width.  Payload codes ride along in the narrow
@@ -36,7 +43,9 @@ plane** (on whenever a :class:`~repro.engine.cache.ZoneMapCache` is active,
 which a :class:`~repro.api.Session` does by default): :func:`lower` folds
 each fact-filter conjunct against per-zone min/max + tiny-domain bitset
 statistics (:mod:`repro.storage.zonemap`) so :class:`ScanFilter` skips
-provably-empty zones and takes provably-full ones whole; :class:`ProbeJoin`
+provably-empty zones and takes provably-full ones whole -- in span state by
+walking the maximal runs of equal class among the span's zones, one slice
+scan per *evaluate* run; :class:`ProbeJoin`
 skips fact zones whose key range cannot intersect the build's present keys
 and drops its range-validity passes when statistics prove every key in
 bounds; :class:`BuildLookup` bases its perfect-hash arrays at the key
@@ -95,7 +104,6 @@ from repro.storage.zonemap import (
     ZONE_SKIP,
     ZONE_TAKE,
     TableZoneMaps,
-    zone_rows,
 )
 
 # ----------------------------------------------------------------------
@@ -229,18 +237,31 @@ class BuildArtifact:
 PACKED_GATHER_DENOMINATOR = 32
 
 
+def _concat(pieces: list) -> np.ndarray:
+    """Already-ascending pieces as one array (no copy for a single piece)."""
+    if len(pieces) == 1:
+        return pieces[0]
+    return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
+
+
+def _survivors(mask: np.ndarray) -> np.ndarray | None:
+    """Positions of the true entries of ``mask``; ``None`` when all are true."""
+    return None if np.count_nonzero(mask) == mask.size else np.flatnonzero(mask)
+
+
 @dataclass
 class PipelineState:
     """Mutable state one query execution threads through its operators.
 
-    The data plane is a **selection vector**, not a boolean mask: ``sel``
-    holds the row ids (ascending) of the fact rows still alive, or ``None``
-    before any operator has touched the data ("all rows alive", so the first
-    filter or probe runs full-width and compacts once).  Every payload code
-    array in ``group_columns`` is carried at selection-vector width and
-    compacted in lockstep whenever an operator shrinks ``sel`` -- late
-    materialization: after the scan cuts the batch to its few surviving rows,
-    no downstream operator touches full-fact-width arrays again.
+    The execution covers the fact rows of the **span** ``[lo, hi)``.  While
+    ``sel`` is ``None`` every row of the span is alive and operators read
+    contiguous ``column[lo:hi]`` views; the first operator that drops a row
+    turns the survivors into a **selection vector** (:meth:`seed`): ``sel``
+    holds their global row ids, ascending.  Every payload code array in
+    ``group_columns`` is carried at the width of the alive rows and
+    compacted in lockstep whenever an operator shrinks them -- late
+    materialization: after the scan cuts the batch to its few surviving
+    rows, no downstream operator touches span-width arrays again.
     """
 
     db: Database
@@ -249,11 +270,14 @@ class PipelineState:
     profile: QueryProfile
     build_cache: BuildArtifactCache | None
     rows_alive: float
+    #: The row span ``[lo, hi)`` this execution covers.
+    lo: int
+    hi: int
     #: Zone statistics of the fact table (``None`` = data skipping off);
     #: ``zone_cache`` additionally collects the skip/take/evaluate counters.
     zones: TableZoneMaps | None = None
     zone_cache: ZoneMapCache | None = None
-    #: Selection vector of surviving fact row ids (``None`` = all alive).
+    #: Selection vector of surviving fact row ids (``None`` = whole span alive).
     sel: np.ndarray | None = None
     #: Filter columns already charged to the profile (each exactly once).
     charged: set = field(default_factory=set)
@@ -262,9 +286,66 @@ class PipelineState:
     #: predicates can hold unhashable constants (e.g. a list in an ``in``
     #: filter) -- such queries must still run, just without sharing.
     artifacts: dict = field(default_factory=dict)
-    #: Payload code arrays by column name, at selection-vector width.
+    #: Payload code arrays by column name, at the width of the alive rows.
     group_columns: dict = field(default_factory=dict)
     value: object = None
+
+    def rows(self) -> "np.ndarray | slice":
+        """Index of the alive rows: the selection vector, or the span as a slice."""
+        return self.sel if self.sel is not None else slice(self.lo, self.hi)
+
+    def span_zones(self) -> slice:
+        """The zone ids the span overlaps (the zones its counters may count)."""
+        shift = self.zones.zone_shift
+        first = self.lo >> shift
+        return slice(first, ((self.hi - 1) >> shift) + 1 if self.hi > self.lo else first)
+
+    def zone_runs(self, cls: np.ndarray | None):
+        """Maximal runs of equal zone class over the span, as row ranges.
+
+        Yields ascending ``(category, start, stop)`` with the rows clipped
+        to ``[lo, hi)``, so a span may start and stop mid-zone.  Without a
+        classification the whole span is one *evaluate* run; an empty span
+        has no runs.
+        """
+        if self.hi <= self.lo:
+            return
+        if cls is None:
+            yield ZONE_EVALUATE, self.lo, self.hi
+            return
+        zones = self.span_zones()
+        span = cls[zones]
+        shift = self.zones.zone_shift
+        edges = [0, *(np.flatnonzero(span[1:] != span[:-1]) + 1).tolist(), span.size]
+        for a, b in zip(edges, edges[1:]):
+            start, stop = (zones.start + a) << shift, (zones.start + b) << shift
+            yield span[a], max(start, self.lo), min(stop, self.hi)
+
+    def seed(self, runs: list) -> None:
+        """Leave span state for the survivors of ``runs`` -- if any row dropped.
+
+        ``runs`` are ascending ``(start, stop, survivors)`` row ranges of
+        the span, ``survivors`` as :func:`_survivors` returns them; span
+        rows outside every run are dropped.  When nothing was dropped the
+        span *stays* the selection (no row-id vector is built); otherwise
+        the pieces concatenate already ascending.
+        """
+        alive = sum(b - a if idx is None else idx.size for a, b, idx in runs)
+        self.rows_alive = float(alive)
+        if alive == self.hi - self.lo:
+            return
+        pieces = []
+        for a, b, idx in runs:
+            if idx is None:
+                idx = np.arange(a, b, dtype=np.int64)
+            elif a:
+                idx += a
+            pieces.append(idx)
+        self.sel = _concat(pieces)
+        if self.group_columns:
+            at = self.sel - self.lo
+            for name, codes in self.group_columns.items():
+                self.group_columns[name] = codes[at]
 
     def compact(self, keep: np.ndarray) -> None:
         """Shrink the selection vector (and every carried payload) by ``keep``.
@@ -278,6 +359,21 @@ class PipelineState:
         for name, codes in self.group_columns.items():
             self.group_columns[name] = codes[keep]
         self.rows_alive = float(self.sel.size)
+
+    def record_zones(self, cls: np.ndarray, rows_pruned: int) -> None:
+        """Count ``cls`` over the span's zones only, so the counters of
+        zone-aligned shards add up to the single-process ones."""
+        if self.zone_cache is None:
+            return
+        span = cls[self.span_zones()]
+        skipped = int(np.count_nonzero(span == ZONE_SKIP))
+        taken = int(np.count_nonzero(span == ZONE_TAKE))
+        self.zone_cache.record(
+            skipped=skipped,
+            taken=taken,
+            evaluated=int(span.size) - skipped - taken,
+            rows_pruned=int(rows_pruned),
+        )
 
     def packed_for(self, columns, width: int) -> dict | None:
         """Packed twins for ``columns``, for a gather of ``width`` rows.
@@ -312,9 +408,9 @@ class ScanFilter:
     :class:`~repro.engine.plan.FilterStage` recording the term's row shrink
     and branchiness.
 
-    The first conjunct scans full-width and compacts the survivors into the
-    selection vector once (``np.flatnonzero``); every later conjunct
-    evaluates only at the surviving row ids
+    In span state the conjunct scans ``column[lo:hi]`` views and compacts
+    the survivors into the selection vector once (``np.flatnonzero``);
+    every later conjunct evaluates only at the surviving row ids
     (:func:`~repro.engine.expr.evaluate_pred_at`), so a selective leading
     term makes the rest of the predicate nearly free.
 
@@ -323,9 +419,10 @@ class ScanFilter:
     zone-granular: *skip* zones are never materialized, *take-all* zones
     join the selection vector without evaluating the predicate, and only
     *evaluate* zones run :func:`~repro.engine.expr.evaluate_pred_at` --
-    over packed column twins where the domain fits.  Classification is
-    sound, so the resulting selection vector (and therefore the profile)
-    is byte-identical to the unpruned scan.
+    one slice scan per run of such zones in span state, a gather (over
+    packed column twins where the domain fits) once rows are sparse.
+    Classification is sound, so the resulting selection vector (and
+    therefore the profile) is byte-identical to the unpruned scan.
     """
 
     def __init__(self, term: Pred, zone_cls: np.ndarray | None = None) -> None:
@@ -362,20 +459,38 @@ class ScanFilter:
             or cls.shape[0] != state.zones.num_zones
         ):
             cls = None  # classified against other data or geometry; ignore
+        pruned = 0
         if state.sel is None:
-            if cls is None:
-                state.sel = np.flatnonzero(evaluate_pred(state.fact, self.term))
-            else:
-                state.sel = self._seed_selection(state, cls)
-            state.rows_alive = float(state.sel.size)
+            runs = []
+            for category, a, b in state.zone_runs(cls):
+                if category == ZONE_SKIP:
+                    pruned += b - a
+                elif category == ZONE_TAKE:
+                    runs.append((a, b, None))
+                else:
+                    keep = evaluate_pred_at(state.fact, self.term, slice(a, b))
+                    runs.append((a, b, _survivors(keep)))
+            state.seed(runs)
         else:
+            sel = state.sel
             if cls is None:
                 keep = evaluate_pred_at(
-                    state.fact, self.term, state.sel, packed=state.packed_for(self.term.columns(), state.sel.size)
+                    state.fact, self.term, sel, packed=state.packed_for(self.term.columns(), sel.size)
                 )
             else:
-                keep = self._refine_selection(state, cls)
+                # Evaluate only the survivors sitting in *evaluate* zones.
+                categories = cls[state.zones.zone_of(sel)]
+                keep = categories > 0
+                undecided = categories == 0
+                if undecided.any():
+                    subset = sel[undecided]
+                    keep[undecided] = evaluate_pred_at(
+                        state.fact, self.term, subset, packed=state.packed_for(self.term.columns(), subset.size)
+                    )
+                pruned = np.count_nonzero(categories < 0)
             state.compact(keep)
+        if cls is not None:
+            state.record_zones(cls, pruned)
         profile.filter_stages.append(
             FilterStage(
                 columns=self.term.columns(),
@@ -385,54 +500,6 @@ class ScanFilter:
                 or_branches=predicate_or_branches(self.term),
             )
         )
-
-    def _seed_selection(self, state: PipelineState, cls: np.ndarray) -> np.ndarray:
-        """First-conjunct scan as a zone-granular selection-vector seed."""
-        zones = state.zones
-        n = state.fact.num_rows
-        take_rows = zone_rows(np.flatnonzero(cls == ZONE_TAKE), zones.zone_size, n)
-        eval_ids = np.flatnonzero(cls == ZONE_EVALUATE)
-        if eval_ids.size:
-            candidates = zone_rows(eval_ids, zones.zone_size, n)
-            matched = candidates[
-                evaluate_pred_at(
-                    state.fact, self.term, candidates, packed=state.packed_for(self.term.columns(), candidates.size)
-                )
-            ]
-        else:
-            candidates = matched = np.empty(0, dtype=np.int64)
-        if state.zone_cache is not None:
-            state.zone_cache.record(
-                skipped=int(np.count_nonzero(cls == ZONE_SKIP)),
-                taken=int(cls.size - eval_ids.size - np.count_nonzero(cls == ZONE_SKIP)),
-                evaluated=int(eval_ids.size),
-                rows_pruned=int(n - take_rows.size - candidates.size),
-            )
-        if not take_rows.size:
-            return matched
-        sel = np.concatenate([matched, take_rows])
-        sel.sort()
-        return sel
-
-    def _refine_selection(self, state: PipelineState, cls: np.ndarray) -> np.ndarray:
-        """Later-conjunct refinement: evaluate only survivors in *evaluate* zones."""
-        sel = state.sel
-        categories = cls[state.zones.zone_of(sel)]
-        keep = categories > 0
-        undecided = categories == 0
-        if undecided.any():
-            subset = sel[undecided]
-            keep[undecided] = evaluate_pred_at(
-                state.fact, self.term, subset, packed=state.packed_for(self.term.columns(), subset.size)
-            )
-        if state.zone_cache is not None:
-            state.zone_cache.record(
-                skipped=int(np.count_nonzero(cls == ZONE_SKIP)),
-                taken=int(np.count_nonzero(cls == ZONE_TAKE)),
-                evaluated=int(np.count_nonzero(cls == ZONE_EVALUATE)),
-                rows_pruned=int(np.count_nonzero(categories < 0)),
-            )
-        return keep
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ScanFilter({self.term})"
@@ -467,10 +534,7 @@ class BuildLookup:
         ``artifact.key_base``, so compact and seed-layout artifacts mix
         freely (the shared build cache may hold either).
         """
-        dimension = db.table(self.join.dimension)
-        if hasattr(dimension, "snapshot"):
-            dimension = dimension.snapshot()
-        return self._build_from(db, dimension)
+        return self._build_from(db, db.table(self.join.dimension).snapshot())
 
     def fetch_artifact(self, db: Database, cache: BuildArtifactCache | None) -> BuildArtifact:
         """The artifact for the dimension's *current* version, cached.
@@ -482,12 +546,10 @@ class BuildLookup:
         (stale versions age out of the LRU), and appends to *other* tables
         leave this dimension's artifacts hitting.
         """
-        dimension = db.table(self.join.dimension)
-        if hasattr(dimension, "snapshot"):
-            dimension = dimension.snapshot()
+        dimension = db.table(self.join.dimension).snapshot()
         if cache is None:
             return self._build_from(db, dimension)
-        key = (self.key, getattr(dimension, "version", 0))
+        key = (self.key, dimension.version)
         return cache.fetch(db, key, lambda: self._build_from(db, dimension))
 
     def _build_from(self, db: Database, dimension: Table) -> BuildArtifact:
@@ -593,62 +655,46 @@ class ProbeJoin:
         )
         # Fact zones whose key range misses every present key: every row in
         # them would probe and miss, so they can vanish without a gather.
-        zone_skip = None
+        cls = None
         if stats is not None:
             skip_mask = (stats.maxs < artifact.key_low) | (stats.mins > artifact.key_high)
             if skip_mask.any():
-                zone_skip = skip_mask
+                cls = np.where(skip_mask, ZONE_SKIP, ZONE_EVALUATE)
 
         probe_rows = state.rows_alive
+        pruned = 0
         if state.sel is None:
-            # The first probe of an unfiltered query is the one full-width
-            # pass, and it compacts immediately.
-            if zone_skip is None:
-                keys = fact_keys
-                hit, slots = self._hits(artifact, keys, in_range)
-                state.sel = np.flatnonzero(hit)
-                state.rows_alive = float(state.sel.size)
-                surviving_slots = slots[state.sel]
-            else:
-                candidates = zone_rows(np.flatnonzero(~zone_skip), state.zones.zone_size, fact.num_rows)
-                keys = fact_keys[candidates]
-                hit, slots = self._hits(artifact, keys, in_range)
-                state.sel = candidates[hit]
-                state.rows_alive = float(state.sel.size)
-                surviving_slots = slots[hit]
-                if state.zone_cache is not None:
-                    state.zone_cache.record(
-                        skipped=int(np.count_nonzero(zone_skip)),
-                        evaluated=int(zone_skip.size - np.count_nonzero(zone_skip)),
-                        rows_pruned=int(fact.num_rows - candidates.size),
-                    )
+            # Span state: probe contiguous key slices, one per run of zones
+            # the statistics could not rule out, and compact once.
+            runs, slot_pieces = [], []
+            for category, a, b in state.zone_runs(cls):
+                if category == ZONE_SKIP:
+                    pruned += b - a
+                    continue
+                hit, slots = self._hits(artifact, fact_keys[a:b], in_range)
+                idx = _survivors(hit)
+                runs.append((a, b, idx))
+                slot_pieces.append(slots if idx is None else slots[idx])
+            state.seed(runs)
+            surviving_slots = _concat(slot_pieces)
         else:
             sel = state.sel
-            entry_skip = None
-            if zone_skip is not None:
-                entry_skip = zone_skip[state.zones.zone_of(sel)]
-                if not entry_skip.any():
-                    entry_skip = None
-            if entry_skip is None:
+            entry_skip = cls[state.zones.zone_of(sel)] < 0 if cls is not None else None
+            if entry_skip is None or not entry_skip.any():
                 keys = self._gather_keys(state, fact_keys, sel)
                 hit, slots = self._hits(artifact, keys, in_range)
                 surviving_slots = slots[hit]
-                state.compact(hit)
             else:
                 undecided = np.flatnonzero(~entry_skip)
-                subset = sel[undecided]
-                keys = self._gather_keys(state, fact_keys, subset)
+                keys = self._gather_keys(state, fact_keys, sel[undecided])
                 hit_subset, slots = self._hits(artifact, keys, in_range)
                 hit = np.zeros(sel.size, dtype=bool)
                 hit[undecided] = hit_subset
                 surviving_slots = slots[hit_subset]
-                state.compact(hit)
-                if state.zone_cache is not None:
-                    state.zone_cache.record(
-                        skipped=int(np.count_nonzero(zone_skip)),
-                        evaluated=int(zone_skip.size - np.count_nonzero(zone_skip)),
-                        rows_pruned=int(sel.size - subset.size),
-                    )
+                pruned = sel.size - undecided.size
+            state.compact(hit)
+        if cls is not None:
+            state.record_zones(cls, pruned)
         selectivity = state.rows_alive / probe_rows if probe_rows else 0.0
 
         state.profile.joins.append(
@@ -676,8 +722,8 @@ class ProbeJoin:
         Selection-vector key gathers are the probe's compressed scan path:
         a ``<= 16``-bit key column decodes from packed 64-bit words
         (word-aligned gather + shift/mask) instead of touching 4-byte
-        values.  Full-width first probes stream the plain column -- a
-        sequential scan is already optimal.
+        values.  Span-state probes stream the plain column's ``[lo:hi]``
+        slice -- a sequential scan is already optimal.
         """
         packed = state.packed_for((self.join.source_key,), sel.size)
         if packed is not None:
@@ -702,15 +748,22 @@ class Aggregate:
         self.group_by = group_by
         self.aggregate = aggregate
 
-    def run(self, state: PipelineState) -> None:
+    def _reduce_inputs(self, state: PipelineState):
+        """Everything final and partial reduction share.
+
+        Emits the stage's whole profile slice and returns ``(measure, count,
+        groups)``: the float64 measure expression over the alive rows
+        (``None`` for ``count``), their number, and -- for a grouped
+        aggregate -- the ``(unique_keys, inverse)`` factorization of the
+        carried payload codes (``((), None)`` when no row survived).
+        """
         profile = state.profile
         profile.result_input_rows = state.rows_alive
-
         agg = self.aggregate
         validate_aggregate(agg)
 
-        sel = state.sel
-        count = int(sel.size) if sel is not None else state.fact.num_rows
+        rows = state.rows()
+        count = int(state.rows_alive)
         measure_columns = []
         for column in agg.columns:
             column_bytes = float(state.fact.column(column).nbytes)
@@ -719,39 +772,67 @@ class Aggregate:
                     column=column, column_bytes=column_bytes, rows_needed=state.rows_alive, role="measure"
                 )
             )
-            # Gather survivors first, then widen: the float64 measure
-            # expression is evaluated at selection-vector width, never at
-            # fact width.
-            values = state.fact[column] if sel is None else state.fact[column][sel]
-            measure_columns.append(values.astype(np.float64))
+            # Read the alive rows first (a view while nothing was ever
+            # filtered), then widen: the float64 measure expression is
+            # evaluated at their width, never at fact width.
+            measure_columns.append(state.fact[column][rows].astype(np.float64))
         measure = combine_measures(agg, measure_columns)
 
         if not self.group_by:
-            state.value = scalar_aggregate_values(agg.op, measure, count)
             profile.num_groups = 1
             profile.output_row_bytes = 8.0
-            return
-
+            return measure, count, None
         missing = [name for name in self.group_by if name not in state.group_columns]
         if missing:
             raise ValueError(
                 f"group-by column(s) {missing} are not payloads of any join in query "
                 f"{state.query_name!r}"
             )
-        if count == 0:
-            value: dict = {}
-        else:
-            # Packed-radix group keys: the carried payload codes (already at
-            # selection-vector width) mix into one int64 key per row and
-            # factorize with bincount-style passes -- no row-wise
-            # ``np.unique(..., axis=0)`` structured sort.
-            key_arrays = [state.group_columns[name] for name in self.group_by]
-            unique_keys, inverse = factorize_group_keys(key_arrays)
-            totals = grouped_aggregate_values(agg.op, measure, inverse, unique_keys.shape[0])
-            value = {tuple(int(x) for x in key): float(total) for key, total in zip(unique_keys, totals)}
-        state.value = value
-        profile.num_groups = max(len(value), 1)
+        # Packed-radix group keys: the carried payload codes mix into one
+        # int64 key per row and factorize with bincount-style passes -- no
+        # row-wise ``np.unique(..., axis=0)`` structured sort.
+        key_arrays = [state.group_columns[name] for name in self.group_by]
+        groups = factorize_group_keys(key_arrays) if count else ((), None)
+        profile.num_groups = max(len(groups[0]), 1)
         profile.output_row_bytes = float(8 + 4 * len(self.group_by))
+        return measure, count, groups
+
+    def run(self, state: PipelineState) -> None:
+        measure, count, groups = self._reduce_inputs(state)
+        op = self.aggregate.op
+        if groups is None:
+            state.value = scalar_aggregate_values(op, measure, count)
+            return
+        unique_keys, inverse = groups
+        totals = grouped_aggregate_values(op, measure, inverse, len(unique_keys)) if count else ()
+        state.value = {tuple(int(x) for x in key): float(total) for key, total in zip(unique_keys, totals)}
+
+    def run_partial(self, state: PipelineState) -> "PartialAggregate":
+        """The same stage, reduced to one shard's mergeable partial.
+
+        :func:`~repro.engine.plan.merge_partial_aggregates` turns a set of
+        these into the value :meth:`run` would have produced.
+        """
+        measure, count, groups = self._reduce_inputs(state)
+        op = self.aggregate.op
+        if groups is None:
+            if op == "avg":
+                payload: object = (scalar_aggregate_values("sum", measure, count), count)
+            else:
+                payload = scalar_aggregate_values(op, measure, count)
+            return PartialAggregate(op=op, grouped=False, group_by=(), payload=payload)
+        unique_keys, inverse = groups
+        payload = {}
+        if count:
+            num_groups = len(unique_keys)
+            if op == "avg":
+                sums = grouped_aggregate_values("sum", measure, inverse, num_groups)
+                counts = grouped_aggregate_values("count", None, inverse, num_groups)
+                totals = [(float(total), int(n)) for total, n in zip(sums, counts)]
+            else:
+                totals = grouped_aggregate_values(op, measure, inverse, num_groups).tolist()
+            payload = {tuple(int(x) for x in key): total for key, total in zip(unique_keys, totals)}
+        return PartialAggregate(op=op, grouped=True, group_by=tuple(self.group_by), payload=payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Aggregate({self.aggregate.op!r}, group_by={self.group_by})"
@@ -877,59 +958,6 @@ def staged_builds(plans: Iterable[PhysicalPlan]) -> list[BuildLookup]:
 # ----------------------------------------------------------------------
 
 
-def execute_physical(
-    db: Database,
-    plan: PhysicalPlan,
-    build_cache: BuildArtifactCache | None = None,
-) -> tuple[object, QueryProfile]:
-    """Run a physical plan stage by stage, collecting the query profile.
-
-    Returns the same ``(value, profile)`` pair as the monolithic reference
-    executor -- byte-identically.  ``build_cache`` defaults to the
-    context-active :func:`~repro.engine.cache.active_build_cache` (installed
-    by ``Session.run_many(share_builds=True)``); pass one explicitly to
-    share builds without a context scope.
-    """
-    if build_cache is None:
-        build_cache = active_build_cache()
-    # One snapshot pins the fact table for the whole execution: a concurrent
-    # append publishes a new (version, columns) state, but every operator
-    # here keeps reading this frozen, mutually consistent one -- the
-    # "admitted at version v, never a torn batch" guarantee.
-    fact = db.table(plan.logical.fact)
-    if hasattr(fact, "snapshot"):
-        fact = fact.snapshot()
-    n = fact.num_rows
-    zone_cache = active_zone_maps()
-    zones = zone_cache.maps(db, fact) if zone_cache is not None else None
-    state = PipelineState(
-        db=db,
-        fact=fact,
-        query_name=plan.logical.query.name,
-        profile=QueryProfile(query=plan.logical.query.name, fact_rows=n, fact_filter_selectivity=1.0),
-        build_cache=build_cache,
-        rows_alive=float(n),
-        zones=zones,
-        zone_cache=zone_cache if zones is not None else None,
-    )
-
-    for scan in plan.filters:
-        scan.run(state)
-    state.profile.fact_filter_selectivity = state.rows_alive / n if n else 0.0
-
-    for build, probe in zip(plan.builds, plan.probes):
-        build.run(state)
-        probe.run(state)
-
-    plan.aggregate.run(state)
-    return state.value, state.profile
-
-
-# ----------------------------------------------------------------------
-# Sharded execution: per-shard partial aggregates
-# ----------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class PartialAggregate:
     """One shard's mergeable slice of the final aggregate.
@@ -953,80 +981,76 @@ class PartialAggregate:
     payload: object
 
 
-def _partial_payload(op: str, measure: np.ndarray | None, count: int) -> object:
-    """The scalar payload of one shard (see :class:`PartialAggregate`)."""
-    if op == "avg":
-        return (scalar_aggregate_values("sum", measure, count), count)
-    return scalar_aggregate_values(op, measure, count)
+def _run_pipeline(
+    db: Database,
+    plan: PhysicalPlan,
+    start: int,
+    stop: int | None,
+    artifacts: "tuple[BuildArtifact, ...] | None",
+    build_cache: BuildArtifactCache | None,
+) -> PipelineState:
+    """Filters and probes of ``plan`` over fact rows ``[start, stop)``.
 
-
-def _partial_aggregate(
-    state: PipelineState, group_by: tuple[str, ...], aggregate: AggregateSpec
-) -> PartialAggregate:
-    """The :class:`Aggregate` stage, emitting a mergeable partial.
-
-    Mirrors :meth:`Aggregate.run` exactly -- same profile emissions
-    (``result_input_rows``, measure column accesses, ``num_groups``,
-    ``output_row_bytes``), same measure gathering, same packed-radix
-    factorization -- but reduces to per-shard partials instead of finals.
-    The parent's :func:`~repro.engine.plan.merge_partial_aggregates` turns
-    a set of these into the final value.
+    The one execution loop behind both entry points (``stop=None`` means
+    the table's end); the caller finishes the returned state with the
+    aggregate stage, final or partial.
     """
-    profile = state.profile
-    profile.result_input_rows = state.rows_alive
-
-    validate_aggregate(aggregate)
-    sel = state.sel
-    count = int(sel.size)
-    measure_columns = []
-    for column in aggregate.columns:
-        column_bytes = float(state.fact.column(column).nbytes)
-        profile.column_accesses.append(
-            ColumnAccess(
-                column=column, column_bytes=column_bytes, rows_needed=state.rows_alive, role="measure"
-            )
-        )
-        measure_columns.append(state.fact[column][sel].astype(np.float64))
-    measure = combine_measures(aggregate, measure_columns)
-
-    if not group_by:
-        profile.num_groups = 1
-        profile.output_row_bytes = 8.0
-        return PartialAggregate(
-            op=aggregate.op,
-            grouped=False,
-            group_by=(),
-            payload=_partial_payload(aggregate.op, measure, count),
-        )
-
-    missing = [name for name in group_by if name not in state.group_columns]
-    if missing:
-        raise ValueError(
-            f"group-by column(s) {missing} are not payloads of any join in query "
-            f"{state.query_name!r}"
-        )
-    payload: dict = {}
-    if count:
-        key_arrays = [state.group_columns[name] for name in group_by]
-        unique_keys, inverse = factorize_group_keys(key_arrays)
-        num_groups = unique_keys.shape[0]
-        if aggregate.op == "avg":
-            sums = grouped_aggregate_values("sum", measure, inverse, num_groups)
-            counts = grouped_aggregate_values("count", None, inverse, num_groups)
-            totals = list(zip(sums, counts))
-        else:
-            totals = grouped_aggregate_values(aggregate.op, measure, inverse, num_groups)
-        for key, total in zip(unique_keys, totals):
-            group = tuple(int(x) for x in key)
-            if aggregate.op == "avg":
-                payload[group] = (float(total[0]), int(total[1]))
-            else:
-                payload[group] = float(total)
-    profile.num_groups = max(len(payload), 1)
-    profile.output_row_bytes = float(8 + 4 * len(group_by))
-    return PartialAggregate(
-        op=aggregate.op, grouped=True, group_by=tuple(group_by), payload=payload
+    if build_cache is None:
+        build_cache = active_build_cache()
+    # One snapshot pins the fact table for the whole execution: a concurrent
+    # append publishes a new (version, columns) state, but every operator
+    # here keeps reading this frozen, mutually consistent one -- the
+    # "admitted at version v, never a torn batch" guarantee.
+    fact = db.table(plan.logical.fact).snapshot()
+    if stop is None:
+        stop = fact.num_rows
+    if not 0 <= start <= stop <= fact.num_rows:
+        raise ValueError(f"row range [{start}, {stop}) does not lie within the {fact.num_rows} fact rows")
+    n = stop - start
+    zone_cache = active_zone_maps()
+    zones = zone_cache.maps(db, fact) if zone_cache is not None else None
+    state = PipelineState(
+        db=db,
+        fact=fact,
+        query_name=plan.logical.query.name,
+        profile=QueryProfile(query=plan.logical.query.name, fact_rows=n, fact_filter_selectivity=1.0),
+        build_cache=build_cache,
+        rows_alive=float(n),
+        lo=start,
+        hi=stop,
+        zones=zones,
+        zone_cache=zone_cache if zones is not None else None,
     )
+    for probe, artifact in zip(plan.probes, artifacts or ()):
+        state.artifacts[id(probe.join)] = artifact
+
+    for scan in plan.filters:
+        scan.run(state)
+    state.profile.fact_filter_selectivity = state.rows_alive / n if n else 0.0
+
+    for build, probe in zip(plan.builds, plan.probes):
+        if id(probe.join) not in state.artifacts:
+            build.run(state)
+        probe.run(state)
+    return state
+
+
+def execute_physical(
+    db: Database,
+    plan: PhysicalPlan,
+    build_cache: BuildArtifactCache | None = None,
+) -> tuple[object, QueryProfile]:
+    """Run a physical plan stage by stage, collecting the query profile.
+
+    Returns the same ``(value, profile)`` pair as the monolithic reference
+    executor -- byte-identically.  ``build_cache`` defaults to the
+    context-active :func:`~repro.engine.cache.active_build_cache` (installed
+    by ``Session.run_many(share_builds=True)``); pass one explicitly to
+    share builds without a context scope.
+    """
+    state = _run_pipeline(db, plan, 0, None, None, build_cache)
+    plan.aggregate.run(state)
+    return state.value, state.profile
 
 
 def execute_physical_partial(
@@ -1039,14 +1063,15 @@ def execute_physical_partial(
 ) -> tuple[PartialAggregate, QueryProfile]:
     """Run a physical plan over fact rows ``[start, stop)`` of one shard.
 
-    The shard's pipeline is the ordinary selection-vector pipeline with the
-    selection *pre-seeded* to the shard's row range: every operator already
-    has a sel-is-set refine path, so a shard behaves exactly like a query
-    whose first conjunct happened to select those rows -- including queries
-    with no fact filter at all, whose first probe would otherwise run
-    full-width in every shard.  Row ids stay global, so zone
+    The shard's pipeline is the ordinary pipeline with its span set to the
+    shard's row range -- :func:`execute_physical` is the same loop over
+    ``[0, n)``.  The range is *not* turned into row ids: the first filter
+    and the first probe read ``column[start:stop]`` slices exactly as the
+    single-process plane streams whole columns, so a partial over half the
+    rows costs about half the query, and a selection vector appears only
+    once an operator has dropped rows.  Row ids stay global, so zone
     classifications, packed-twin word offsets, and probe zone skipping all
-    apply unchanged per shard.
+    apply unchanged per shard, and the range may start and stop mid-zone.
 
     ``artifacts``, when given, are the parent-built dimension lookups in
     plan order; the per-shard builds are skipped and every shard probes the
@@ -1055,39 +1080,5 @@ def execute_physical_partial(
     :func:`~repro.engine.plan.fold_shard_profiles` reassembles the
     monolithic profile from the slices, byte-identically.
     """
-    if build_cache is None:
-        build_cache = active_build_cache()
-    fact = db.table(plan.logical.fact)
-    if hasattr(fact, "snapshot"):
-        fact = fact.snapshot()
-    zone_cache = active_zone_maps()
-    zones = zone_cache.maps(db, fact) if zone_cache is not None else None
-    n_shard = stop - start
-    state = PipelineState(
-        db=db,
-        fact=fact,
-        query_name=plan.logical.query.name,
-        profile=QueryProfile(
-            query=plan.logical.query.name, fact_rows=n_shard, fact_filter_selectivity=1.0
-        ),
-        build_cache=build_cache,
-        rows_alive=float(n_shard),
-        zones=zones,
-        zone_cache=zone_cache if zones is not None else None,
-        sel=np.arange(start, stop, dtype=np.int64),
-    )
-    if artifacts is not None:
-        for probe, artifact in zip(plan.probes, artifacts):
-            state.artifacts[id(probe.join)] = artifact
-
-    for scan in plan.filters:
-        scan.run(state)
-    state.profile.fact_filter_selectivity = state.rows_alive / n_shard if n_shard else 0.0
-
-    for build, probe in zip(plan.builds, plan.probes):
-        if id(probe.join) not in state.artifacts:
-            build.run(state)
-        probe.run(state)
-
-    partial = _partial_aggregate(state, plan.aggregate.group_by, plan.aggregate.aggregate)
-    return partial, state.profile
+    state = _run_pipeline(db, plan, start, stop, artifacts, build_cache)
+    return plan.aggregate.run_partial(state), state.profile

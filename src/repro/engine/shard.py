@@ -346,9 +346,7 @@ class ShardExecutor:
         # Snowflake validation (and anything else lowering rejects) raises
         # here in the parent, before any pool work happens.
         plan = lower_query(query, db)
-        fact = db.table(fact_name)
-        if hasattr(fact, "snapshot"):
-            fact = fact.snapshot()
+        fact = db.table(fact_name).snapshot()
         n = fact.num_rows
         if n == 0:
             return self._fallback(db, query)
@@ -507,7 +505,7 @@ class ShardExecutor:
         attachments, so in-flight shards on the old version finish safely;
         the pages are freed when the last attachment closes.
         """
-        version = getattr(fact, "version", 0)
+        version = fact.version
         with self._lock:
             held = self._exports.get(fact.name)
             if held is not None and held[0] == version:

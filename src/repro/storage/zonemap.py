@@ -462,18 +462,3 @@ def cluster_by(db, table_name: str, column: str):
             clustered.add_table(other)
     return clustered
 
-
-def zone_rows(zone_ids: np.ndarray, zone_size: int, num_rows: int) -> np.ndarray:
-    """Row ids covered by ``zone_ids``, ascending (zone ids must be sorted).
-
-    The concatenated per-zone ranges, fully vectorized: only the table's
-    last zone can be ragged, so the expansion is a ``repeat`` of the zone
-    starts plus a running within-zone offset.
-    """
-    if zone_ids.size == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = zone_ids.astype(np.int64) * zone_size
-    counts = np.minimum(starts + zone_size, num_rows) - starts
-    offsets = np.cumsum(counts) - counts
-    total = int(counts.sum())
-    return np.repeat(starts - offsets, counts) + np.arange(total, dtype=np.int64)

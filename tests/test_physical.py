@@ -7,21 +7,40 @@ cache (``Session.run_many(share_builds=True)``), the snowflake-capable plan
 representation, and the context-local cache scopes.
 """
 
+import numpy as np
 import pytest
 
 from repro.api import Q, QueryValidationError, Session, col
 from repro.engine.cache import (
     BuildArtifactCache,
     ExecutionCache,
+    ZoneMapCache,
     activate,
     activate_builds,
+    activate_zones,
     active_build_cache,
     active_cache,
 )
-from repro.engine.physical import LogicalPlan, execute_physical, lower, lower_query, staged_builds
-from repro.engine.plan import execute_query, execute_query_monolithic
+from repro.engine.physical import (
+    LogicalPlan,
+    PipelineState,
+    execute_physical,
+    execute_physical_partial,
+    lower,
+    lower_query,
+    staged_builds,
+)
+from repro.engine.plan import (
+    QueryProfile,
+    execute_query,
+    execute_query_monolithic,
+    fold_shard_profiles,
+    merge_partial_aggregates,
+)
 from repro.engine.planner import JoinOrderPlanner
-from repro.ssb.queries import QUERIES, FilterSpec, JoinSpec, SSBQuery
+from repro.ssb.queries import QUERIES, AggregateSpec, FilterSpec, JoinSpec, SSBQuery
+from repro.storage import Database, Table
+from repro.storage.zonemap import ZONE_EVALUATE, ZONE_SKIP, ZONE_TAKE, TableZoneMaps, cluster_by
 
 # ----------------------------------------------------------------------
 # Byte-identical parity with the seed executor
@@ -394,3 +413,125 @@ class TestFilterStages:
             disjunctive = session.run(branchy, engine=engine)
             assert disjunctive.value == fused.value
             assert disjunctive.simulated_ms <= fused.simulated_ms * 1.5, engine
+
+
+# ----------------------------------------------------------------------
+# The span plane: "[lo, hi) is alive" as a state, scanned as slices
+# ----------------------------------------------------------------------
+
+
+def _span_state(table, lo, hi, zone_size):
+    return PipelineState(
+        db=None, fact=table, query_name="t", profile=QueryProfile("t", hi - lo, 1.0), build_cache=None,
+        rows_alive=float(hi - lo), lo=lo, hi=hi, zones=TableZoneMaps(table, zone_size=zone_size),
+    )
+
+
+def _run_in_pieces(db, query, bounds, zone_size=None):
+    """Merge the partials over consecutive ``bounds``, zone plane on."""
+    with activate_zones(ZoneMapCache(db, zone_size=zone_size)) as zones:
+        plan = lower_query(query, db)
+        parts = [execute_physical_partial(db, plan, a, b) for a, b in zip(bounds, bounds[1:])]
+    value = merge_partial_aggregates([partial for partial, _ in parts])
+    return value, fold_shard_profiles([profile for _, profile in parts], value), zones.info()
+
+
+class TestSpanPlane:
+    @pytest.fixture(scope="class")
+    def clustered(self, tiny_ssb):
+        return cluster_by(tiny_ssb, "lineorder", "lo_orderdate")
+
+    def test_zone_runs_clip_to_the_span(self):
+        table = Table.from_arrays("t", {"x": np.arange(40, dtype=np.int32)})
+        cls = np.array([ZONE_SKIP, ZONE_SKIP, ZONE_TAKE, ZONE_EVALUATE, ZONE_EVALUATE], dtype=np.int8)
+
+        def runs(lo, hi, c=cls):
+            return [tuple(map(int, run)) for run in _span_state(table, lo, hi, 8).zone_runs(c)]
+
+        assert runs(0, 40) == [(-1, 0, 16), (1, 16, 24), (0, 24, 40)]
+        assert runs(3, 21) == [(-1, 3, 16), (1, 16, 21)]  # starts and stops mid-zone
+        assert runs(17, 18) == [(1, 17, 18)]  # a single row
+        assert runs(24, 24) == []  # an empty span has no runs
+        assert runs(5, 30, None) == [(0, 5, 30)]  # no classification: one evaluate run
+
+    def test_seed_materializes_only_when_rows_drop(self):
+        table = Table.from_arrays("t", {"x": np.arange(40, dtype=np.int32)})
+        state = _span_state(table, 8, 32, 8)
+        state.group_columns["code"] = np.arange(24)
+        state.seed([(8, 16, None), (16, 32, None)])  # every row of the span survives
+        assert state.sel is None and state.rows_alive == 24.0
+        state.seed([(8, 16, None), (20, 32, np.array([0, 3, 11]))])  # rows 16-19 and most of the rest drop
+        np.testing.assert_array_equal(state.sel, [8, 9, 10, 11, 12, 13, 14, 15, 20, 23, 31])
+        np.testing.assert_array_equal(state.group_columns["code"], state.sel - 8)
+        assert state.rows_alive == 11.0
+
+    @pytest.mark.parametrize("band", [(19930101, 19941231), (19920101, 19921231), (19970601, 19981231)])
+    def test_mixed_skip_take_evaluate_runs(self, clustered, band):
+        """A date band on date-clustered data: skip, take-all and evaluate
+        zones in one classification, over whole-table and mid-zone spans."""
+        query = (
+            Q("lineorder")
+            .where(col("lo_orderdate").between(*band), col("lo_quantity") < 30)
+            .join("supplier", on=("lo_suppkey", "s_suppkey"), payload="s_region")
+            .group_by("s_region")
+            .agg("sum", "lo_revenue")
+            .build(clustered)
+        )
+        expected = execute_query_monolithic(clustered, query)
+        n = clustered.table("lineorder").num_rows
+        value, profile, info = _run_in_pieces(clustered, query, [0, n], zone_size=256)
+        assert (value, profile) == expected
+        assert info.zones_skipped and info.zones_taken and info.zones_evaluated
+        for bounds in ([0, 1000, 1001, 30_001, n], [0, n // 3, n // 3, n - 1, n]):
+            assert _run_in_pieces(clustered, query, bounds, zone_size=256)[:2] == expected
+
+    def test_strictly_alternating_classes(self):
+        """Every zone differs from its neighbour: the worst-case run count."""
+        zone, zones = 16, 60
+        pattern = np.array([0, 9, 5], dtype=np.int32)  # x < 5: take, skip, (mixed) evaluate
+        x = np.repeat(pattern[np.arange(zones) % 3], zone)
+        x[2 * zone :: 3 * zone] = 0  # first row of each "5" zone passes: undecidable
+        rng = np.random.default_rng(3)
+        db = Database(name="alt")
+        db.add_table(Table.from_arrays("t", {"x": x, "v": rng.integers(1, 100, x.size).astype(np.int32)}))
+        query = SSBQuery(
+            name="alt", flight=0, fact="t", fact_filters=(FilterSpec("x", "lt", 5),), joins=(),
+            group_by=(), aggregate=AggregateSpec(columns=("v",)),
+        )
+        expected = execute_query_monolithic(db, query)
+        n = x.size
+        value, profile, info = _run_in_pieces(db, query, [0, n], zone_size=zone)
+        assert (value, profile) == expected
+        assert (info.zones_skipped, info.zones_taken, info.zones_evaluated) == (20, 20, 20)
+        assert info.rows_pruned == 20 * zone
+        for bounds in ([0, 7, 8, 100, 501, n], [0, 0, n // 2, n, n]):
+            assert _run_in_pieces(db, query, bounds, zone_size=zone)[:2] == expected
+
+    def test_nothing_dropped_stays_in_span_state(self, tiny_ssb):
+        """An unfiltered join keeps every row: no selection vector is built,
+        and its payload (carried at span width) compacts when a later
+        operator finally drops rows."""
+        query = (
+            Q("lineorder")
+            .join("date", on=("lo_orderdate", "d_datekey"), payload="d_year")
+            .join("supplier", on=("lo_suppkey", "s_suppkey"),
+                  filters=[("s_region", "eq", "ASIA")], payload="s_nation")
+            .group_by("d_year", "s_nation")
+            .agg("sum", "lo_revenue")
+            .build(tiny_ssb)
+        )
+        expected = execute_query_monolithic(tiny_ssb, query)
+        n = tiny_ssb.table("lineorder").num_rows
+        for bounds in ([0, n], [0, 5000, 5001, n]):
+            assert _run_in_pieces(tiny_ssb, query, bounds)[:2] == expected
+        ungrouped = Q("lineorder").join("date", on=("lo_orderdate", "d_datekey")).agg("sum", "lo_revenue")
+        ungrouped = ungrouped.build(tiny_ssb)
+        expected = execute_query_monolithic(tiny_ssb, ungrouped)
+        assert _run_in_pieces(tiny_ssb, ungrouped, [0, 4097, n])[:2] == expected
+
+    def test_range_outside_the_table_rejected(self, tiny_ssb):
+        plan = lower_query(QUERIES["q1.1"], tiny_ssb)
+        n = tiny_ssb.table("lineorder").num_rows
+        for start, stop in ((-1, 10), (10, 5), (0, n + 1)):
+            with pytest.raises(ValueError, match="row range"):
+                execute_physical_partial(tiny_ssb, plan, start, stop)

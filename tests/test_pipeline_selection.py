@@ -25,7 +25,7 @@ from repro.engine.plan import (
     scalar_aggregate,
     scalar_aggregate_values,
 )
-from repro.ssb.queries import QUERIES, FilterSpec, JoinSpec, SSBQuery
+from repro.ssb.queries import QUERIES, And, FilterSpec, JoinSpec, Leaf, Not, Or, SSBQuery
 
 # ----------------------------------------------------------------------
 # Differential: selection vectors vs the full-width mask reference
@@ -145,6 +145,45 @@ class TestEvaluatePredAt:
         refined = sel[evaluate_pred_at(fact, second, sel)]
         both = np.flatnonzero(evaluate_pred(fact, first) & evaluate_pred(fact, second))
         np.testing.assert_array_equal(refined, both)
+
+    # A ``slice`` names contiguous rows: the span plane's sequential scan.
+    SLICE_PREDS = [
+        Leaf(FilterSpec("lo_discount", "between", (2, 5))),
+        Leaf(FilterSpec("lo_discount", "in", (1, 4, 9))),
+        And(FilterSpec("lo_discount", "le", 3), FilterSpec("lo_quantity", "lt", 25)),
+        Or(FilterSpec("lo_discount", "eq", 1), FilterSpec("lo_quantity", "gt", 45)),
+        Not(FilterSpec("lo_quantity", "lt", 30)),
+        And(Or(FilterSpec("lo_discount", "le", 2), Not(FilterSpec("lo_quantity", "ge", 10))),
+            FilterSpec("lo_orderdate", "gt", 19920601)),
+        And(),  # vacuously true
+        Or(),  # vacuously false
+    ]
+
+    @pytest.mark.parametrize("pred", SLICE_PREDS, ids=str)
+    @pytest.mark.parametrize("bounds", [(0, None), (0, 1), (4097, 9001), (777, 777), (59_000, None)])
+    def test_slice_matches_full_width(self, tiny_ssb, pred, bounds):
+        fact = tiny_ssb.table("lineorder")
+        a, b = bounds[0], fact.num_rows if bounds[1] is None else bounds[1]
+        at = evaluate_pred_at(fact, pred, slice(a, b))
+        assert at.dtype == bool and at.shape == (b - a,)
+        np.testing.assert_array_equal(at, evaluate_pred(fact, pred)[a:b])
+
+    def test_slice_ignores_packed_twins(self, tiny_ssb):
+        """Twins serve row-id gathers; a contiguous scan streams the plain column."""
+        from repro.storage.zonemap import TableZoneMaps
+
+        fact = tiny_ssb.table("lineorder")
+        packed = TableZoneMaps(fact).packed_for(("lo_quantity",))
+        assert packed  # the twin exists, so ignoring it is a choice, not an accident
+        spec = FilterSpec("lo_quantity", "lt", 25)
+        at = evaluate_pred_at(fact, spec, slice(100, 5000), packed=packed)
+        np.testing.assert_array_equal(at, evaluate_pred(fact, spec)[100:5000])
+
+    @pytest.mark.parametrize("sel", [slice(10, 20), slice(5, 5), np.arange(10, 20)], ids=repr)
+    def test_string_against_numeric_column_raises(self, tiny_ssb, sel):
+        fact = tiny_ssb.table("lineorder")
+        with pytest.raises(TypeError, match="string constant"):
+            evaluate_pred_at(fact, FilterSpec("lo_quantity", "eq", "25"), sel)
 
 
 # ----------------------------------------------------------------------

@@ -23,11 +23,12 @@ Beyond the differential guarantee:
 
 import asyncio
 import glob
+import tracemalloc
 
 import pytest
 
 from repro.api import Q, Session, col
-from repro.engine.cache import activate_zones
+from repro.engine.cache import BuildArtifactCache, ZoneMapCache, activate_builds, activate_zones
 from repro.engine.plan import (
     execute_query_monolithic,
     fold_shard_profiles,
@@ -35,6 +36,7 @@ from repro.engine.plan import (
 )
 from repro.engine.shard import ShardExecutor, partial_for_range, shard_ranges
 from repro.ssb.queries import QUERIES
+from repro.storage.zonemap import cluster_by
 
 START_METHODS = ("fork", "spawn")
 
@@ -164,6 +166,63 @@ class TestPartialMerge:
 
 
 # ----------------------------------------------------------------------
+# Span differential: ranges that ignore zone boundaries, zone plane on
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def clustered_ssb(tiny_ssb):
+    """tiny_ssb with the fact table clustered by its date key (prunable)."""
+    return cluster_by(tiny_ssb, "lineorder", "lo_orderdate")
+
+
+def _span_splits(n):
+    return [
+        [0, n],                                   # the whole table as one span
+        [0, 4095, 4097, 10_000, n],               # start and stop mid-zone, around a zone edge
+        [0, 0, 5000, 5000, 5001, n, n],           # empty and single-row ranges, mid-zone
+        [0, 1, 8192, n - 1, n],                   # single-row ranges at both ends, one aligned cut
+    ]
+
+
+class TestSpanDifferential:
+    @pytest.mark.parametrize("zones", [True, False], ids=["zones", "plain"])
+    @pytest.mark.parametrize("layout", ["uniform", "clustered"])
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_all_13_queries_all_splits(self, request, name, layout, zones):
+        db = request.getfixturevalue("tiny_ssb" if layout == "uniform" else "clustered_ssb")
+        query = QUERIES[name]
+        expected_value, expected_profile = execute_query_monolithic(db, query)
+        n = db.table("lineorder").num_rows
+        with activate_zones(ZoneMapCache(db) if zones else None):
+            for bounds in _span_splits(n):
+                parts = [partial_for_range(db, query, a, b) for a, b in zip(bounds, bounds[1:])]
+                value = merge_partial_aggregates([partial for partial, _ in parts])
+                assert value == expected_value, f"bounds={bounds}"
+                profile = fold_shard_profiles([profile for _, profile in parts], value)
+                assert profile == expected_profile, f"bounds={bounds}"
+
+    @pytest.mark.parametrize("name", ["q1.1", "q2.1"])
+    def test_partial_never_builds_a_span_wide_row_id_vector(self, small_ssb, name):
+        """A guard that reads no clock: an ``int64`` row id per span row costs
+        ``8 x (stop - start)`` bytes by itself, so a partial whose *peak* new
+        allocation stays below that cannot have gathered the span."""
+        n = small_ssb.table("lineorder").num_rows
+        start, stop = shard_ranges(n, 2)[1]
+        with activate_zones(ZoneMapCache(small_ssb)), activate_builds(BuildArtifactCache(small_ssb)):
+            partial_for_range(small_ssb, QUERIES[name], start, stop)  # statistics and builds now cached
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                partial_for_range(small_ssb, QUERIES[name], start, stop)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak - before < 8 * (stop - start)
+
+
+# ----------------------------------------------------------------------
 # Pooled differential: real worker processes, fork and spawn
 # ----------------------------------------------------------------------
 
@@ -245,6 +304,29 @@ class TestPooledDifferential:
         expected, _ = execute_query_monolithic(foreign, QUERIES["q1.1"])
         assert value == expected
         assert executor.stats().fallbacks >= 1
+
+
+class TestShardedZoneCounters:
+    def test_counters_match_single_process_on_clustered_data(self, clustered_ssb):
+        """Each zone is counted by the one shard whose range holds it, so
+        ``shards=2`` reports the zones (and pruned rows) ``shards=1`` does."""
+        def deltas(session):
+            out = {}
+            for name in sorted(QUERIES):
+                before = session.cache_info("zones")
+                session.run(QUERIES[name], cache=False)
+                after = session.cache_info("zones")
+                out[name] = tuple(
+                    getattr(after, field) - getattr(before, field)
+                    for field in ("zones_skipped", "zones_taken", "zones_evaluated", "rows_pruned")
+                )
+            return out
+
+        with Session(clustered_ssb) as single, Session(clustered_ssb, shards=2) as sharded:
+            expected, got = deltas(single), deltas(sharded)
+            assert sharded.counters().shard_queries == len(QUERIES)
+        assert got == expected
+        assert any(skipped for skipped, _, _, _ in expected.values())  # the data really prunes
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,6 @@ from repro.storage.zonemap import (
     ColumnZoneStats,
     TableZoneMaps,
     cluster_by,
-    zone_rows,
 )
 
 
@@ -315,11 +314,6 @@ class TestZoneStats:
     def test_zone_size_must_be_power_of_two(self, tiny_ssb):
         with pytest.raises(ValueError, match="power of two"):
             TableZoneMaps(tiny_ssb.table("lineorder"), zone_size=1000)
-
-    def test_zone_rows_expansion(self):
-        rows = zone_rows(np.array([0, 2, 3]), 4, 14)
-        np.testing.assert_array_equal(rows, [0, 1, 2, 3, 8, 9, 10, 11, 12, 13])
-        assert zone_rows(np.array([], dtype=np.int64), 4, 14).size == 0
 
     def test_packed_twins_only_for_small_domains(self, tiny_ssb):
         maps = TableZoneMaps(tiny_ssb.table("lineorder"))
