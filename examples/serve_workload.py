@@ -20,7 +20,8 @@ Run with::
 
 ``--write`` additionally writes the Locust-style ``run_table.csv`` and a
 repetition-aware ``workload_summary.json`` into the working directory
-(``benchmarks/bench_service_slo.py`` is the assertion-carrying version).
+(``tests/test_workload.py::TestDriver`` carries the assertions; the ledger's
+``serve_dash`` workload carries the latency numbers).
 """
 
 from __future__ import annotations

@@ -14,9 +14,10 @@ demonstrates the shared-memory lifecycle (``/dev/shm`` segments appear
 while the session lives and vanish on close).
 
 On a single-core container the sharded runs will be *slower* -- process
-dispatch with no cores to scale onto; see ``benchmarks/
-bench_sharded_scaleup.py`` for the honest-floor accounting and the SF >= 1
-multi-core recipe where sharding pays.
+dispatch with no cores to scale onto; the ledger's ``ssb_sharded`` workload
+(``python benchmarks/ledger/run.py --workload ssb_sharded --trace``) splits
+a sharded query into dispatch, slowest partial and merge at SF 0.5, where
+sharding starts to pay.
 
 Run with::
 

@@ -447,9 +447,6 @@ class Session:
         if self._zone_cache is not None:
             self._zone_cache.clear()
 
-    # Backwards-compatible alias (pre-ingest sessions named it clear_cache).
-    clear_cache = clear_caches
-
     # ------------------------------------------------------------------
     def table_versions(self) -> dict[str, int]:
         """The current published version of every table in the database.
@@ -473,9 +470,9 @@ class Session:
         cleared -- they key by ``(table, version)``, so artifacts built
         against other tables keep hitting and only this table's entries are
         rebuilt on next use.  Registered standing queries are refreshed
-        incrementally before the call returns: each one evaluates its
-        pipeline over only the newly sealed zones and merges the delta into
-        its grouped partial state.
+        incrementally before the call returns: each one runs its pipeline
+        over only the appended row range and combines that partial
+        aggregate into the one it holds.
         """
         version = self.db.table(table).append(arrays)
         for standing in self.standing_queries().values():
@@ -494,22 +491,27 @@ class Session:
 
         The query is evaluated once, in full, at the current version; after
         that every :meth:`ingest` refreshes it by running the pipeline over
-        just the appended fact rows and merging the grouped partials --
-        byte-identical to a from-scratch run at every version (the
-        differential suite proves it).  Returns the live
+        just the appended fact rows and combining that partial aggregate
+        into the held one -- byte-identical to a from-scratch run at every
+        version (the differential suite proves it).  Returns the live
         :class:`~repro.ingest.StandingQuery` handle; read ``.answer()`` for
-        the maintained result.
+        the maintained result.  A query whose first evaluation raises is
+        not registered.
         """
         from repro.ingest.standing import StandingQuery
 
         prepared = self.prepare(query)
         key = name if name is not None else prepared.name
+        # Refuse a taken name before doing the work; the insert re-checks
+        # against a concurrent registration.
+        if key in self.standing_queries():
+            raise ValueError(f"standing query {key!r} already registered")
         standing = StandingQuery(self, prepared, name=key)
+        standing.refresh()
         with self._standing_lock:
             if key in self._standing:
                 raise ValueError(f"standing query {key!r} already registered")
             self._standing[key] = standing
-        standing.refresh()
         return standing
 
     def unregister_standing(self, name: str) -> None:

@@ -21,10 +21,11 @@ tests in ``tests/test_physical.py`` hold the two paths byte-identical.
 
 The data plane is a **row span, then late-materialization selection
 vectors**.  An execution covers fact rows ``[lo, hi)`` -- the whole table
-for :func:`execute_physical`, one shard's range for
-:func:`execute_physical_partial` -- and until an operator actually drops a
-row, "every row of the span is alive" is a state (``sel is None``), not a
-materialized row-id vector: the first filter conjunct and the first probe
+for :func:`execute_physical`, one shard's range or one standing-query
+tick's appended rows for :func:`execute_physical_partial` -- and until an
+operator actually drops a row, "every row of the span is alive" is a state
+(``sel is None``), not a materialized row-id vector: the first filter
+conjunct and the first probe
 read ``column[lo:hi]`` views, the sequential tile loads the paper prices at
 ``bytes / bandwidth`` (Sections 3.2 and 4.1-4.2), never a span-wide gather.
 The first operator that drops rows compacts the survivors once
@@ -35,8 +36,8 @@ dtype of their dimension's lookup, and the grouped aggregate factorizes
 packed-radix int64 keys (:func:`~repro.engine.plan.factorize_group_keys`)
 instead of sorting row tuples.  Only the *mechanics* changed: answers and
 profiles stay byte-identical to the full-width mask reference, so the cost
-models are untouched (``benchmarks/bench_pipeline_hotpath.py`` measures the
-wall-clock gap between the two data planes).
+models are untouched (the ledger's ``ssb_uniform`` workload measures the
+wall clock: ``engine.scan_ms``, ``engine.probe_ms``, ``engine.aggregate_ms``).
 
 On top of the selection vectors sits the **pruned, compression-aware scan
 plane** (on whenever a :class:`~repro.engine.cache.ZoneMapCache` is active,
@@ -54,7 +55,8 @@ sparse gathers decode ``<= 16``-bit columns from packed words.  All of it
 is *sound* -- zones are only skipped or taken when statistics prove the
 outcome -- so answers and profiles remain byte-identical to the seed
 executor (``tests/test_zonemap.py`` holds all three planes together, and
-``benchmarks/bench_zonemap_scan.py`` measures the gap).
+the ledger's date-clustered ``ssb_sharded`` workload reports what pruning
+buys: ``zonemap.zones_skipped``, ``zonemap.rows_pruned``).
 
 The decomposition buys two things the monolithic pass could not offer:
 
@@ -89,10 +91,12 @@ from repro.engine.plan import (
     ColumnAccess,
     FilterStage,
     JoinStage,
+    PartialAggregate,
     QueryProfile,
     build_dimension_lookup,
     combine_measures,
     factorize_group_keys,
+    finalize_partial,
     grouped_aggregate_values,
     scalar_aggregate_values,
     validate_aggregate,
@@ -748,19 +752,22 @@ class Aggregate:
         self.group_by = group_by
         self.aggregate = aggregate
 
-    def _reduce_inputs(self, state: PipelineState):
-        """Everything final and partial reduction share.
+    def run(self, state: PipelineState) -> None:
+        state.value = finalize_partial(self.run_partial(state))
 
-        Emits the stage's whole profile slice and returns ``(measure, count,
-        groups)``: the float64 measure expression over the alive rows
-        (``None`` for ``count``), their number, and -- for a grouped
-        aggregate -- the ``(unique_keys, inverse)`` factorization of the
-        carried payload codes (``((), None)`` when no row survived).
+    def run_partial(self, state: PipelineState) -> PartialAggregate:
+        """Reduce the span's alive rows to their mergeable partial.
+
+        The stage's only reduction (and its whole profile slice): over the
+        full table :func:`~repro.engine.plan.finalize_partial` of the result
+        is the answer (:meth:`run`), over a row range it is one input of
+        :func:`~repro.engine.plan.combine_partials`.
         """
         profile = state.profile
         profile.result_input_rows = state.rows_alive
         agg = self.aggregate
         validate_aggregate(agg)
+        op = agg.op
 
         rows = state.rows()
         count = int(state.rows_alive)
@@ -781,49 +788,23 @@ class Aggregate:
         if not self.group_by:
             profile.num_groups = 1
             profile.output_row_bytes = 8.0
-            return measure, count, None
+            if op == "avg":
+                payload: object = (scalar_aggregate_values("sum", measure, count), count)
+            else:
+                payload = scalar_aggregate_values(op, measure, count)
+            return PartialAggregate(op=op, grouped=False, group_by=(), payload=payload)
         missing = [name for name in self.group_by if name not in state.group_columns]
         if missing:
             raise ValueError(
                 f"group-by column(s) {missing} are not payloads of any join in query "
                 f"{state.query_name!r}"
             )
-        # Packed-radix group keys: the carried payload codes mix into one
-        # int64 key per row and factorize with bincount-style passes -- no
-        # row-wise ``np.unique(..., axis=0)`` structured sort.
-        key_arrays = [state.group_columns[name] for name in self.group_by]
-        groups = factorize_group_keys(key_arrays) if count else ((), None)
-        profile.num_groups = max(len(groups[0]), 1)
-        profile.output_row_bytes = float(8 + 4 * len(self.group_by))
-        return measure, count, groups
-
-    def run(self, state: PipelineState) -> None:
-        measure, count, groups = self._reduce_inputs(state)
-        op = self.aggregate.op
-        if groups is None:
-            state.value = scalar_aggregate_values(op, measure, count)
-            return
-        unique_keys, inverse = groups
-        totals = grouped_aggregate_values(op, measure, inverse, len(unique_keys)) if count else ()
-        state.value = {tuple(int(x) for x in key): float(total) for key, total in zip(unique_keys, totals)}
-
-    def run_partial(self, state: PipelineState) -> "PartialAggregate":
-        """The same stage, reduced to one shard's mergeable partial.
-
-        :func:`~repro.engine.plan.merge_partial_aggregates` turns a set of
-        these into the value :meth:`run` would have produced.
-        """
-        measure, count, groups = self._reduce_inputs(state)
-        op = self.aggregate.op
-        if groups is None:
-            if op == "avg":
-                payload: object = (scalar_aggregate_values("sum", measure, count), count)
-            else:
-                payload = scalar_aggregate_values(op, measure, count)
-            return PartialAggregate(op=op, grouped=False, group_by=(), payload=payload)
-        unique_keys, inverse = groups
         payload = {}
         if count:
+            # Packed-radix group keys: the carried payload codes mix into one
+            # int64 key per row and factorize with bincount-style passes -- no
+            # row-wise ``np.unique(..., axis=0)`` structured sort.
+            unique_keys, inverse = factorize_group_keys([state.group_columns[name] for name in self.group_by])
             num_groups = len(unique_keys)
             if op == "avg":
                 sums = grouped_aggregate_values("sum", measure, inverse, num_groups)
@@ -832,6 +813,8 @@ class Aggregate:
             else:
                 totals = grouped_aggregate_values(op, measure, inverse, num_groups).tolist()
             payload = {tuple(int(x) for x in key): total for key, total in zip(unique_keys, totals)}
+        profile.num_groups = max(len(payload), 1)
+        profile.output_row_bytes = float(8 + 4 * len(self.group_by))
         return PartialAggregate(op=op, grouped=True, group_by=tuple(self.group_by), payload=payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -958,29 +941,6 @@ def staged_builds(plans: Iterable[PhysicalPlan]) -> list[BuildLookup]:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartialAggregate:
-    """One shard's mergeable slice of the final aggregate.
-
-    The payload shapes follow the exact-merge discipline of
-    :class:`~repro.ingest.standing.StandingQuery`: ``sum``/``count`` carry a
-    float (0.0 over an empty shard), ``min``/``max`` carry a float or
-    ``None`` (an empty shard has no extremum to offer), and ``avg`` carries
-    the exact ``(sum, count)`` decomposition so the merged average is the
-    same single division the monolithic executor performs.  Grouped shards
-    carry a dict from group-key tuple to the same per-op payload; a group a
-    shard never saw is simply absent.  SSB measures are integer-valued with
-    totals far below 2**53, so float64 partial sums are exact and their
-    merge is order-independent -- which is what makes ``shards=N`` answers
-    *byte-identical* to the monolithic plane, not merely close.
-    """
-
-    op: str
-    grouped: bool
-    group_by: tuple[str, ...]
-    payload: object
-
-
 def _run_pipeline(
     db: Database,
     plan: PhysicalPlan,
@@ -1061,10 +1021,11 @@ def execute_physical_partial(
     artifacts: "tuple[BuildArtifact, ...] | None" = None,
     build_cache: BuildArtifactCache | None = None,
 ) -> tuple[PartialAggregate, QueryProfile]:
-    """Run a physical plan over fact rows ``[start, stop)`` of one shard.
+    """Run a physical plan over fact rows ``[start, stop)``: one shard's
+    range, or the rows a standing query's tick has not folded in yet.
 
-    The shard's pipeline is the ordinary pipeline with its span set to the
-    shard's row range -- :func:`execute_physical` is the same loop over
+    The ranged pipeline is the ordinary pipeline with its span set to the
+    row range -- :func:`execute_physical` is the same loop over
     ``[0, n)``.  The range is *not* turned into row ids: the first filter
     and the first probe read ``column[start:stop]`` slices exactly as the
     single-process plane streams whole columns, so a partial over half the

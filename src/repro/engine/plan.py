@@ -370,56 +370,96 @@ def _execute_query_uncached(db: Database, query: SSBQuery) -> tuple[object, Quer
     return execute_physical(db, lower_query(query, db))
 
 
-def merge_partial_aggregates(partials) -> object:
-    """Combine per-shard partial aggregates into the final answer.
+@dataclass(frozen=True)
+class PartialAggregate:
+    """The aggregate of one query over one range of fact rows, still mergeable.
 
-    ``partials`` are the :class:`~repro.engine.physical.PartialAggregate`
-    slices of one query, one per shard (any order; row ranges disjoint).
-    The merge follows the exact decomposition discipline of
-    :class:`~repro.ingest.standing.StandingQuery`: ``sum``/``count`` add,
-    ``min``/``max`` compare (skipping ``None`` from empty shards), and
-    ``avg`` adds its ``(sum, count)`` halves and divides once at the end --
-    the very division the monolithic executor performs, over exactly the
-    same integers, so the merged answer is byte-identical, not just close.
-    Grouped answers merge keyed (the packed-radix int64 group keys make
-    this a dict combine) and emerge in lexicographic key order, matching
-    :func:`factorize_group_keys`' sorted unique keys.
+    This is the only form in which any plane produces an answer: the
+    single-process pipeline reduces ``[0, n)`` to one partial, ``shards=N``
+    to one per row range, a standing query to one per ingest tick -- the
+    tile-local partials the paper's ``BlockAggregate`` combines (Sections
+    3.3 and 5.2).  :func:`combine_partials` folds partials over disjoint
+    ranges into the partial over their union and :func:`finalize_partial`
+    turns a partial into the answer.
+
+    The payload keeps exactly what makes that fold exact: ``sum``/``count``
+    carry a float (0.0 over an empty range), ``min``/``max`` a float or
+    ``None`` (an empty range has no extremum to offer), and ``avg`` its
+    ``(sum, count)`` decomposition, so the average is one division at the
+    very end.  A grouped partial carries a dict from group-key tuple to the
+    same per-op payload; a group the range never saw is simply absent.  SSB
+    measures are integer-valued with totals far below 2**53, so float64
+    partial sums are exact and combining them is associative and
+    commutative -- which is what makes every plane's answer
+    *byte-identical* to :func:`execute_query_monolithic`, not merely close.
+    """
+
+    op: str
+    grouped: bool
+    group_by: tuple[str, ...]
+    payload: object
+
+
+def _combine_payloads(op: str, held, new):
+    """One group's (or a scalar query's) payloads from two ranges, as one."""
+    if held is None:
+        return new
+    if new is None:
+        return held
+    if op == "avg":
+        return (held[0] + new[0], held[1] + new[1])
+    if op in ("sum", "count"):
+        return held + new
+    return min(held, new) if op == "min" else max(held, new)
+
+
+def combine_partials(partials) -> PartialAggregate:
+    """The partial over the union of ``partials``' disjoint row ranges.
+
+    Associative and commutative, with the partial over an empty range as
+    its identity: ``sum``/``count`` add, ``min``/``max`` compare (``None``
+    and absent groups yield to the other side), ``avg`` adds its ``(sum,
+    count)`` halves.  The inputs are left untouched.
     """
     partials = list(partials)
     if not partials:
         raise ValueError("cannot merge zero partial aggregates")
     first = partials[0]
-    op = first.op
-    if not first.grouped:
-        if op == "avg":
-            total = sum(p.payload[0] for p in partials)
-            count = sum(p.payload[1] for p in partials)
-            return total / count if count else None
-        if op in ("sum", "count"):
-            return float(sum(p.payload for p in partials))
-        extrema = [p.payload for p in partials if p.payload is not None]
-        if not extrema:
-            return None
-        return float(min(extrema) if op == "min" else max(extrema))
-    merged: dict = {}
-    for partial in partials:
-        for key, payload in partial.payload.items():
-            held = merged.get(key)
-            if held is None:
-                merged[key] = payload
-            elif op == "avg":
-                merged[key] = (held[0] + payload[0], held[1] + payload[1])
-            elif op in ("sum", "count"):
-                merged[key] = held + payload
-            elif op == "min":
-                merged[key] = payload if payload < held else held
-            else:  # max
-                merged[key] = payload if payload > held else held
-    value: dict = {}
-    for key in sorted(merged):
-        payload = merged[key]
-        value[key] = float(payload[0] / payload[1]) if op == "avg" else float(payload)
-    return value
+    payload = dict(first.payload) if first.grouped else first.payload
+    for partial in partials[1:]:
+        if first.grouped:
+            for key, new in partial.payload.items():
+                payload[key] = _combine_payloads(first.op, payload.get(key), new)
+        else:
+            payload = _combine_payloads(first.op, payload, partial.payload)
+    return PartialAggregate(first.op, first.grouped, first.group_by, payload)
+
+
+def _final_value(op: str, payload) -> float | None:
+    if op == "avg":
+        total, count = payload
+        # The very division the reference performs, over the same exact
+        # integers; ``None`` (SQL's NULL) when no row survived.
+        return total / count if count else None
+    return None if payload is None else float(payload)
+
+
+def finalize_partial(partial: PartialAggregate) -> object:
+    """The answer a partial over the whole table stands for.
+
+    Same shape as :func:`execute_query`'s value: a scalar (or ``None``) for
+    an ungrouped query, a dict of group-key tuple -> float for a grouped
+    one, keys in lexicographic order like :func:`factorize_group_keys`'
+    sorted unique keys.
+    """
+    if not partial.grouped:
+        return _final_value(partial.op, partial.payload)
+    return {key: _final_value(partial.op, partial.payload[key]) for key in sorted(partial.payload)}
+
+
+def merge_partial_aggregates(partials) -> object:
+    """The final answer from per-range partials (any order; ranges disjoint)."""
+    return finalize_partial(combine_partials(partials))
 
 
 def fold_shard_profiles(profiles, value) -> QueryProfile:

@@ -18,7 +18,7 @@ shards a *single query* across worker **processes** instead:
    (:data:`INLINE_ARTIFACT_BYTES` decides).
 4. Each worker runs the zone-pruned selection-vector pipeline over its row
    range (:func:`~repro.engine.physical.execute_physical_partial`) and
-   returns a mergeable :class:`~repro.engine.physical.PartialAggregate`
+   returns a mergeable :class:`~repro.engine.plan.PartialAggregate`
    plus its profile slice.
 5. The parent merges (:func:`~repro.engine.plan.merge_partial_aggregates`)
    and folds the profile slices back into the monolithic shape

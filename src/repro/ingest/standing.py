@@ -1,111 +1,45 @@
 """Incrementally maintained aggregate queries over a growing fact table.
 
-A :class:`StandingQuery` keeps a registered query's answer current across
-micro-batch appends without re-scanning the whole fact table.  Each
-refresh runs the *ordinary* staged pipeline -- the same lowering, the same
-operators -- but over a delta database whose fact table is a zero-copy
-view of just the newly appended rows (dimensions are shared snapshots),
-then merges the delta's grouped partials into persistent per-group state.
+A :class:`StandingQuery` is a client of the partial-aggregate algebra in
+:mod:`repro.engine.plan`: its whole state is **one**
+:class:`~repro.engine.plan.PartialAggregate` over fact rows ``[0,
+rows_seen)``.  A refresh tick runs the ordinary staged pipeline -- the same
+lowering, the same operators, on the real database -- over just the newly
+appended range ``[rows_seen, n)``
+(:func:`~repro.engine.physical.execute_physical_partial`, whose span reads
+``column[rows_seen:n]`` views, so a tick costs O(batch) whatever the size
+of the sealed prefix) and folds the result in with
+:func:`~repro.engine.plan.combine_partials`; the answer is
+:func:`~repro.engine.plan.finalize_partial` of the state.  A tick is thus
+exactly what a shard is -- a ranged partial -- and every op, ``avg``
+included, costs one pipeline pass.
 
-Exactness, not approximation: every SSB measure is integer-valued and the
-running sums stay far below 2**53, so float64 partial sums are exact and
-merging them is associative -- the maintained answer is byte-identical to
-a from-scratch evaluation at every version (the differential suite in
-``tests/test_ingest.py`` proves it for all 13 queries).  The non-trivial
-ops decompose classically:
-
-* ``sum`` / ``count`` merge by addition, ``min`` / ``max`` by comparison;
-* ``avg`` is not self-decomposable, so the query is rewritten into a
-  ``sum`` part and a ``count`` part (:func:`dataclasses.replace` on the
-  frozen spec) and the answer is their exact quotient -- the same
-  division NumPy's ``mean``/grouped ``avg`` performs over exact sums.
-
-Group keys are tuples of dictionary codes / small integers (the packed
-radix keys of :func:`repro.engine.plan.factorize_group_keys` decode to
-exactly these), so per-group state is a plain dict keyed by tuple and the
-merge is a dict update.  Answers come back with keys in lexicographic
-order, matching the from-scratch executor's ``np.unique`` ordering.
+Exactness, not approximation: the algebra is exact over SSB's
+integer-valued measures, so the maintained answer is byte-identical to a
+from-scratch evaluation at every version (the differential suite in
+``tests/test_ingest.py`` proves it for all 13 queries).
 
 Dimension appends cannot be folded incrementally (an updated dimension
-re-labels *old* fact rows), so a changed dimension version triggers one
-full re-evaluation; the per-query build cache still keys its artifacts by
-``(build, dimension version)``, so only the changed dimension rebuilds.
+re-labels *old* fact rows), so a changed dimension version resets the state
+and folds ``[0, n)`` afresh; the per-query build cache keys its artifacts
+by ``(build, dimension version)``, so only the changed dimension rebuilds.
+A dimension append racing a tick is caught by the next one: versions are
+read before the pipeline runs, so the recorded version can only lag the
+data the tick saw.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from typing import TYPE_CHECKING
 
-from repro.engine.cache import BuildArtifactCache, activate_builds
-from repro.engine.plan import execute_query
-from repro.ssb.queries import AggregateSpec, SSBQuery
-from repro.storage.column import Column
-from repro.storage.database import Database
-from repro.storage.table import Table
+from repro.engine import physical
+from repro.engine.cache import BuildArtifactCache
+from repro.engine.plan import PartialAggregate, combine_partials, finalize_partial
+from repro.ssb.queries import SSBQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (api imports this module)
     from repro.api.session import Session
-
-
-def _tail_view(fact: Table, start: int) -> Table:
-    """A zero-copy table over ``fact``'s rows from ``start`` on.
-
-    NumPy slices share the underlying buffers, so the view costs no copy
-    regardless of how large the sealed prefix is -- the whole point of
-    incremental maintenance.
-    """
-    view = Table(name=fact.name, dictionaries=fact.dictionaries)
-    for name, column in fact.columns.items():
-        view.add_column(
-            Column(name=name, values=column.values[start:], device=column.device, encoding=column.encoding)
-        )
-    return view
-
-
-def _decompose(query: SSBQuery) -> "tuple[tuple[str, SSBQuery], ...]":
-    """The delta queries to run per tick, as ``(slot, query)`` pairs.
-
-    Every op except ``avg`` maintains itself under one slot; ``avg``
-    splits into exact ``sum`` and ``count`` parts.
-    """
-    aggregate = query.aggregate
-    if aggregate.op != "avg":
-        return ((aggregate.op, query),)
-    sum_part = dataclasses.replace(
-        query,
-        name=f"{query.name}#sum",
-        aggregate=dataclasses.replace(aggregate, op="sum"),
-    )
-    count_part = dataclasses.replace(
-        query,
-        name=f"{query.name}#count",
-        aggregate=AggregateSpec(columns=(), combine=None, op="count"),
-    )
-    return (("sum", sum_part), ("count", count_part))
-
-
-def _merge_scalar(op: str, acc: "float | None", delta: "float | None") -> "float | None":
-    if delta is None:
-        return acc
-    if acc is None:
-        return delta
-    if op in ("sum", "count"):
-        return acc + delta
-    return min(acc, delta) if op == "min" else max(acc, delta)
-
-
-def _merge_groups(op: str, acc: "dict[tuple, float]", delta: "dict[tuple, float]") -> None:
-    for key, value in delta.items():
-        if key not in acc:
-            acc[key] = value
-        elif op in ("sum", "count"):
-            acc[key] += value
-        elif op == "min":
-            acc[key] = min(acc[key], value)
-        else:
-            acc[key] = max(acc[key], value)
 
 
 class StandingQuery:
@@ -121,20 +55,16 @@ class StandingQuery:
         self.session = session
         self.query = query
         self.name = name if name is not None else query.name
-        self._parts = _decompose(query)
         self._lock = threading.Lock()
-        # Per-slot state: a float (or None) for scalar queries, a dict of
-        # group-key tuple -> float for grouped ones.
-        self._state: dict[str, object] = {}
+        #: The partial over fact rows ``[0, _rows)`` (``None`` until the
+        #: first refresh) at the table versions in ``_versions``.
+        self._state: "PartialAggregate | None" = None
         self._rows = 0
         self._versions: dict[str, int] = {}
         # One persistent artifact cache per standing query: entries are
         # keyed by (build, dimension version), so unchanged dimensions hit
         # across every tick and a dimension append misses exactly once.
-        # The cache's database binding is repointed at each tick's delta
-        # database (artifacts embed dimension arrays, which the delta
-        # shares by snapshot, so reuse across rebinds is sound).
-        self._build_cache = BuildArtifactCache(None, maxsize=64)
+        self._build_cache = BuildArtifactCache(session.db, maxsize=64)
         #: Refresh ticks that folded new data (or fully re-evaluated).
         self.ticks = 0
         #: Fact rows folded incrementally over the query's lifetime.
@@ -142,74 +72,41 @@ class StandingQuery:
         #: Full re-evaluations (registration, or a dimension changed).
         self.full_refreshes = 0
 
-    # ------------------------------------------------------------------
-    def _dimension_names(self) -> list[str]:
-        names = []
-        for join in self.query.joins:
-            names.append(join.dimension)
-            if join.source is not None and join.source != self.query.fact:
-                names.append(join.source)
-        return names
-
     def refresh(self) -> bool:
         """Fold any data published since the last refresh into the answer.
 
         Incremental when only the fact table grew (the pipeline runs over
-        just the appended rows); a full re-evaluation when a dimension's
-        version changed or on first call.  Returns whether any work was
-        done (``False`` for a no-op tick: nothing new anywhere).
+        just the appended row range); a full re-evaluation when a
+        dimension's version changed or on first call.  Returns whether any
+        work was done (``False`` for a no-op tick: nothing new anywhere).
         """
         with self._lock:
             db = self.session.db
-            fact = db.table(self.query.fact)
-            if hasattr(fact, "snapshot"):
-                fact = fact.snapshot()
-            versions = {self.query.fact: getattr(fact, "version", 0)}
-            for name in self._dimension_names():
-                versions[name] = getattr(db.table(name), "version", 0)
+            fact = db.table(self.query.fact).snapshot()
+            n = fact.num_rows
+            dimensions = {join.dimension: db.table(join.dimension).version for join in self.query.joins}
+            versions = {self.query.fact: fact.version, **dimensions}
 
-            dims_changed = any(
-                versions[name] != self._versions.get(name) for name in versions if name != self.query.fact
+            full = self._state is None or any(
+                version != self._versions.get(name) for name, version in dimensions.items()
             )
-            first = not self._versions
-            if first or dims_changed:
-                start = 0
-                self._state = {}
-                self.full_refreshes += 1
-            elif fact.num_rows > self._rows:
-                start = self._rows
-            else:
+            if not full and n <= self._rows:
                 self._versions = versions
                 return False
-
-            delta_db = Database(name=f"{db.name}#delta", tables=dict(db.tables))
-            delta_db.tables[self.query.fact] = _tail_view(fact, start)
-            for name in self._dimension_names():
-                dimension = db.table(name)
-                if hasattr(dimension, "snapshot"):
-                    delta_db.tables[name] = dimension.snapshot()
-
-            self._build_cache.db = delta_db
-            with activate_builds(self._build_cache):
-                for slot, part in self._parts:
-                    value, _ = execute_query(delta_db, part)
-                    self._fold(slot, value)
-
-            self._rows = fact.num_rows
+            start = 0 if full else self._rows
+            # Lowered through the module, so a tracer patching
+            # ``physical.lower_query`` sees ticks too.
+            delta, _ = physical.execute_physical_partial(
+                db, physical.lower_query(self.query, db), start, n, build_cache=self._build_cache
+            )
+            self._state = delta if full else combine_partials([self._state, delta])
+            self._rows = n
             self._versions = versions
             self.ticks += 1
-            self.delta_rows += fact.num_rows - start
+            self.delta_rows += n - start
+            self.full_refreshes += full
             return True
 
-    def _fold(self, slot: str, value: object) -> None:
-        op = slot if slot in ("sum", "count") else self.query.aggregate.op
-        if isinstance(value, dict):
-            acc = self._state.setdefault(slot, {})
-            _merge_groups(op, acc, value)
-        else:
-            self._state[slot] = _merge_scalar(op, self._state.get(slot), value)
-
-    # ------------------------------------------------------------------
     def answer(self) -> object:
         """The maintained answer at the last refreshed version.
 
@@ -218,19 +115,7 @@ class StandingQuery:
         (keys lexicographically sorted) for grouped ones.
         """
         with self._lock:
-            if self.query.aggregate.op != "avg":
-                state = self._state.get(self.query.aggregate.op)
-                if isinstance(state, dict):
-                    return {key: state[key] for key in sorted(state)}
-                return state
-            sums = self._state.get("sum")
-            counts = self._state.get("count")
-            if isinstance(sums, dict):
-                counts = counts if isinstance(counts, dict) else {}
-                return {key: sums[key] / counts[key] for key in sorted(sums)}
-            if counts is None or counts == 0.0 or sums is None:
-                return None
-            return sums / counts
+            return None if self._state is None else finalize_partial(self._state)
 
     @property
     def versions(self) -> dict[str, int]:

@@ -263,7 +263,7 @@ class TestSharedBuilds:
         session = Session(tiny_ssb)
         session.run_many([QUERIES["q1.1"]], engine="cpu", share_builds=True)
         assert session.cache_info("builds").size > 0
-        session.clear_cache()
+        session.clear_caches()
         assert session.cache_info("builds") == (0, 0, 0, 128)
 
     def test_unknown_cache_name_rejected(self, tiny_ssb):

@@ -60,7 +60,7 @@ class TestOptOutAndLifecycle:
     def test_clear_cache(self, tiny_ssb):
         session = Session(tiny_ssb)
         session.run(QUERIES["q1.1"], engine="cpu")
-        session.clear_cache()
+        session.clear_caches()
         assert session.cache_info() == (0, 0, 0, 64)
 
     def test_lru_eviction_bounds_size(self, tiny_ssb):

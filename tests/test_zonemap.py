@@ -391,7 +391,7 @@ class TestSessionZones:
     def test_clear_cache_resets_zone_counters(self, tiny_ssb):
         session = Session(tiny_ssb)
         session.run(QUERIES["q1.1"])
-        session.clear_cache()
+        session.clear_caches()
         assert session.cache_info("zones") == (0, 0, 0, 0, 0, 0, 0, 0)
 
     def test_run_many_share_builds_with_zones(self, tiny_ssb):
