@@ -25,13 +25,16 @@ profile of :func:`~repro.engine.plan.execute_query`) per query, so
 times; pass ``cache=False`` (to the constructor or per call) to opt out,
 and read :meth:`Session.cache_info` for hit/miss counters.
 
-``run_many(..., share_builds=True)`` additionally runs the batch through
-the staged physical pipeline's shared-build path: the batch's
-:class:`~repro.engine.physical.BuildLookup` operators are topologically
-grouped, each distinct dimension lookup is constructed exactly once, and
-every query's probes consume the shared artifacts.
+Dimension builds are cached on every path: each execution runs under the
+session's :class:`~repro.engine.cache.BuildArtifactCache`, keyed by
+``(build key, dimension version)``, so a repeated join constructs its
+lookup once and an append to a dimension misses exactly that dimension's
+entries.  ``run_many(..., share_builds=True)`` adds the batch treatment on
+top: the batch's :class:`~repro.engine.physical.BuildLookup` operators are
+topologically grouped, each distinct lookup is constructed up front, and
+the LRU grows to hold them all for the whole batch.
 :meth:`Session.cache_info('builds') <Session.cache_info>` reports the
-shared-build hit/miss counters.
+build hit/miss counters.
 
 ``run_many(..., workers=N)`` executes the batch morsel-parallel: each
 query is a morsel pulled by a thread pool (sized to the hardware), with
@@ -61,6 +64,7 @@ from repro.engine.cache import (
     ZoneInfo,
     ZoneMapCache,
     activate,
+    active_build_cache,
     activate_builds,
     activate_shards,
     activate_zones,
@@ -330,8 +334,10 @@ class Session:
         """Hit/miss counters of one of the session's caches.
 
         ``cache="execution"`` (the default) reports the functional-execution
-        memo; ``cache="builds"`` reports the shared dimension-build artifact
-        cache that ``run_many(..., share_builds=True)`` populates;
+        memo; ``cache="builds"`` reports the dimension-build artifact cache
+        every execution fetches its lookups through (a replayed query moves
+        neither counter; ``run_many(..., share_builds=True)`` pre-stages a
+        batch's builds in it);
         ``cache="zones"`` reports the zone-map statistics cache and the
         data-skipping counters (zones skipped / taken whole / evaluated,
         rows pruned without being touched).  :meth:`clear_caches` drops all
@@ -544,6 +550,11 @@ class Session:
                 stack.enter_context(activate_faults(self.faults))
             if self._zone_cache is not None:
                 stack.enter_context(activate_zones(self._zone_cache))
+            if active_build_cache() is None:
+                # Dimension builds survive the query on every path; a scope
+                # the caller already opened (``run_many(share_builds=True)``
+                # stages its batch in one) is left in charge.
+                stack.enter_context(activate_builds(self._build_cache))
             if effective is not None and effective > 1:
                 # ``shards=1`` (or None) deliberately skips the binding so
                 # it shares cache entries -- and the cache key -- with the
@@ -590,8 +601,9 @@ class Session:
     ) -> "list[ResultSet | Exception]":
         """Execute a batch of queries on one engine.
 
-        With ``share_builds=True`` the batch runs as one unit through the
-        physical pipeline's shared-build path: every query is lowered, the
+        Builds are cached either way; with ``share_builds=True`` the batch
+        additionally runs as one unit through the physical pipeline's
+        shared-build path: every query is lowered, the
         batch's build operators are topologically grouped and deduplicated
         by ``(dimension, key_column, payload_column, predicate)``, each
         distinct dimension lookup is constructed exactly once up front, and
@@ -700,9 +712,9 @@ class Session:
         """Morsel-parallel batch execution over a thread pool.
 
         The engine instance is created up front (the per-session engine dict
-        is not guarded), and each worker task activates the shared build
-        cache itself -- pool threads do not inherit the submitting context's
-        ContextVar bindings.
+        is not guarded); every worker's :meth:`_execute` activates the
+        session's build cache itself -- pool threads do not inherit the
+        submitting context's ContextVar bindings.
 
         Error propagation: every morsel is submitted before any result is
         awaited, so a failing query never starves the rest of the batch --
@@ -718,14 +730,8 @@ class Session:
             builds = staged_builds(lower_query(query) for query in prepared)
             self._build_cache.maxsize = max(self._build_cache.maxsize, len(builds))
 
-        def morsel(query: SSBQuery) -> ResultSet:
-            if share_builds:
-                with activate_builds(self._build_cache):
-                    return self._execute(engine, query, cache, shards=shards)
-            return self._execute(engine, query, cache, shards=shards)
-
         with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-run-many") as pool:
-            futures = [pool.submit(morsel, query) for query in prepared]
+            futures = [pool.submit(self._execute, engine, query, cache, shards) for query in prepared]
             if not return_exceptions:
                 return [future.result() for future in futures]
             results: "list[ResultSet | Exception]" = []

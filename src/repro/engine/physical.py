@@ -39,6 +39,27 @@ profiles stay byte-identical to the full-width mask reference, so the cost
 models are untouched (the ledger's ``ssb_uniform`` workload measures the
 wall clock: ``engine.scan_ms``, ``engine.probe_ms``, ``engine.aggregate_ms``).
 
+Those mechanics follow three rules (``tests/test_pipeline_selection.py``
+holds each without reading a clock):
+
+* **Indices are ``intp``, widened a tile at a time.**  NumPy gathers through
+  a narrower index vector by casting it in buffered chunks (~4x the cost),
+  so :class:`ProbeJoin` widens :data:`PROBE_TILE_ROWS` keys at a time into
+  one reused, cache-resident ``intp`` buffer and gathers straight into
+  its output -- the paper's ``BlockLoad`` -> ``BlockLookup`` (Section 3.3).
+* **Compaction is by index vector, never by mask.**  A mask becomes
+  ``np.flatnonzero(mask)`` once, and ``sel``, the surviving keys and every
+  carried payload ride the same ``ndarray.take`` (a boolean-mask subscript
+  costs ~5x that).
+* **Dimension builds outlive the query**: a :class:`~repro.api.Session`
+  runs every execution under its
+  :class:`~repro.engine.cache.BuildArtifactCache`.
+
+Tiling *whole operators* (a query as partials over row tiles) was measured
+and loses at every tile size: NumPy kernels at 1-2 GB/s are
+instruction-bound, so cache-resident temporaries cannot pay for the Python
+per tile (``benchmarks/bench_fig09_tile_sizes.py`` keeps both sweeps).
+
 On top of the selection vectors sits the **pruned, compression-aware scan
 plane** (on whenever a :class:`~repro.engine.cache.ZoneMapCache` is active,
 which a :class:`~repro.api.Session` does by default): :func:`lower` folds
@@ -48,7 +69,7 @@ provably-empty zones and takes provably-full ones whole -- in span state by
 walking the maximal runs of equal class among the span's zones, one slice
 scan per *evaluate* run; :class:`ProbeJoin`
 skips fact zones whose key range cannot intersect the build's present keys
-and drops its range-validity passes when statistics prove every key in
+and drops its range-validity mask when statistics prove every key in
 bounds; :class:`BuildLookup` bases its perfect-hash arrays at the key
 column's minimum (a ~65 K-entry ``date`` lookup instead of ~20 M); and
 sparse gathers decode ``<= 16``-bit columns from packed words.  All of it
@@ -63,9 +84,9 @@ The decomposition buys two things the monolithic pass could not offer:
 * **Shared build artifacts.**  :class:`BuildLookup` products are immutable
   :class:`BuildArtifact` values keyed by ``(dimension, key_column,
   payload_column, predicate)``; with a
-  :class:`~repro.engine.cache.BuildArtifactCache` active, a batch of queries
-  touching the same dimensions constructs each distinct lookup exactly once
-  (``Session.run_many(..., share_builds=True)``).
+  :class:`~repro.engine.cache.BuildArtifactCache` active, queries
+  touching the same dimensions construct each distinct lookup exactly once
+  (``Session.run_many(..., share_builds=True)`` stages a batch's up front).
 * **A seam for snowflake lowering.**  :class:`LogicalJoin` records the
   probe-side ``source`` table of every join, so dimension->dimension chains
   are *represented* today; executing them is a change to :func:`lower`
@@ -240,6 +261,15 @@ class BuildArtifact:
 #: than ``1/this`` of the fact rows (see :meth:`PipelineState.packed_for`).
 PACKED_GATHER_DENOMINATOR = 32
 
+#: Rows per probe tile (a multiple of the 4096-row zone; the 512 KiB slot
+#: buffer stays L2 resident).  From ``test_probe_tile_sweep_measured`` in
+#: ``benchmarks/bench_fig09_tile_sizes.py`` -- span-state probe of 4 M keys,
+#: median/min ms of 6 interleaved rounds, 2 MiB L2: 2 K 19.0/16.9, 4 K
+#: 16.2/14.2, 8 K 14.6/12.4, 16 K 12.3/11.5, 32 K 12.4/11.1, **64 K
+#: 11.9/11.1**, 128 K 12.7/11.4, 256 K 12.9/12.5, 512 K 14.3/12.8, one tile
+#: 17.2/16.5.
+PROBE_TILE_ROWS = 64 * 1024
+
 
 def _concat(pieces: list) -> np.ndarray:
     """Already-ascending pieces as one array (no copy for a single piece)."""
@@ -349,19 +379,21 @@ class PipelineState:
         if self.group_columns:
             at = self.sel - self.lo
             for name, codes in self.group_columns.items():
-                self.group_columns[name] = codes[at]
+                self.group_columns[name] = codes.take(at)
 
     def compact(self, keep: np.ndarray) -> None:
-        """Shrink the selection vector (and every carried payload) by ``keep``.
+        """Shrink the selection vector (and every carried payload) to ``keep``.
 
-        ``keep`` is a boolean array at current selection-vector width.  The
-        payload arrays stay aligned with ``sel`` by construction, so a probe
-        that drops rows compacts them all in one pass over the (small)
-        survivor set instead of re-gathering from full-width arrays.
+        ``keep`` is an **index vector** -- the ascending positions, within
+        the current selection, of the survivors (``np.flatnonzero`` of the
+        caller's mask, taken once).  The payload arrays stay aligned with
+        ``sel`` by construction, so a probe that drops rows compacts them all
+        in one pass over the (small) survivor set instead of re-gathering
+        from full-width arrays.
         """
-        self.sel = self.sel[keep]
+        self.sel = self.sel.take(keep)
         for name, codes in self.group_columns.items():
-            self.group_columns[name] = codes[keep]
+            self.group_columns[name] = codes.take(keep)
         self.rows_alive = float(self.sel.size)
 
     def record_zones(self, cls: np.ndarray, rows_pruned: int) -> None:
@@ -477,22 +509,21 @@ class ScanFilter:
             state.seed(runs)
         else:
             sel = state.sel
+            columns = self.term.columns()
             if cls is None:
-                keep = evaluate_pred_at(
-                    state.fact, self.term, sel, packed=state.packed_for(self.term.columns(), sel.size)
-                )
+                keep = evaluate_pred_at(state.fact, self.term, sel, packed=state.packed_for(columns, sel.size))
             else:
                 # Evaluate only the survivors sitting in *evaluate* zones.
-                categories = cls[state.zones.zone_of(sel)]
+                categories = cls.take(state.zones.zone_of(sel))
                 keep = categories > 0
-                undecided = categories == 0
-                if undecided.any():
-                    subset = sel[undecided]
+                undecided = np.flatnonzero(categories == 0)
+                if undecided.size:
+                    subset = sel.take(undecided)
                     keep[undecided] = evaluate_pred_at(
-                        state.fact, self.term, subset, packed=state.packed_for(self.term.columns(), subset.size)
+                        state.fact, self.term, subset, packed=state.packed_for(columns, subset.size)
                     )
                 pruned = np.count_nonzero(categories < 0)
-            state.compact(keep)
+            state.compact(np.flatnonzero(keep))
         if cls is not None:
             state.record_zones(cls, pruned)
         profile.filter_stages.append(
@@ -616,27 +647,56 @@ class ProbeJoin:
     consumed :class:`BuildArtifact`, so cached and fresh builds profile
     identically).
 
+    Index vectors end to end: keys widen to ``intp`` slots a tile at a time
+    (:meth:`_slot_tiles`), the hits become one ``np.flatnonzero`` vector, and
+    surviving keys, selection and carried payloads ``take`` through it.
+
     Zone statistics refine the probe two ways, neither of which can change
     the surviving set: fact zones whose key range cannot intersect the
     artifact's present keys (``[key_low, key_high]``) are skipped before
     any key is gathered -- those rows would all miss -- and when the key
     column's statistics prove every key lands inside the lookup, the
-    range-validity passes are dropped and the probe is one straight gather.
+    per-tile range-validity mask is dropped.
     """
 
     def __init__(self, join: LogicalJoin) -> None:
         self.join = join
 
     @staticmethod
-    def _hits(artifact: BuildArtifact, keys: np.ndarray, in_range: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Membership of each key in the build, and the lookup slot of each key."""
-        slots = keys - artifact.key_base if artifact.key_base else keys
-        if in_range:
-            return artifact.present[slots], slots
-        valid = (slots >= 0) & (slots < artifact.lookup.shape[0])
-        hit = valid.copy()
-        hit[valid] = artifact.present[slots[valid]]
-        return hit, slots
+    def _slot_tiles(artifact: BuildArtifact, keys: np.ndarray):
+        """``(rows, slots)`` per :data:`PROBE_TILE_ROWS` tile of ``keys``:
+        ``slots`` is ``keys[rows] - key_base`` widened to ``intp`` in one
+        reused tile-sized buffer, so no key-wide ``intp`` vector exists."""
+        buf = np.empty(min(keys.shape[0], PROBE_TILE_ROWS), dtype=np.intp)
+        for start in range(0, keys.shape[0], PROBE_TILE_ROWS):
+            tile = keys[start : start + PROBE_TILE_ROWS]
+            slots = buf[: tile.shape[0]]
+            np.copyto(slots, tile)
+            if artifact.key_base:
+                slots -= artifact.key_base
+            yield slice(start, start + tile.shape[0]), slots
+
+    @classmethod
+    def _hits(cls, artifact: BuildArtifact, keys: np.ndarray, in_range: bool) -> np.ndarray:
+        """Membership of each key in the build.  ``mode="clip"`` gathers
+        straight into ``hit`` (``"raise"`` would buffer ``out``); unless every
+        key is proven ``in_range``, each tile's validity mask is AND-ed in."""
+        hit = np.empty(keys.shape[0], dtype=bool)
+        size = artifact.lookup.shape[0]
+        for rows, slots in cls._slot_tiles(artifact, keys):
+            artifact.present.take(slots, mode="clip", out=hit[rows])
+            if not in_range:
+                # One unsigned compare: a negative slot wraps far above ``size``.
+                hit[rows] &= slots.view(np.uintp) < size
+        return hit
+
+    @classmethod
+    def _payload(cls, artifact: BuildArtifact, keys: np.ndarray) -> np.ndarray:
+        """The payload code of each (present) key, in the lookup's narrow dtype."""
+        codes = np.empty(keys.shape[0], dtype=artifact.lookup.dtype)
+        for rows, slots in cls._slot_tiles(artifact, keys):
+            artifact.lookup.take(slots, mode="clip", out=codes[rows])
+        return codes
 
     def run(self, state: PipelineState) -> None:
         join = self.join
@@ -670,33 +730,30 @@ class ProbeJoin:
         if state.sel is None:
             # Span state: probe contiguous key slices, one per run of zones
             # the statistics could not rule out, and compact once.
-            runs, slot_pieces = [], []
+            runs, key_pieces = [], []
             for category, a, b in state.zone_runs(cls):
                 if category == ZONE_SKIP:
                     pruned += b - a
                     continue
-                hit, slots = self._hits(artifact, fact_keys[a:b], in_range)
-                idx = _survivors(hit)
+                keys = fact_keys[a:b]
+                idx = _survivors(self._hits(artifact, keys, in_range))
                 runs.append((a, b, idx))
-                slot_pieces.append(slots if idx is None else slots[idx])
+                if join.payload is not None:
+                    key_pieces.append(keys if idx is None else keys.take(idx))
             state.seed(runs)
-            surviving_slots = _concat(slot_pieces)
         else:
             sel = state.sel
-            entry_skip = cls[state.zones.zone_of(sel)] < 0 if cls is not None else None
-            if entry_skip is None or not entry_skip.any():
-                keys = self._gather_keys(state, fact_keys, sel)
-                hit, slots = self._hits(artifact, keys, in_range)
-                surviving_slots = slots[hit]
-            else:
-                undecided = np.flatnonzero(~entry_skip)
-                keys = self._gather_keys(state, fact_keys, sel[undecided])
-                hit_subset, slots = self._hits(artifact, keys, in_range)
-                hit = np.zeros(sel.size, dtype=bool)
-                hit[undecided] = hit_subset
-                surviving_slots = slots[hit_subset]
+            # Entries sitting in skip zones would all miss: drop them
+            # before any key is gathered.
+            if cls is not None:
+                undecided = np.flatnonzero(cls.take(state.zones.zone_of(sel)) >= 0)
                 pruned = sel.size - undecided.size
-            state.compact(hit)
+                if pruned:
+                    sel = sel.take(undecided)
+            keys = self._gather_keys(state, fact_keys, sel)
+            keep = np.flatnonzero(self._hits(artifact, keys, in_range))
+            key_pieces = [keys.take(keep)] if join.payload is not None else []
+            state.compact(undecided.take(keep) if pruned else keep)
         if cls is not None:
             state.record_zones(cls, pruned)
         selectivity = state.rows_alive / probe_rows if probe_rows else 0.0
@@ -718,7 +775,7 @@ class ProbeJoin:
         if join.payload is not None:
             # Payload codes materialize at selection-vector width, in the
             # lookup's narrow dtype (lower() guarantees the name is unique).
-            state.group_columns[join.payload] = artifact.lookup[surviving_slots]
+            state.group_columns[join.payload] = self._payload(artifact, _concat(key_pieces))
 
     def _gather_keys(self, state: PipelineState, fact_keys: np.ndarray, sel: np.ndarray) -> np.ndarray:
         """Surviving rows' keys, read from the packed twin when one exists.
@@ -732,7 +789,7 @@ class ProbeJoin:
         packed = state.packed_for((self.join.source_key,), sel.size)
         if packed is not None:
             return packed[self.join.source_key].unpack_at(sel)
-        return fact_keys[sel]
+        return fact_keys.take(sel)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ProbeJoin({self.join.dimension!r} via {self.join.source_key!r})"

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
+from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
@@ -244,11 +245,11 @@ class ShardExecutor:
         #: One export per fact table name; re-exporting a newer version
         #: releases the old version's segments (workers re-attach by spec).
         self._exports: dict[str, tuple[int, TableExport, list[str]]] = {}
-        #: Artifact shipping refs by ``id(artifact)``; ``_artifact_pins``
-        #: keeps the artifacts alive so ids stay unique for the session.
-        self._artifact_refs: dict[int, InlineArtifact | ShmArtifact] = {}
-        self._artifact_pins: list[BuildArtifact] = []
-        self._artifact_counter = 0
+        #: Shared-memory refs of the large artifacts, least recently shipped
+        #: first, by ``id(artifact)``; an entry pins its artifact so the id
+        #: stays unique while it is tabled.  Bounded: each query trims the
+        #: table to the build cache's size and unlinks what falls out.
+        self._artifact_refs: OrderedDict[int, tuple[BuildArtifact, ShmArtifact]] = OrderedDict()
         self._lock = threading.Lock()
         self._closed = False
         self.queries = 0
@@ -295,7 +296,6 @@ class ShardExecutor:
             self._pool_workers = 0
             self._exports.clear()
             self._artifact_refs.clear()
-            self._artifact_pins.clear()
         try:
             if pool is not None:
                 pool.shutdown(wait=True, cancel_futures=True)
@@ -367,10 +367,14 @@ class ShardExecutor:
             try:
                 if export is None:
                     export = self._export_for(db, fact)
+                    build_cache = active_build_cache()
                     artifacts = tuple(
-                        self._artifact_ref(build.fetch_artifact(db, active_build_cache()))
-                        for build in plan.builds
+                        self._artifact_ref(build.fetch_artifact(db, build_cache)) for build in plan.builds
                     )
+                    # Refs outlive their artifact's stay in the build cache
+                    # by at most its size -- and never lose this query's own.
+                    resident = build_cache.maxsize if build_cache is not None else 0
+                    self._trim_artifact_refs(max(resident, len(artifacts)))
                 pool = self._ensure_pool(shards)
                 for i in range(len(ranges)):
                     if i in results:
@@ -466,13 +470,17 @@ class ShardExecutor:
         """
         with self._lock:
             held = self._exports.pop(fact_name, None)
-            refs, self._artifact_refs = self._artifact_refs, {}
-            self._artifact_pins.clear()
-        names = list(held[2]) if held is not None else []
-        for ref in refs.values():
-            if isinstance(ref, ShmArtifact):
-                names.append(ref.lookup.segment)
-                names.append(ref.present.segment)
+        if held is not None:
+            self.registry.release(held[2])
+        self._trim_artifact_refs(0)
+
+    def _trim_artifact_refs(self, keep: int) -> None:
+        """Unlink all but the ``keep`` most recently shipped artifact refs."""
+        names = []
+        with self._lock:
+            while len(self._artifact_refs) > keep:
+                _, ref = self._artifact_refs.popitem(last=False)[1]
+                names += [ref.lookup.segment, ref.present.segment]
         if names:
             self.registry.release(names)
 
@@ -535,39 +543,34 @@ class ShardExecutor:
 
     def _artifact_ref(self, artifact: BuildArtifact) -> InlineArtifact | ShmArtifact:
         """How to ship ``artifact``: inline pickle or shared segments, by size."""
-        with self._lock:
-            ref = self._artifact_refs.get(id(artifact))
-            if ref is not None:
-                return ref
         nbytes = int(artifact.lookup.nbytes) + int(artifact.present.nbytes)
         if nbytes <= INLINE_ARTIFACT_BYTES:
-            ref: InlineArtifact | ShmArtifact = InlineArtifact(artifact=artifact)
-        else:
-            lookup_spec = self.registry.share_array(np.asarray(artifact.lookup))
-            present_spec = self.registry.share_array(np.asarray(artifact.present))
-            with self._lock:
-                self._artifact_counter += 1
-                token = f"artifact-{self._artifact_counter}"
-            ref = ShmArtifact(
-                token=token,
-                dimension=artifact.dimension,
-                dimension_rows=artifact.dimension_rows,
-                build_rows=artifact.build_rows,
-                hash_table_bytes=artifact.hash_table_bytes,
-                build_scan_bytes=artifact.build_scan_bytes,
-                lookup=lookup_spec,
-                present=present_spec,
-                key_base=artifact.key_base,
-                key_low=artifact.key_low,
-                key_high=artifact.key_high,
-            )
+            return InlineArtifact(artifact=artifact)
         with self._lock:
             held = self._artifact_refs.get(id(artifact))
             if held is not None:
-                return held
-            self._artifact_refs[id(artifact)] = ref
-            self._artifact_pins.append(artifact)
-        return ref
+                self._artifact_refs.move_to_end(id(artifact))
+                return held[1]
+        lookup_spec = self.registry.share_array(np.asarray(artifact.lookup))
+        present_spec = self.registry.share_array(np.asarray(artifact.present))
+        ref = ShmArtifact(
+            token=lookup_spec.segment,
+            dimension=artifact.dimension,
+            dimension_rows=artifact.dimension_rows,
+            build_rows=artifact.build_rows,
+            hash_table_bytes=artifact.hash_table_bytes,
+            build_scan_bytes=artifact.build_scan_bytes,
+            lookup=lookup_spec,
+            present=present_spec,
+            key_base=artifact.key_base,
+            key_low=artifact.key_low,
+            key_high=artifact.key_high,
+        )
+        with self._lock:
+            held = self._artifact_refs.setdefault(id(artifact), (artifact, ref))
+        if held[1] is not ref:  # a racing thread shared this artifact first
+            self.registry.release([lookup_spec.segment, present_spec.segment])
+        return held[1]
 
 
 def partial_for_range(db, query: SSBQuery, start: int, stop: int):

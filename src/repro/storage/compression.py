@@ -21,6 +21,17 @@ import numpy as np
 from repro.storage.column import Column
 
 
+#: Values packed per pass of :meth:`BitPackedColumn._append`: 2 MB per
+#: ``uint64`` scratch array, ~15 MB of scratch whatever the column, where
+#: packing a 3 M-row column whole held 130 MB at once.  Pack time is flat
+#: from 64 K to 512 K values per pass; 256 K is the smallest at which this
+#: one-off, single-threaded transient still tops the peak of a *served*
+#: SF 0.1 session -- below it that peak is the overlap of two in-flight cold
+#: queries' temporaries, which thread timing moves by 2.4 MB run to run
+#: (the ledger's ``serve_dash/mem_peak_mb`` then stops repeating).
+PACK_CHUNK_VALUES = 1 << 18
+
+
 def bits_needed(max_value: int) -> int:
     """Bits required to represent values in ``[0, max_value]``."""
     if max_value < 0:
@@ -51,26 +62,10 @@ class BitPackedColumn:
         if values.size and values.min() < 0:
             raise ValueError("bit packing requires non-negative values")
         width = bits_needed(int(values.max()) if values.size else 0)
-
-        positions = np.arange(values.shape[0], dtype=np.uint64) * np.uint64(width)
-        word_index = (positions // np.uint64(64)).astype(np.int64)
-        bit_offset = (positions % np.uint64(64)).astype(np.uint64)
-        num_words = int((values.shape[0] * width + 63) // 64) + 1
-        words = np.zeros(num_words, dtype=np.uint64)
-
-        value_bits = values.astype(np.uint64)
-        # Low part goes into the word the value starts in...
-        np.bitwise_or.at(words, word_index, value_bits << bit_offset)
-        # ...and whatever spills past bit 63 goes into the next word.
-        spill = np.uint64(64) - bit_offset
-        has_spill = spill < np.uint64(width)
-        if np.any(has_spill):
-            np.bitwise_or.at(
-                words,
-                word_index[has_spill] + 1,
-                value_bits[has_spill] >> spill[has_spill],
-            )
-        return cls(name=name, packed=words, bit_width=width, num_values=int(values.shape[0]))
+        # A column is its empty prefix (one zeroed guard word) extended by
+        # every value: the bit layout lives in :meth:`_append` alone.
+        empty = cls(name=name, packed=np.zeros(1, dtype=np.uint64), bit_width=width, num_values=0)
+        return empty._append(values)
 
     def extend(self, tail: np.ndarray) -> "BitPackedColumn":
         """Append ``tail`` values, repacking only the affected words.
@@ -93,33 +88,40 @@ class BitPackedColumn:
                 f"tail needs {bits_needed(int(tail.max()))} bits, packed column "
                 f"{self.name!r} holds {self.bit_width}; repack from scratch"
             )
-        if not tail.size:
-            return self
-        width = self.bit_width
-        total = self.num_values + int(tail.shape[0])
-        num_words = int((total * width + 63) // 64) + 1
-        words = np.zeros(num_words, dtype=np.uint64)
-        words[: self.packed.shape[0]] = self.packed
+        return self._append(tail) if tail.size else self
 
-        positions = (
-            np.arange(self.num_values, total, dtype=np.uint64) * np.uint64(width)
-        )
-        word_index = (positions >> np.uint64(6)).astype(np.int64)
-        bit_offset = positions & np.uint64(63)
-        value_bits = tail.astype(np.uint64)
-        np.bitwise_or.at(words, word_index, value_bits << bit_offset)
-        spill = np.uint64(64) - bit_offset
-        has_spill = spill < np.uint64(width)
-        if np.any(has_spill):
-            np.bitwise_or.at(
-                words,
-                word_index[has_spill] + 1,
-                value_bits[has_spill] >> spill[has_spill],
-            )
+    def _append(self, tail: np.ndarray) -> "BitPackedColumn":
+        """This column followed by ``tail`` (validated to fit ``bit_width``).
+
+        Packs :data:`PACK_CHUNK_VALUES` values at a time, so the ``uint64``
+        position / offset / shifted-value scratch is chunk-sized, never
+        column-sized.  Every OR lands at its absolute word index, so a
+        value straddling a chunk's last word simply spills into the next
+        chunk's still-zero first word (or the trailing guard word).
+        """
+        width = np.uint64(self.bit_width)
+        total = self.num_values + int(tail.shape[0])
+        words = np.zeros((total * self.bit_width + 63) // 64 + 1, dtype=np.uint64)
+        words[: self.packed.shape[0]] = self.packed
+        for done in range(0, int(tail.shape[0]), PACK_CHUNK_VALUES):
+            value_bits = tail[done : done + PACK_CHUNK_VALUES].astype(np.uint64)
+            first = self.num_values + done
+            positions = np.arange(first, first + value_bits.shape[0], dtype=np.uint64) * width
+            word_index = (positions >> np.uint64(6)).astype(np.intp)
+            bit_offset = positions & np.uint64(63)
+            # Low part goes into the word the value starts in...
+            np.bitwise_or.at(words, word_index, value_bits << bit_offset)
+            # ...and whatever spills past bit 63 goes into the next word.
+            spill = np.uint64(64) - bit_offset
+            spilled = np.flatnonzero(spill < width)
+            if spilled.size:
+                np.bitwise_or.at(
+                    words, word_index.take(spilled) + 1, value_bits.take(spilled) >> spill.take(spilled)
+                )
         return BitPackedColumn(
             name=self.name,
             packed=words,
-            bit_width=width,
+            bit_width=self.bit_width,
             num_values=total,
             reference_bytes_per_value=self.reference_bytes_per_value,
         )

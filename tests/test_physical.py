@@ -38,6 +38,7 @@ from repro.engine.plan import (
     merge_partial_aggregates,
 )
 from repro.engine.planner import JoinOrderPlanner
+from repro.ssb import generate_ssb
 from repro.ssb.queries import QUERIES, AggregateSpec, FilterSpec, JoinSpec, SSBQuery
 from repro.storage import Database, Table
 from repro.storage.zonemap import ZONE_EVALUATE, ZONE_SKIP, ZONE_TAKE, TableZoneMaps, cluster_by
@@ -242,11 +243,14 @@ class TestSharedBuilds:
         assert info.maxsize >= len(distinct)
 
     def test_memoized_queries_skip_prebuild(self, tiny_ssb):
-        """Replayed queries never probe, so their builds are not constructed."""
+        """Replayed queries never probe, so they move no build counter."""
         session = Session(tiny_ssb)
         session.run(QUERIES["q2.1"], engine="cpu")  # memoize the whole pass
+        built = session.cache_info("builds")
+        assert built == (0, 3, 3, 128)  # the cold run constructed its three lookups
+        session.run(QUERIES["q2.1"], engine="cpu")
         session.run_many([QUERIES["q2.1"]], engine="cpu", share_builds=True)
-        assert session.cache_info("builds") == (0, 0, 0, 128)
+        assert session.cache_info("builds") == built
 
     def test_bad_engine_fails_before_building(self, tiny_ssb):
         session = Session(tiny_ssb)
@@ -255,9 +259,31 @@ class TestSharedBuilds:
         assert session.cache_info("builds") == (0, 0, 0, 128)
 
     def test_serial_run_many_untouched(self, tiny_ssb):
-        session = Session(tiny_ssb)
+        """Builds are cached on every path: a serial batch pays each once."""
+        session = Session(tiny_ssb, cache=False)  # isolate the build cache
         session.run_many([QUERIES["q2.1"]], engine="cpu")
+        assert session.cache_info("builds") == (0, 3, 3, 128)
+        session.run_many([QUERIES["q2.1"]], engine="cpu")
+        assert session.cache_info("builds") == (3, 3, 3, 128)
+        session.clear_caches()
         assert session.cache_info("builds") == (0, 0, 0, 128)
+
+    def test_append_misses_exactly_the_appended_dimension(self, tiny_ssb):
+        """Entries key on ``(build_key, dimension.version)``: a dimension
+        append misses that dimension's entries only, a fact append none."""
+        db = generate_ssb(scale_factor=0.005, seed=21)  # private: the test appends
+        session = Session(db, cache=False)
+        session.run(QUERIES["q2.1"], engine="cpu")
+        assert session.cache_info("builds") == (0, 3, 3, 128)
+        fact = db.table("lineorder")
+        session.ingest("lineorder", {name: fact[name][:8] for name in fact.columns})
+        session.run(QUERIES["q2.1"], engine="cpu")
+        assert session.cache_info("builds") == (3, 3, 3, 128)
+        supplier = db.table("supplier")
+        session.ingest("supplier", {name: supplier[name][:1] for name in supplier.columns})
+        result = session.run(QUERIES["q2.1"], engine="cpu")
+        assert session.cache_info("builds") == (5, 4, 4, 128)
+        assert result.value == execute_query_monolithic(db, QUERIES["q2.1"])[0]
 
     def test_clear_cache_resets_build_counters(self, tiny_ssb):
         session = Session(tiny_ssb)

@@ -9,23 +9,36 @@ full-width mask reference executor on all 13 SSB queries (plus OR-trees),
 and pin down the new helpers individually.
 """
 
+import ast
+import inspect
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Q, Session, col
+from repro.engine import physical
+from repro.engine.cache import BuildArtifactCache, ZoneMapCache, activate_builds, activate_zones
 from repro.engine.expr import evaluate_pred, evaluate_pred_at
-from repro.engine.physical import BuildLookup, lower_query
+from repro.engine.physical import BuildArtifact, BuildLookup, ProbeJoin, lower_query
 from repro.engine.plan import (
     execute_query,
     execute_query_monolithic,
     factorize_group_keys,
+    fold_shard_profiles,
     grouped_aggregate,
     grouped_aggregate_values,
+    merge_partial_aggregates,
     narrowest_signed_dtype,
     scalar_aggregate,
     scalar_aggregate_values,
 )
+from repro.engine.shard import partial_for_range
 from repro.ssb.queries import QUERIES, And, FilterSpec, JoinSpec, Leaf, Not, Or, SSBQuery
+from repro.storage.compression import PACK_CHUNK_VALUES, BitPackedColumn
+from repro.storage.zonemap import cluster_by
 
 # ----------------------------------------------------------------------
 # Differential: selection vectors vs the full-width mask reference
@@ -349,3 +362,156 @@ class TestPayloadValidationAtLowerTime:
         with pytest.raises(ValueError, match="more than one join"):
             session.run_many([self._duplicate_payload_query()], engine="cpu", share_builds=True)
         assert session.cache_info("builds").size == 0
+
+
+# ----------------------------------------------------------------------
+# The tiled probe: keys widen to ``intp`` slots one tile at a time
+# ----------------------------------------------------------------------
+
+TILE_SIZES = [4096, 3 * 4096, 1 << 30]  # one zone, a few zones, wider than any input
+KEY_DTYPES = [np.int8, np.int16, np.int32, np.int64]
+
+
+def _artifact(present, lookup, key_base):
+    held = np.flatnonzero(present) + key_base
+    return BuildArtifact(
+        dimension="d", dimension_rows=present.size, build_rows=held.size, hash_table_bytes=0.0,
+        build_scan_bytes=0.0, lookup=lookup, present=present, key_base=key_base,
+        key_low=int(held.min()) if held.size else 0, key_high=int(held.max()) if held.size else -1,
+    )
+
+
+@st.composite
+def probe_cases(draw):
+    """A lookup, a key column that strays off both of its ends, and a span."""
+    dtype = np.dtype(draw(st.sampled_from(KEY_DTYPES)))
+    size = draw(st.integers(1, 40))
+    key_base = draw(st.sampled_from([0, 0, 3, 60]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    present = rng.random(size) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    lookup = rng.integers(-100, 100, size=size).astype(np.int8)
+    info = np.iinfo(dtype)
+    low, high = max(info.min, key_base - 5), min(info.max, key_base + size + 4)
+    n = draw(st.sampled_from([0, 1, 5000, 13_000]))
+    keys = rng.integers(low, high + 1, size=n).astype(dtype)
+    # The edges themselves, wherever the dtype can hold them.
+    edges = [k for k in (key_base - 1, key_base, key_base + size - 1, key_base + size) if low <= k <= high]
+    keys[: len(edges)] = edges[: n]
+    lo = draw(st.integers(0, n))
+    hi = draw(st.integers(lo, n))
+    if draw(st.booleans()):  # a column that does stay in range, for the proven path
+        keys = np.clip(keys, key_base, key_base + size - 1)
+    return _artifact(present, lookup, key_base), keys, lo, hi
+
+
+@pytest.fixture(scope="module")
+def span_zones(tiny_ssb):
+    """One zone-map cache for every generated span example (statistics build once)."""
+    return ZoneMapCache(tiny_ssb)
+
+
+class TestTiledProbe:
+    @pytest.mark.parametrize("tile", TILE_SIZES)
+    @settings(max_examples=40, deadline=None)
+    @given(case=probe_cases())
+    def test_hits_and_payload_match_a_membership_oracle(self, tile, case):
+        artifact, keys, lo, hi = case
+        span = keys[lo:hi]
+        held = {int(k) for k in np.flatnonzero(artifact.present) + artifact.key_base}
+        oracle = [int(k) in held for k in span]
+        stays = all(artifact.key_base <= int(k) < artifact.key_base + artifact.present.size for k in span)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(physical, "PROBE_TILE_ROWS", tile)
+            for in_range in {False, stays}:  # the proven path only where it *is* proven
+                hit = ProbeJoin._hits(artifact, span, in_range)
+                assert hit.dtype == bool and hit.tolist() == oracle
+            survivors = span.take(np.flatnonzero(hit))
+            codes = ProbeJoin._payload(artifact, survivors)
+        assert codes.dtype == artifact.lookup.dtype
+        assert codes.tolist() == [int(artifact.lookup[int(k) - artifact.key_base]) for k in survivors]
+
+    @pytest.mark.parametrize("tile", TILE_SIZES)
+    @pytest.mark.parametrize("zones", [True, False], ids=["zones", "plain"])
+    @pytest.mark.parametrize("layout", ["uniform", "clustered"])
+    def test_all_13_queries_at_every_tile_size(self, tiny_ssb, monkeypatch, layout, zones, tile):
+        """Value and profile, every plane: clustered data walks the zone
+        plane's skip / undecided branches, ``plain`` the range-validity mask."""
+        db = tiny_ssb if layout == "uniform" else cluster_by(tiny_ssb, "lineorder", "lo_orderdate")
+        monkeypatch.setattr(physical, "PROBE_TILE_ROWS", tile)
+        with activate_zones(ZoneMapCache(db) if zones else None):
+            for name in sorted(QUERIES):
+                assert execute_query(db, QUERIES[name]) == execute_query_monolithic(db, QUERIES[name]), name
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), tile=st.sampled_from(TILE_SIZES), name=st.sampled_from(["q2.1", "q3.1", "q4.2"]))
+    def test_spans_cut_mid_tile_and_mid_zone(self, tiny_ssb, span_zones, data, tile, name):
+        n = tiny_ssb.table("lineorder").num_rows
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=1, max_size=3)))
+        bounds = [0, *cuts, n]
+        expected_value, expected_profile = execute_query_monolithic(tiny_ssb, QUERIES[name])
+        with pytest.MonkeyPatch.context() as patch, activate_zones(span_zones):
+            patch.setattr(physical, "PROBE_TILE_ROWS", tile)
+            parts = [partial_for_range(tiny_ssb, QUERIES[name], a, b) for a, b in zip(bounds, bounds[1:])]
+        value = merge_partial_aggregates([partial for partial, _ in parts])
+        assert value == expected_value
+        assert fold_shard_profiles([profile for _, profile in parts], value) == expected_profile
+
+
+# ----------------------------------------------------------------------
+# The data plane's rules, held without a clock
+# ----------------------------------------------------------------------
+
+
+class TestDataPlaneRules:
+    @pytest.mark.parametrize("zones", [True, False], ids=["zones", "plain"])
+    @pytest.mark.parametrize("name", ["q2.1", "q3.1"])
+    def test_span_probe_never_widens_the_whole_span(self, small_ssb, name, zones):
+        """An ``intp`` slot (or row id) per span row costs ``8 x n`` bytes by
+        itself, so a join-first query whose *peak* new allocation stays below
+        that widened its probe keys a tile at a time -- with the
+        range-validity mask (``plain``) or without it."""
+        n = small_ssb.table("lineorder").num_rows
+        assert n >= 300_000
+        with activate_zones(ZoneMapCache(small_ssb) if zones else None), activate_builds(BuildArtifactCache(small_ssb)):
+            plan = lower_query(QUERIES[name], small_ssb)
+            physical.execute_physical(small_ssb, plan)  # statistics and builds now cached
+            peak = _peak_bytes(lambda: physical.execute_physical(small_ssb, plan))
+        assert peak < 8 * n
+
+    def test_pack_scratch_is_chunk_sized(self, rng):
+        values = rng.integers(0, 1000, size=4_000_000).astype(np.int32)
+        packed_bytes = BitPackedColumn.pack(values).packed.nbytes
+        peak = _peak_bytes(lambda: BitPackedColumn.pack(values))
+        # Positions, word indices, offsets, shifted values, spills: a dozen
+        # chunk-wide 8-byte arrays at the very most -- never column-wide ones.
+        assert peak < packed_bytes + 12 * 8 * PACK_CHUNK_VALUES
+        assert peak < 8 * values.size  # one column-wide uint64 temporary alone
+
+    def test_no_boolean_mask_subscripts_in_the_data_plane(self):
+        """Compaction is ``np.flatnonzero`` once + ``take``: a mask subscript
+        on a fact- or selection-width array costs ~5x that (ISSUE 19)."""
+        tree = ast.parse(inspect.getsource(physical))
+        wide = {"sel", "slots", "codes", "keys", "fact_keys", "subset"}
+        masks = {"keep", "hit", "undecided", "valid", "mask"}
+        offenders = [
+            f"line {node.lineno}: {ast.unparse(node)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.slice, ast.Name) and node.slice.id in masks
+            and ast.unparse(node.value).split(".")[-1] in wide
+        ]
+        assert not offenders, offenders
+
+
+def _peak_bytes(run) -> int:
+    """Peak bytes newly allocated while ``run()`` executes (reads no clock)."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before

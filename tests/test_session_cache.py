@@ -1,5 +1,8 @@
 """Tests for the Session's functional-execution memo and tolerant agreement."""
 
+import asyncio
+import time
+
 import pytest
 
 from repro.api import Q, Session, col, values_agree
@@ -86,6 +89,37 @@ class TestOptOutAndLifecycle:
         session.run(query, engine="cpu")
         session.run(query, engine="gpu")
         assert session.cache_info().hits == 1
+
+
+class TestServedBuildsExactlyOnce:
+    def test_racing_cold_queries_construct_each_artifact_once(self, tiny_ssb, monkeypatch):
+        """Two service threads miss the same builds at the same moment; the
+        build cache every execution now runs under arbitrates the race."""
+        from repro.engine.physical import BuildLookup
+        from repro.service.service import QueryService
+
+        query = QUERIES["q2.1"]
+        expected, _ = execute_query(tiny_ssb, query)
+        constructed = []
+        original = BuildLookup._build_from
+
+        def slow_build(self, db, dimension):
+            constructed.append(self.key)
+            time.sleep(0.02)  # long enough for the other request to miss the same key
+            return original(self, db, dimension)
+
+        monkeypatch.setattr(BuildLookup, "_build_from", slow_build)
+
+        async def serve():
+            with Session(tiny_ssb, cache=False) as session:  # both requests really execute
+                async with QueryService(session) as service:
+                    outcomes = await asyncio.gather(service.submit(query), service.submit(query))
+                return outcomes, session.cache_info("builds")
+
+        outcomes, builds = asyncio.run(serve())
+        assert [outcome.result.value for outcome in outcomes] == [expected, expected]
+        assert len(constructed) == len(set(constructed)) == len(query.joins)
+        assert (builds.hits, builds.misses) == (len(query.joins), len(query.joins))
 
 
 class TestTolerantAgreement:

@@ -460,6 +460,46 @@ class TestLeakSafety:
         assert executor.registry.closed
         assert executor.registry.num_segments == 0
 
+    def test_artifact_refs_stay_bounded(self, tiny_ssb, monkeypatch):
+        """The parent used to table (and pin) one ref per join per query
+        until ``close()`` -- with its ``/dev/shm`` segments, for artifacts
+        too large to pickle inline.  Refs now live as long as their
+        artifact can stay in the build cache, and no longer."""
+        from repro.engine import shard
+
+        monkeypatch.setattr(shard, "INLINE_ARTIFACT_BYTES", 0)  # ship every artifact through /dev/shm
+
+        def cold(i):  # two joins whose dimension predicates never repeat
+            return (
+                Q("lineorder")
+                .join("supplier", on=("lo_suppkey", "s_suppkey"), filters=[("s_suppkey", "gt", i)])
+                .join("date", on=("lo_orderdate", "d_datekey"), filters=[("d_datekey", "gt", 19920101 + i)],
+                      payload="d_year")
+                .group_by("d_year")
+                .agg("sum", "lo_revenue")
+                .build(tiny_ssb)
+            )
+
+        with Session(tiny_ssb, shards=2, build_cache_size=4, cache=False) as session:
+            executor = session.shard_executor()
+            prefix = executor.registry._prefix
+
+            def footprint():
+                return len(executor._artifact_refs), sum(prefix in path for path in _shm_segments())
+
+            for i in range(30):
+                query = cold(i)
+                assert session.run(query).value == execute_query_monolithic(tiny_ssb, query)[0]
+                refs, segments = footprint()
+                assert refs <= 4  # the build cache's size, not 2 per query so far
+            session.run(QUERIES["q2.1"])
+            settled = footprint()
+            assert settled[1] <= segments  # the fact export plus two segments per tabled ref
+            for _ in range(30):
+                assert session.run(QUERIES["q2.1"]).value == execute_query_monolithic(tiny_ssb, QUERIES["q2.1"])[0]
+                assert footprint() == settled
+        assert not any(prefix in path for path in _shm_segments())
+
     def test_registry_refuses_new_segments_after_close(self, tiny_ssb):
         import numpy as np
 
