@@ -270,32 +270,18 @@ class QueryBuilder:
         on: tuple[str, str],
         filters: "Iterable | Pred | FilterSpec" = (),
         payload: str | None = None,
-        source: str | None = None,
     ) -> "QueryBuilder":
-        """Join the fact table (or an upstream dimension) to ``dimension``.
+        """Join the fact table to ``dimension``.
 
-        ``on`` is the ``(source_key, dimension_key)`` pair; ``filters`` are
+        ``on`` is the ``(fact_key, dimension_key)`` pair; ``filters`` are
         predicates on the dimension's own columns -- a list of ``(column,
         op, value)`` tuples (ANDed) or one boolean tree; ``payload`` names
         the dimension column carried into the group-by (if any).
-
-        ``source`` declares a snowflake chain: it names an already-joined
-        dimension the probe-side key lives on (default: the fact table).
-        Such chains are carried through the spec and the logical plan, but
-        lowering them to physical operators is not implemented yet --
-        executing one raises ``NotImplementedError``.
         """
         if isinstance(on, str) or not (isinstance(on, Sequence) and len(on) == 2):
             raise QueryValidationError(
                 f"join on {dimension!r} needs on=(fact_key, dimension_key), got {on!r}"
             )
-        if source is not None and source != self._fact:
-            joined = [join.dimension for join in self._joins]
-            if source not in joined:
-                raise QueryValidationError(
-                    f"join with {dimension!r} hangs off {source!r}, which is neither the "
-                    f"fact table {self._fact!r} nor an already-joined dimension {joined}"
-                )
         # Role-playing dimensions (same table via different fact keys) are
         # allowed; only an exact repeat of the same edge is a mistake.
         if any(join.dimension == dimension and join.fact_key == on[0] for join in self._joins):
@@ -317,7 +303,6 @@ class QueryBuilder:
             dimension_key=on[1],
             filters=join_filters,
             payload=payload,
-            source=None if source == self._fact else source,
         )
         out = self._clone()
         out._joins = self._joins + (spec,)
@@ -487,16 +472,7 @@ class QueryBuilder:
                 f"unknown dimension table {join.dimension!r}; database has {sorted(database.tables)}"
             )
         dimension = database.table(join.dimension)
-        if join.source is None:
-            source = fact
-        else:
-            if join.source not in database:
-                raise QueryValidationError(
-                    f"unknown join source table {join.source!r}; database has "
-                    f"{sorted(database.tables)}"
-                )
-            source = database.table(join.source)
-        self._require_column(source, join.fact_key, "join source-key")
+        self._require_column(fact, join.fact_key, "join fact-key")
         self._require_column(dimension, join.dimension_key, "join dimension-key")
         if join.payload is not None:
             self._require_column(dimension, join.payload, "join payload")
@@ -505,9 +481,7 @@ class QueryBuilder:
         else:
             filters = tuple(self._validated_filter(dimension, f) for f in join.filters)
         if filters != join.filters:
-            join = JoinSpec(
-                join.dimension, join.fact_key, join.dimension_key, filters, join.payload, join.source
-            )
+            join = JoinSpec(join.dimension, join.fact_key, join.dimension_key, filters, join.payload)
         return join
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

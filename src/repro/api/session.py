@@ -29,18 +29,14 @@ Dimension builds are cached on every path: each execution runs under the
 session's :class:`~repro.engine.cache.BuildArtifactCache`, keyed by
 ``(build key, dimension version)``, so a repeated join constructs its
 lookup once and an append to a dimension misses exactly that dimension's
-entries.  ``run_many(..., share_builds=True)`` adds the batch treatment on
-top: the batch's :class:`~repro.engine.physical.BuildLookup` operators are
-topologically grouped, each distinct lookup is constructed up front, and
-the LRU grows to hold them all for the whole batch.
-:meth:`Session.cache_info('builds') <Session.cache_info>` reports the
-build hit/miss counters.
+entries.  :meth:`Session.cache_info('builds') <Session.cache_info>` reports
+the build hit/miss counters.
 
 ``run_many(..., workers=N)`` executes the batch morsel-parallel: each
-query is a morsel pulled by a thread pool (sized to the hardware), with
-the session's lock-protected caches shared across workers -- combined
-with ``share_builds=True``, racing builds are arbitrated exactly-once by
-the :class:`~repro.engine.cache.BuildArtifactCache`.
+query is a morsel pulled by a pool of N threads, with the session's
+lock-protected caches shared across workers -- racing builds are
+arbitrated exactly-once by the
+:class:`~repro.engine.cache.BuildArtifactCache`.
 """
 
 from __future__ import annotations
@@ -49,13 +45,13 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.api.builder import QueryBuilder
 from repro.api.registry import DEFAULT_REGISTRY, Engine, EngineRegistry
 from repro.api.resultset import ResultSet
+from repro.context import ExecutionContext, activate_context
 from repro.engine.cache import (
     BuildArtifactCache,
     CacheInfo,
@@ -63,16 +59,10 @@ from repro.engine.cache import (
     ExecutionCache,
     ZoneInfo,
     ZoneMapCache,
-    activate,
-    active_build_cache,
-    activate_builds,
-    activate_shards,
-    activate_zones,
     snapshot_counters,
 )
-from repro.engine.physical import lower_query, staged_builds
 from repro.engine.planner import JoinOrderPlanner
-from repro.faults import FaultPlan, ResiliencePolicy, activate_faults
+from repro.faults import FaultPlan, ResiliencePolicy
 from repro.ssb.queries import SSBQuery
 from repro.storage import Database
 from repro.storage.wal import DurabilityConfig, DurabilityManager, RecoveryReport
@@ -200,7 +190,6 @@ class Session:
         db: Database,
         *,
         registry: EngineRegistry | None = None,
-        planner: JoinOrderPlanner | None = None,
         cache: bool = True,
         cache_size: int = 64,
         build_cache_size: int = 128,
@@ -221,12 +210,12 @@ class Session:
         #: ladder to the same policy.
         self.resilience = resilience if resilience is not None else ResiliencePolicy()
         #: Deterministic fault injection (chaos testing): when set, every
-        #: execution activates this plan so the instrumented sites
+        #: execution's context carries this plan so the instrumented sites
         #: (shard tasks, shm attach/export) fire on schedule.  ``None`` --
         #: the production default -- keeps every site a no-op.
         self.faults = faults
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
-        self._planner = planner
+        self._planner: JoinOrderPlanner | None = None
         self._engines: dict[str, Engine] = {}
         self._cache = ExecutionCache(db, maxsize=cache_size) if cache else None
         self._build_cache = BuildArtifactCache(db, maxsize=build_cache_size)
@@ -235,7 +224,6 @@ class Session:
         # the unpruned selection-vector plane.  Answers and profiles are
         # identical either way -- only the work done differs.
         self._zone_cache = ZoneMapCache(db, zone_size=zone_size) if zones else None
-        self._zone_size = zone_size
         # Process-parallel sharded execution (``shards=N`` here or per call):
         # the executor -- worker pool + shared-memory plane -- is constructed
         # lazily on the first ``shards > 1`` execution and torn down by
@@ -246,6 +234,7 @@ class Session:
         self._shard_start_method = shard_start_method
         self._shards: "object | None" = None
         self._shard_lock = threading.Lock()
+        self._closed = False
         self._executor: ThreadPoolExecutor | None = None
         self._executor_lock = threading.Lock()
         self._standing: "dict[str, StandingQuery]" = {}
@@ -335,9 +324,8 @@ class Session:
 
         ``cache="execution"`` (the default) reports the functional-execution
         memo; ``cache="builds"`` reports the dimension-build artifact cache
-        every execution fetches its lookups through (a replayed query moves
-        neither counter; ``run_many(..., share_builds=True)`` pre-stages a
-        batch's builds in it);
+        every execution -- and every standing-query tick -- fetches its
+        lookups through (a replayed query moves neither counter);
         ``cache="zones"`` reports the zone-map statistics cache and the
         data-skipping counters (zones skipped / taken whole / evaluated,
         rows pruned without being touched).  :meth:`clear_caches` drops all
@@ -373,19 +361,18 @@ class Session:
 
         Owns the persistent worker pool and the shared-memory fact-table
         exports (see :mod:`repro.engine.shard`); lifecycle is tied to
-        :meth:`close`.  Constructed with the session's zone geometry so
-        shard pipelines take the same pruning decisions the monolithic
-        pipeline would.
+        :meth:`close`.  A closed session refuses: a pool (and ``/dev/shm``
+        exports) built after :meth:`close` would have nothing to close it.
         """
         with self._shard_lock:
+            if self._closed:
+                raise RuntimeError("session is closed")
             if self._shards is None:
                 from repro.engine.shard import ShardExecutor
 
                 self._shards = ShardExecutor(
                     self.db,
                     start_method=self._shard_start_method,
-                    zones=self._zone_cache is not None,
-                    zone_size=self._zone_size,
                     retry_budget=self.resilience.shard_retry_budget,
                     task_timeout_s=self.resilience.shard_task_timeout_s,
                 )
@@ -395,8 +382,8 @@ class Session:
     def executor(self) -> ThreadPoolExecutor:
         """The session's shared worker pool, created lazily on first use.
 
-        ``run_many(workers=N)`` keeps its own per-call pools (a batch wants
-        exactly N workers); this handle is for long-lived callers -- the
+        ``run_many(workers=N)`` keeps its own per-call pools (a batch gets
+        exactly N threads); this handle is for long-lived callers -- the
         async :class:`~repro.service.QueryService` dispatches admitted
         queries onto it -- so one session serves any number of concurrent
         submitters without spawning a pool per request.  Sized to the
@@ -411,9 +398,10 @@ class Session:
 
     def close(self) -> None:
         """Shut down the shared executor and the shard pool (idempotent;
-        caches stay intact).  Closing the shard executor unlinks every
-        shared-memory segment the session published, so a closed session
-        leaves ``/dev/shm`` exactly as it found it.
+        caches stay intact, so unsharded runs keep working).  Closing the
+        shard executor unlinks every shared-memory segment the session
+        published, so a closed session leaves ``/dev/shm`` exactly as it
+        found it -- and sharded runs raise from then on.
         """
         with self._executor_lock:
             executor, self._executor = self._executor, None
@@ -421,6 +409,7 @@ class Session:
             executor.shutdown(wait=True)
         with self._shard_lock:
             shards, self._shards = self._shards, None
+            self._closed = True
         if shards is not None:
             shards.close()
         if self._durability is not None:
@@ -530,6 +519,26 @@ class Session:
         with self._standing_lock:
             return dict(self._standing)
 
+    def context(self, *, cache: bool | None = None, shards: int | None = None) -> ExecutionContext:
+        """This session's state as the context of one execution -- the only
+        place its caches, shard pool and fault plan become ambient.
+
+        ``cache=False`` leaves the execution memo out; ``shards`` overrides
+        the session-level default, and a count of 1 (or none) deliberately
+        leaves the binding out so the execution shares cache entries -- and
+        the cache key -- with the single-process and morsel-threaded paths.
+        """
+        effective = shards if shards is not None else self._default_shards
+        if effective is not None and effective < 1:
+            raise ValueError(f"shards must be >= 1, got {effective}")
+        return ExecutionContext(
+            cache=self._cache if cache is not False else None,
+            builds=self._build_cache,
+            zones=self._zone_cache,
+            shards=self.shard_executor().bind(effective) if effective is not None and effective > 1 else None,
+            faults=self.faults,
+        )
+
     def _execute(
         self,
         engine_name: str,
@@ -538,30 +547,10 @@ class Session:
         shards: int | None = None,
     ) -> ResultSet:
         chosen = self.engine(engine_name)
-        use_cache = self._cache is not None and cache is not False
-        effective = shards if shards is not None else self._default_shards
-        if effective is not None and effective < 1:
-            raise ValueError(f"shards must be >= 1, got {effective}")
-        with ExitStack() as stack:
-            if self.faults is not None:
-                # Installed here, on the executing thread, because
-                # ``loop.run_in_executor`` does not propagate ContextVars:
-                # this is the one place every execution path flows through.
-                stack.enter_context(activate_faults(self.faults))
-            if self._zone_cache is not None:
-                stack.enter_context(activate_zones(self._zone_cache))
-            if active_build_cache() is None:
-                # Dimension builds survive the query on every path; a scope
-                # the caller already opened (``run_many(share_builds=True)``
-                # stages its batch in one) is left in charge.
-                stack.enter_context(activate_builds(self._build_cache))
-            if effective is not None and effective > 1:
-                # ``shards=1`` (or None) deliberately skips the binding so
-                # it shares cache entries -- and the cache key -- with the
-                # single-process and morsel-threaded paths.
-                stack.enter_context(activate_shards(self.shard_executor().bind(effective)))
-            if use_cache:
-                stack.enter_context(activate(self._cache))
+        # Installed here, on the executing thread: pool threads and
+        # ``loop.run_in_executor`` do not inherit the submitter's context,
+        # and this is the one place every execution path flows through.
+        with activate_context(self.context(cache=cache, shards=shards)):
             raw = chosen.run(prepared)
         return ResultSet.from_result(self.db, prepared, raw)
 
@@ -593,47 +582,28 @@ class Session:
         *,
         optimize: bool = False,
         cache: bool | None = None,
-        share_builds: bool = False,
         workers: int = 1,
-        oversubscribe: bool = False,
         return_exceptions: bool = False,
         shards: int | None = None,
     ) -> "list[ResultSet | Exception]":
-        """Execute a batch of queries on one engine.
+        """Execute a batch of queries on one engine, results in input order.
 
-        Builds are cached either way; with ``share_builds=True`` the batch
-        additionally runs as one unit through the physical pipeline's
-        shared-build path: every query is lowered, the
-        batch's build operators are topologically grouped and deduplicated
-        by ``(dimension, key_column, payload_column, predicate)``, each
-        distinct dimension lookup is constructed exactly once up front, and
-        every query's probes consume the shared (immutable) artifacts.
-        Answers and profiles are identical to the serial path -- only the
-        repeated build work disappears.  ``cache_info("builds")`` reports
-        the resulting hit/miss counters.
-
-        With ``workers=N`` (N > 1) the batch executes morsel-parallel: each
-        query is one morsel, a thread pool of workers pulls morsels as they
-        free up, and results come back in input order.  The workers share
-        the session's lock-protected caches; combined with
-        ``share_builds=True`` there is no serial prebuild phase -- the first
-        worker to need a dimension lookup constructs it (the
+        Each query is one morsel, executed exactly like :meth:`run` would.
+        ``workers=N`` (N > 1) pulls the morsels through a pool of N threads
+        sharing the session's lock-protected caches; the
         :class:`~repro.engine.cache.BuildArtifactCache` arbitrates in-flight
-        builds, so each distinct artifact is still constructed exactly once
-        no matter how the batch lands on the workers).
-
-        ``workers`` is a *maximum*: morsel-driven schedulers size their pool
-        to the hardware, so the pool is capped at ``os.cpu_count()`` --
-        oversubscribing physical cores with CPU-bound morsels only adds
-        scheduler churn.  Pass ``oversubscribe=True`` to force exactly
-        ``workers`` pool threads regardless (the concurrency tests do, to
-        hammer the shared caches with real races).
+        builds, so each distinct dimension lookup is constructed exactly
+        once no matter how the batch lands on the workers
+        (``cache_info("builds")`` reports the hit/miss counters).
 
         ``return_exceptions=True`` turns per-query failures into in-place
         results: a query that raises contributes its exception object at its
         input position instead of aborting the batch, so the surviving
         queries' ResultSets still come back, in order.  The default
-        (``False``) re-raises the first failure after the pool has drained.
+        (``False``) raises the first failure in input order -- with
+        ``workers > 1`` after the pool has drained, because every morsel is
+        submitted before any result is awaited and a failing query never
+        starves the rest of the batch.
 
         ``shards=N`` routes each query through the process-shard pool (see
         :meth:`run`); intra-query process parallelism composes with the
@@ -642,105 +612,23 @@ class Session:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         prepared = [self.prepare(query, optimize=optimize) for query in queries]
-        effective = workers if oversubscribe else min(workers, os.cpu_count() or 1)
-        if effective > 1:
-            return self._run_many_threaded(
-                prepared, engine, cache, share_builds, effective, return_exceptions, shards
-            )
-        if not share_builds:
-            return [
-                self._execute_guarded(engine, query, cache, return_exceptions, shards)
-                for query in prepared
-            ]
+        # Fail fast on a bad engine name, and create the instance up front:
+        # the per-session engine map is not guarded against racing workers.
+        self.engine(engine)
 
-        self.engine(engine)  # fail fast on a bad engine name, before any build work
+        def morsel(query: SSBQuery) -> "ResultSet | Exception":
+            try:
+                return self._execute(engine, query, cache, shards=shards)
+            except Exception as exc:
+                if not return_exceptions:
+                    raise
+                return exc
 
-        # Queries the execution memo will replay never probe, so their
-        # builds would be pure wasted phase-1 work -- skip them.
-        use_cache = self._cache is not None and cache is not False
-        pending = [
-            query for query in prepared
-            if not (use_cache and self._cache.contains(self.db, query))
-        ]
-        builds = staged_builds(lower_query(query) for query in pending)
-        # The exactly-once guarantee requires every distinct artifact to stay
-        # resident for the whole batch: grow the LRU to fit (it never shrinks
-        # back, so later batches keep benefiting).
-        self._build_cache.maxsize = max(self._build_cache.maxsize, len(builds))
-        with activate_builds(self._build_cache) as build_cache:
-            # Phase 1: construct each of the batch's distinct builds once
-            # (sources before dependents, once snowflake chains lower) --
-            # under the zone scope so they get the compact stats-based
-            # layout the per-query probes will also see.
-            with ExitStack() as stack:
-                if self._zone_cache is not None:
-                    stack.enter_context(activate_zones(self._zone_cache))
-                for build in builds:
-                    build.fetch_artifact(self.db, build_cache)
-            # Phase 2: per-query probe/aggregate stages; every BuildLookup
-            # now resolves from the shared artifact cache.
-            return [
-                self._execute_guarded(engine, query, cache, return_exceptions, shards)
-                for query in prepared
-            ]
-
-    def _execute_guarded(
-        self,
-        engine: str,
-        query: SSBQuery,
-        cache: bool | None,
-        return_exceptions: bool,
-        shards: int | None = None,
-    ) -> "ResultSet | Exception":
-        if not return_exceptions:
-            return self._execute(engine, query, cache, shards=shards)
-        try:
-            return self._execute(engine, query, cache, shards=shards)
-        except Exception as exc:
-            return exc
-
-    def _run_many_threaded(
-        self,
-        prepared: list[SSBQuery],
-        engine: str,
-        cache: bool | None,
-        share_builds: bool,
-        workers: int,
-        return_exceptions: bool,
-        shards: int | None = None,
-    ) -> "list[ResultSet | Exception]":
-        """Morsel-parallel batch execution over a thread pool.
-
-        The engine instance is created up front (the per-session engine dict
-        is not guarded); every worker's :meth:`_execute` activates the
-        session's build cache itself -- pool threads do not inherit the
-        submitting context's ContextVar bindings.
-
-        Error propagation: every morsel is submitted before any result is
-        awaited, so a failing query never starves the rest of the batch --
-        the survivors run to completion in the pool either way, the pool
-        shuts down cleanly, and (without ``return_exceptions``) the first
-        failure in input order is what re-raises.
-        """
-        self.engine(engine)  # fail fast and pre-populate the engine map
-        if share_builds:
-            # The exactly-once guarantee needs every distinct artifact to
-            # stay resident for the whole batch (same safeguard as the
-            # serial shared-build path): grow the LRU to fit.
-            builds = staged_builds(lower_query(query) for query in prepared)
-            self._build_cache.maxsize = max(self._build_cache.maxsize, len(builds))
-
+        if workers == 1:
+            return [morsel(query) for query in prepared]
         with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-run-many") as pool:
-            futures = [pool.submit(self._execute, engine, query, cache, shards) for query in prepared]
-            if not return_exceptions:
-                return [future.result() for future in futures]
-            results: "list[ResultSet | Exception]" = []
-            for future in futures:
-                try:
-                    results.append(future.result())
-                except Exception as exc:
-                    results.append(exc)
-            return results
+            futures = [pool.submit(morsel, query) for query in prepared]
+            return [future.result() for future in futures]
 
     def compare(
         self,

@@ -28,8 +28,8 @@ default engine registry under a short key (``"cpu"``, ``"gpu"``,
 
 All engines share one functional execution pass: queries are lowered to the
 staged physical pipeline of :mod:`repro.engine.physical` (ScanFilter /
-BuildLookup / ProbeJoin / Aggregate operators whose dimension builds can be
-shared across a batch), which emits the :class:`QueryProfile` each engine
+BuildLookup / ProbeJoin / Aggregate operators whose dimension builds are
+shared across queries), which emits the :class:`QueryProfile` each engine
 then costs under its own hardware model.
 """
 
@@ -53,7 +53,6 @@ from repro.engine.physical import (
     execute_physical,
     lower,
     lower_query,
-    staged_builds,
 )
 from repro.engine.plan import QueryProfile, execute_query, execute_query_monolithic
 from repro.engine.planner import JoinOrderPlanner, PlanChoice
@@ -85,5 +84,4 @@ __all__ = [
     "execute_query_monolithic",
     "lower",
     "lower_query",
-    "staged_builds",
 ]

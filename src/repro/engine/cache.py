@@ -1,39 +1,59 @@
-"""Caches shared across query executions.
+"""The session's caches, and the scopes that make them ambient.
 
-Three caches live here, all activated through context-local scopes:
+Engines answer ``execute_query(db, query)`` -- a signature with no room for
+state -- so whatever an execution consults besides its arguments travels as
+one frozen :class:`~repro.context.ExecutionContext` in one ContextVar
+(:mod:`repro.context`); engine code reads ``current().<field>`` and treats
+``None`` as "off".  The fields:
 
-* :class:`ExecutionCache` memoizes the whole functional execution pass.
-  Every engine answers a query by first running the shared functional
-  executor (:func:`repro.engine.plan.execute_query`) and then costing the
-  collected profile under its own hardware model.  The *answer* and the
-  *profile* depend only on ``(database, query)``, so when one query runs on
-  several engines -- :meth:`repro.api.Session.compare` across the paper's
-  six execution strategies -- the functional pass is pure repeated work.
-  A :class:`~repro.api.Session` activates its cache around each engine call
-  via :func:`activate`; ``execute_query`` consults :func:`active_cache` and
-  replays the memoized ``(value, profile)`` on a hit.  Cached entries are
-  deep-copied on the way out so an engine (or the experiment harness, which
-  rescales profiles to the paper's SF 20 sizes) can never mutate another
-  engine's view.
+* ``cache`` -- an :class:`ExecutionCache`, memoizing the whole functional
+  pass.  Every engine answers a query by first running the shared
+  functional executor (:func:`repro.engine.plan.execute_query`) and then
+  costing the collected profile under its own hardware model.  The *answer*
+  and the *profile* depend only on ``(database, query)``, so when one query
+  runs on several engines -- :meth:`repro.api.Session.compare` across the
+  paper's six execution strategies -- the functional pass is pure repeated
+  work.  Cached entries are deep-copied on the way out so an engine (or the
+  experiment harness, which rescales profiles to the paper's SF 20 sizes)
+  can never mutate another engine's view.
 
-* :class:`BuildArtifactCache` memoizes one *stage* of that pass: the
-  dimension hash-table builds of the physical pipeline
+* ``builds`` -- a :class:`BuildArtifactCache`, memoizing one *stage* of that
+  pass: the dimension hash-table builds of the physical pipeline
   (:class:`repro.engine.physical.BuildLookup`).  A build artifact depends
-  only on ``(dimension, key_column, payload_column, predicate)``, so a batch
-  of queries touching the same dimensions -- ``Session.run_many(...,
-  share_builds=True)`` -- constructs each distinct lookup once and shares it
-  across the batch (the ROADMAP's batched-executor item).  Artifacts are
-  immutable (their arrays are marked read-only), so sharing is safe without
-  copying.
+  only on ``(dimension, key_column, payload_column, predicate)``, so
+  queries touching the same dimensions construct each distinct lookup once.
+  Artifacts are immutable (their arrays are marked read-only), so sharing
+  is safe without copying.
 
-* :class:`ZoneMapCache` holds the data-skipping statistics of the pruned
-  scan plane: one lazily-built
+* ``zones`` -- a :class:`ZoneMapCache`, the data-skipping statistics of the
+  pruned scan plane: one lazily-built
   :class:`~repro.storage.zonemap.TableZoneMaps` per table (zone min/max,
   tiny-domain bitsets, packed column twins).  Statistics depend only on
   the stored data, never on a query, so one cache serves every query a
   :class:`~repro.api.Session` runs; it also accumulates the pipeline's
   zone skip/take/evaluate counters, surfaced through
   ``Session.cache_info("zones")``.
+
+* ``shards`` -- the sharded-execution binding: an opaque object carrying
+  ``shards`` (the effective shard count, which :meth:`ExecutionCache._key`
+  folds into memo keys) and ``execute(db, query)`` (the shard-pool
+  dispatch :func:`repro.engine.plan._execute_query_uncached` routes
+  through; see :meth:`repro.engine.shard.ShardExecutor.bind`).  Kept opaque
+  so this module never imports the shard executor; only a session's
+  context ever carries one.
+
+* ``faults`` -- a :class:`~repro.faults.FaultPlan` (chaos testing); its
+  scope lives beside the plan in :mod:`repro.faults.plan`.
+
+Why a ContextVar and not a module global: nested scopes restore the previous
+context on exit via tokens, and concurrent executions (threads or asyncio
+tasks) each see their own binding.  Pool threads and
+``loop.run_in_executor`` do **not** inherit the submitter's context, so
+:meth:`repro.api.Session._execute` installs the session's context on the
+executing thread itself (:meth:`repro.api.Session.context` is the one place
+a session's state becomes ambient).  :func:`activate`,
+:func:`activate_builds` and :func:`activate_zones` replace one field of the
+current context for callers that drive the engine without a session.
 
 All three caches invalidate by **(table, version)** under streaming ingest
 (:meth:`repro.storage.Table.append` bumps a monotonic per-table version):
@@ -44,12 +64,7 @@ statistics incrementally instead of rebuilding them.  An append to one
 dimension therefore invalidates exactly that dimension's artifacts; every
 other entry keeps hitting.
 
-The active-cache slots are :class:`contextvars.ContextVar`, not module
-globals: nested :func:`activate` scopes restore the previous cache on exit
-via tokens, and concurrent batch executions (threads or asyncio tasks) each
-see their own binding instead of clobbering one another.
-
-Both caches are thread-safe: LRU mutation happens under an
+The caches are thread-safe: LRU mutation happens under an
 :class:`threading.RLock`, so one cache instance can back a morsel-parallel
 ``Session.run_many(workers=N)`` batch.  The build cache goes further and
 arbitrates racing misses exactly-once (in-flight events), because a build
@@ -63,8 +78,10 @@ import copy
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from contextvars import ContextVar
+from dataclasses import replace
 from typing import Callable, Hashable, NamedTuple
+
+from repro.context import activate_context, current
 
 
 class CacheInfo(NamedTuple):
@@ -177,12 +194,7 @@ def table_versions(db, query) -> "tuple[tuple[str, int], ...] | None":
     those fall through uncached, exactly like unhashable specs do.
     """
     try:
-        names = [query.fact]
-        for join in query.joins:
-            names.append(join.dimension)
-            source = getattr(join, "source", None)
-            if source is not None:
-                names.append(source)
+        names = [query.fact, *(join.dimension for join in query.joins)]
     except (AttributeError, TypeError):
         return None
     tables = getattr(db, "tables", None)
@@ -246,7 +258,7 @@ class ExecutionCache:
         # ran), so a replay must not masquerade as the other plane's entry.
         # shards=1 (and the threaded path) share the plain key -- the
         # regression tests in ``tests/test_sharded.py`` pin both behaviours.
-        binding = active_shard_executor()
+        binding = current().shards
         if binding is not None and getattr(binding, "shards", 1) > 1:
             return (query, versions, ("shards", binding.shards))
         return (query, versions)
@@ -272,16 +284,6 @@ class ExecutionCache:
                 self._entries.popitem(last=False)
         return value, profile
 
-    def contains(self, db, query) -> bool:
-        """Whether ``fetch`` would replay ``query`` without executing it."""
-        if db is not self.db:
-            return False
-        key = self._key(db, query)
-        if key is None:
-            return False
-        with self._lock:
-            return key in self._entries
-
     def info(self) -> CacheInfo:
         """Hit/miss counters and occupancy."""
         with self._lock:
@@ -303,7 +305,7 @@ class ExecutionCache:
 
 
 class BuildArtifactCache:
-    """An LRU memo of dimension build artifacts, shared across a query batch.
+    """An LRU memo of dimension build artifacts, shared across queries.
 
     Keys are the full identity of a hash-table build -- ``(dimension,
     key_column, payload_column, predicate)`` -- so two joins share an
@@ -317,9 +319,9 @@ class BuildArtifactCache:
     **exactly-once**: the first worker to miss a key registers an in-flight
     event and builds outside the lock; every other worker racing on the same
     key waits on the event and then takes the hit path.  A morsel-parallel
-    ``Session.run_many(workers=N, share_builds=True)`` therefore constructs
-    each distinct artifact once no matter how the batch lands on the
-    workers, and ``misses`` counts real constructions.
+    ``Session.run_many(workers=N)`` therefore constructs each distinct
+    artifact once no matter how the batch lands on the workers, and
+    ``misses`` counts real constructions.
     """
 
     def __init__(self, db: object, maxsize: int = 128) -> None:
@@ -542,86 +544,37 @@ class ZoneMapCache:
         return f"ZoneMapCache({self.info()})"
 
 
-#: The caches the *current* execution context consults, if any.  Installed by
-#: :func:`activate` / :func:`activate_builds` / :func:`activate_zones`.
-#: ContextVars (not module globals) so nested scopes restore correctly and
-#: threaded batch execution cannot clobber another context's binding.
-_ACTIVE: ContextVar[ExecutionCache | None] = ContextVar("repro_active_execution_cache", default=None)
-_ACTIVE_BUILDS: ContextVar[BuildArtifactCache | None] = ContextVar(
-    "repro_active_build_cache", default=None
-)
-_ACTIVE_ZONES: ContextVar["ZoneMapCache | None"] = ContextVar("repro_active_zone_cache", default=None)
-#: The sharded-execution binding of the current context: an opaque object
-#: carrying ``shards`` (the effective shard count) and ``execute(db, query)``
-#: (the shard-pool dispatch).  Kept opaque so this module never imports the
-#: shard executor -- the engine layer routes through it, the API layer
-#: installs it.
-_ACTIVE_SHARDS: ContextVar[object | None] = ContextVar("repro_active_shard_binding", default=None)
+# ----------------------------------------------------------------------
+# Per-field scopes over the one execution context (repro.context)
+# ----------------------------------------------------------------------
 
 
 def active_cache() -> ExecutionCache | None:
-    """The cache installed by the innermost :func:`activate`, or ``None``."""
-    return _ACTIVE.get()
+    """The execution cache of the current context, or ``None``."""
+    return current().cache
 
 
 def active_build_cache() -> BuildArtifactCache | None:
-    """The cache installed by the innermost :func:`activate_builds`, or ``None``."""
-    return _ACTIVE_BUILDS.get()
+    """The build-artifact cache of the current context, or ``None``."""
+    return current().builds
 
 
 @contextmanager
 def activate(cache: ExecutionCache):
     """Route ``execute_query`` calls through ``cache`` for the duration."""
-    token = _ACTIVE.set(cache)
-    try:
+    with activate_context(replace(current(), cache=cache)):
         yield cache
-    finally:
-        _ACTIVE.reset(token)
 
 
 @contextmanager
 def activate_builds(cache: BuildArtifactCache):
     """Route physical-pipeline dimension builds through ``cache`` for the duration."""
-    token = _ACTIVE_BUILDS.set(cache)
-    try:
+    with activate_context(replace(current(), builds=cache)):
         yield cache
-    finally:
-        _ACTIVE_BUILDS.reset(token)
-
-
-def active_zone_maps() -> "ZoneMapCache | None":
-    """The cache installed by the innermost :func:`activate_zones`, or ``None``."""
-    return _ACTIVE_ZONES.get()
 
 
 @contextmanager
 def activate_zones(cache: "ZoneMapCache"):
     """Enable zone-map data skipping (and packed gathers) for the duration."""
-    token = _ACTIVE_ZONES.set(cache)
-    try:
+    with activate_context(replace(current(), zones=cache)):
         yield cache
-    finally:
-        _ACTIVE_ZONES.reset(token)
-
-
-def active_shard_executor() -> object | None:
-    """The binding installed by the innermost :func:`activate_shards`, or ``None``."""
-    return _ACTIVE_SHARDS.get()
-
-
-@contextmanager
-def activate_shards(binding: object):
-    """Route uncached query executions through the sharded plane for the duration.
-
-    ``binding`` exposes ``shards`` and ``execute(db, query) -> (value,
-    profile)`` (see :meth:`repro.engine.shard.ShardExecutor.bind`);
-    :func:`repro.engine.plan._execute_query_uncached` consults
-    :func:`active_shard_executor` before lowering, and
-    :meth:`ExecutionCache._key` folds the shard count into memo keys for
-    ``shards > 1``.
-    """
-    token = _ACTIVE_SHARDS.set(binding)
-    try:
-        yield binding
-    finally:
-        _ACTIVE_SHARDS.reset(token)

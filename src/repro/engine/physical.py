@@ -4,9 +4,8 @@ The paper's central result is that engine performance is determined by *how
 work maps onto stages* -- build vs. probe passes, fused tile kernels vs.
 operator-at-a-time materialization (Sections 3.3 and 5.2).  This module
 makes those stages explicit: a declarative :class:`~repro.ssb.queries.SSBQuery`
-is first normalized into a :class:`LogicalPlan` (which can carry snowflake
-dimension->dimension join chains), then lowered to a :class:`PhysicalPlan`
-of discrete operators:
+is first normalized into a :class:`LogicalPlan`, then lowered to a
+:class:`PhysicalPlan` of discrete operators:
 
 * :class:`ScanFilter` -- one per top-level conjunct of the fact predicate,
 * :class:`BuildLookup` -- one hash-table build per dimension join,
@@ -53,7 +52,11 @@ holds each without reading a clock):
   costs ~5x that).
 * **Dimension builds outlive the query**: a :class:`~repro.api.Session`
   runs every execution under its
-  :class:`~repro.engine.cache.BuildArtifactCache`.
+  :class:`~repro.engine.cache.BuildArtifactCache`.  Every lookup has one
+  layout: slot 0 answers the dimension key column's minimum
+  (:attr:`BuildArtifact.key_base`, taken from the keys the build is already
+  scanning), so a ``date`` lookup holds ~61 K entries, not the ~20 M a
+  zero-based array over ``d_datekey`` would.
 
 Tiling *whole operators* (a query as partials over row tiles) was measured
 and loses at every tile size: NumPy kernels at 1-2 GB/s are
@@ -61,8 +64,9 @@ instruction-bound, so cache-resident temporaries cannot pay for the Python
 per tile (``benchmarks/bench_fig09_tile_sizes.py`` keeps both sweeps).
 
 On top of the selection vectors sits the **pruned, compression-aware scan
-plane** (on whenever a :class:`~repro.engine.cache.ZoneMapCache` is active,
-which a :class:`~repro.api.Session` does by default): :func:`lower` folds
+plane** (on whenever the execution context carries a
+:class:`~repro.engine.cache.ZoneMapCache`, which a
+:class:`~repro.api.Session`'s does by default): :func:`lower` folds
 each fact-filter conjunct against per-zone min/max + tiny-domain bitset
 statistics (:mod:`repro.storage.zonemap`) so :class:`ScanFilter` skips
 provably-empty zones and takes provably-full ones whole -- in span state by
@@ -70,27 +74,19 @@ walking the maximal runs of equal class among the span's zones, one slice
 scan per *evaluate* run; :class:`ProbeJoin`
 skips fact zones whose key range cannot intersect the build's present keys
 and drops its range-validity mask when statistics prove every key in
-bounds; :class:`BuildLookup` bases its perfect-hash arrays at the key
-column's minimum (a ~65 K-entry ``date`` lookup instead of ~20 M); and
-sparse gathers decode ``<= 16``-bit columns from packed words.  All of it
-is *sound* -- zones are only skipped or taken when statistics prove the
-outcome -- so answers and profiles remain byte-identical to the seed
+bounds; and sparse gathers decode ``<= 16``-bit columns from packed words.
+All of it is *sound* -- zones are only skipped or taken when statistics
+prove the outcome -- so answers and profiles remain byte-identical to the seed
 executor (``tests/test_zonemap.py`` holds all three planes together, and
 the ledger's date-clustered ``ssb_sharded`` workload reports what pruning
 buys: ``zonemap.zones_skipped``, ``zonemap.rows_pruned``).
 
-The decomposition buys two things the monolithic pass could not offer:
-
-* **Shared build artifacts.**  :class:`BuildLookup` products are immutable
-  :class:`BuildArtifact` values keyed by ``(dimension, key_column,
-  payload_column, predicate)``; with a
-  :class:`~repro.engine.cache.BuildArtifactCache` active, queries
-  touching the same dimensions construct each distinct lookup exactly once
-  (``Session.run_many(..., share_builds=True)`` stages a batch's up front).
-* **A seam for snowflake lowering.**  :class:`LogicalJoin` records the
-  probe-side ``source`` table of every join, so dimension->dimension chains
-  are *represented* today; executing them is a change to :func:`lower`
-  alone, not another executor rewrite (the ROADMAP's multi-fact item).
+The decomposition buys what the monolithic pass could not offer, **shared
+build artifacts**: :class:`BuildLookup` products are immutable
+:class:`BuildArtifact` values keyed by ``(dimension, key_column,
+payload_column, predicate)``; with a
+:class:`~repro.engine.cache.BuildArtifactCache` in the context, queries
+touching the same dimensions construct each distinct lookup exactly once.
 """
 
 from __future__ import annotations
@@ -100,7 +96,8 @@ from typing import Hashable, Iterable
 
 import numpy as np
 
-from repro.engine.cache import BuildArtifactCache, ZoneMapCache, active_build_cache, active_zone_maps
+from repro.context import current
+from repro.engine.cache import BuildArtifactCache, ZoneMapCache
 from repro.engine.expr import (
     evaluate_pred,
     evaluate_pred_at,
@@ -138,15 +135,8 @@ from repro.storage.zonemap import (
 
 @dataclass(frozen=True)
 class LogicalJoin:
-    """One equi-join edge of the star (or snowflake) join graph.
+    """One equi-join edge of the star: fact ``source_key`` = dimension key."""
 
-    ``source`` is the table the probe-side key column lives on: the fact
-    table for every single-hop star join, or another dimension for a
-    snowflake chain.  The logical plan carries both; only single-hop edges
-    lower to physical operators today.
-    """
-
-    source: str
     source_key: str
     dimension: str
     dimension_key: str
@@ -180,7 +170,6 @@ class LogicalPlan:
         """Normalize a declarative spec (legacy filter tuples included)."""
         joins = tuple(
             LogicalJoin(
-                source=join.source if join.source is not None else query.fact,
                 source_key=join.fact_key,
                 dimension=join.dimension,
                 dimension_key=join.dimension_key,
@@ -197,27 +186,6 @@ class LogicalPlan:
             group_by=query.group_by,
             aggregate=query.aggregate,
         )
-
-    def join_depth(self, join: LogicalJoin) -> int:
-        """Hops between ``join``'s source and the fact table (0 = star edge).
-
-        Snowflake chains resolve through the other joins' dimensions; a
-        source that is neither the fact table nor a joined dimension (or a
-        cyclic chain) is a malformed plan and raises.
-        """
-        by_dimension = {j.dimension: j for j in self.joins}
-        depth = 0
-        source = join.source
-        while source != self.fact:
-            parent = by_dimension.get(source)
-            if parent is None or depth > len(self.joins):
-                raise ValueError(
-                    f"join with {join.dimension!r} hangs off {join.source!r}, which is "
-                    f"neither the fact table {self.fact!r} nor a joined dimension"
-                )
-            depth += 1
-            source = parent.source
-        return depth
 
 
 # ----------------------------------------------------------------------
@@ -244,8 +212,8 @@ class BuildArtifact:
     lookup: np.ndarray
     present: np.ndarray
     #: Key of slot 0: ``lookup[k - key_base]`` answers dimension key ``k``.
-    #: The zone-map plane sets it to the key column's minimum so sparse key
-    #: domains (dates) get compact arrays; 0 reproduces the seed layout.
+    #: Builds set it to the key column's minimum, so sparse key domains
+    #: (dates) get compact arrays.
     key_base: int = 0
     #: Range of the keys actually present (``[0, -1]`` for an empty build),
     #: so probes can zone-skip fact rows whose keys cannot possibly match.
@@ -302,7 +270,6 @@ class PipelineState:
     fact: Table
     query_name: str
     profile: QueryProfile
-    build_cache: BuildArtifactCache | None
     rows_alive: float
     #: The row span ``[lo, hi)`` this execution covers.
     lo: int
@@ -548,8 +515,8 @@ class BuildLookup:
     paper's Section 5.3 hash-table estimate of ``8 bytes x |dimension|``
     (one 4-byte key, one 4-byte payload per entry).  The product is an
     immutable :class:`BuildArtifact`; with a
-    :class:`~repro.engine.cache.BuildArtifactCache` active, distinct builds
-    are constructed once per batch and shared.
+    :class:`~repro.engine.cache.BuildArtifactCache` in the execution
+    context, distinct builds are constructed once and shared.
     """
 
     def __init__(self, join: LogicalJoin) -> None:
@@ -560,16 +527,8 @@ class BuildLookup:
         return self.join.build_key
 
     def build(self, db: Database) -> BuildArtifact:
-        """Scan the dimension and construct the lookup arrays.
-
-        With a :class:`~repro.engine.cache.ZoneMapCache` active, the lookup
-        is based at the key column's statistics minimum: ``d_datekey``
-        starts at 19920101, so the compact layout allocates ~65 K slots
-        where the seed layout zero-filled ~20 M.  Probes read
-        ``artifact.key_base``, so compact and seed-layout artifacts mix
-        freely (the shared build cache may hold either).
-        """
-        return self._build_from(db, db.table(self.join.dimension).snapshot())
+        """Scan the dimension and construct the lookup arrays (uncached)."""
+        return self._build_from(db.table(self.join.dimension).snapshot())
 
     def fetch_artifact(self, db: Database, cache: BuildArtifactCache | None) -> BuildArtifact:
         """The artifact for the dimension's *current* version, cached.
@@ -583,28 +542,23 @@ class BuildLookup:
         """
         dimension = db.table(self.join.dimension).snapshot()
         if cache is None:
-            return self._build_from(db, dimension)
+            return self._build_from(dimension)
         key = (self.key, dimension.version)
-        return cache.fetch(db, key, lambda: self._build_from(db, dimension))
+        return cache.fetch(db, key, lambda: self._build_from(dimension))
 
-    def _build_from(self, db: Database, dimension: Table) -> BuildArtifact:
+    def _build_from(self, dimension: Table) -> BuildArtifact:
         join = self.join
         dim_mask = evaluate_pred(dimension, join.predicate)
         build_rows = int(np.count_nonzero(dim_mask))
-        base = 0
-        zone_cache = active_zone_maps()
-        if zone_cache is not None:
-            maps = zone_cache.maps(db, dimension)
-            stats = maps.stats(join.dimension_key) if maps is not None else None
-            if stats is not None and stats.low > 0:
-                base = stats.low
+        keys = dimension[join.dimension_key]
+        base = max(int(keys.min()), 0) if keys.shape[0] else 0
         lookup, present = build_dimension_lookup(
             dimension, join.dimension_key, dim_mask, join.payload, base=base
         )
         lookup.setflags(write=False)
         present.setflags(write=False)
         if build_rows:
-            selected_keys = dimension[join.dimension_key][dim_mask]
+            selected_keys = keys[dim_mask]
             key_low, key_high = int(selected_keys.min()), int(selected_keys.max())
         else:
             key_low, key_high = 0, -1
@@ -629,7 +583,7 @@ class BuildLookup:
     def run(self, state: PipelineState) -> None:
         # fetch_artifact() falls through to an uncached build when the key
         # is unhashable, so exotic hand-built predicates still execute.
-        state.artifacts[id(self.join)] = self.fetch_artifact(state.db, state.build_cache)
+        state.artifacts[id(self.join)] = self.fetch_artifact(state.db, current().builds)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BuildLookup({self.join.dimension!r} on {self.join.dimension_key!r})"
@@ -887,9 +841,9 @@ class Aggregate:
 class PhysicalPlan:
     """The staged operator pipeline of one query.
 
-    Stages are explicit so a batched executor can pull every
-    :class:`BuildLookup` out, group the batch's builds, and run each
-    distinct one once before any probe runs.
+    Stages are explicit so the shard plane can pull every
+    :class:`BuildLookup` out and run it once, in the parent, before any
+    worker probes.
     """
 
     logical: LogicalPlan
@@ -910,31 +864,18 @@ class PhysicalPlan:
 def lower(logical: LogicalPlan, db: Database | None = None) -> PhysicalPlan:
     """Lower a logical plan to physical operators.
 
-    Only single-hop (fact -> dimension) joins lower today.  Snowflake
-    chains are already *representable* -- :class:`LogicalJoin` carries the
-    probe-side source table -- so extending this function (build the chain
-    bottom-up, probe through the intermediate lookup) is all the multi-fact
-    ROADMAP item needs; callers and operators stay unchanged.
-
-    With ``db`` and an active :class:`~repro.engine.cache.ZoneMapCache`,
-    lowering runs the **zone pruning pass**: every top-level conjunct of
-    the fact predicate is folded against the fact table's zone statistics
+    With ``db`` and a :class:`~repro.engine.cache.ZoneMapCache` in the
+    execution context, lowering runs the **zone pruning pass**: every
+    top-level conjunct of the fact predicate is folded against the fact
+    table's zone statistics
     (:meth:`~repro.storage.zonemap.TableZoneMaps.classify`) and the
     resulting skip / take-all / evaluate classification rides on its
     :class:`ScanFilter`, which seeds the selection vector zone-granularly.
-    Without ``db`` (or with no cache active) the plan is identical to the
+    Without ``db`` (or with no zone cache) the plan is identical to the
     PR 4 selection-vector plane.
     """
     payloads: set[str] = set()
     for join in logical.joins:
-        logical.join_depth(join)  # validate the chain is well-formed
-        if join.source != logical.fact:
-            raise NotImplementedError(
-                f"join with {join.dimension!r} probes from {join.source!r}: snowflake "
-                f"dimension->dimension chains are carried by the logical plan but not "
-                f"lowered to physical operators yet (ROADMAP: multi-fact / snowflake "
-                f"schemas)"
-            )
         # Validate payload-name uniqueness at plan time: the old in-flight
         # check fired only after earlier probes had already mutated the
         # pipeline state, so a bad plan did real work before failing.
@@ -946,7 +887,7 @@ def lower(logical: LogicalPlan, db: Database | None = None) -> PhysicalPlan:
                 )
             payloads.add(join.payload)
     filters = tuple(ScanFilter(term) for term in conjuncts(logical.predicate))
-    zone_cache = active_zone_maps()
+    zone_cache = current().zones
     if db is not None and zone_cache is not None and logical.fact in db:
         maps = zone_cache.maps(db, db.table(logical.fact))
         if maps is not None:
@@ -967,32 +908,6 @@ def lower_query(query: SSBQuery, db: Database | None = None) -> PhysicalPlan:
     return lower(LogicalPlan.from_query(query), db)
 
 
-def staged_builds(plans: Iterable[PhysicalPlan]) -> list[BuildLookup]:
-    """Topologically group a batch's build operators, one per distinct build.
-
-    Builds are deduplicated by build key and ordered by join depth (sources
-    before dependents), so a batched executor can construct every distinct
-    artifact up front; within a depth, first appearance in the batch wins.
-    Today every star edge has depth 0 and the grouping is a plain ordered
-    dedup -- snowflake chains will slot in without callers changing.
-
-    Builds whose key is unhashable (hand-built predicates holding e.g. a
-    list constant) cannot be cached or shared; they are skipped here and
-    simply run uncached inside their own query.
-    """
-    ordered: dict = {}
-    for plan in plans:
-        for build in plan.builds:
-            depth = plan.logical.join_depth(build.join)
-            try:
-                if build.key not in ordered:
-                    ordered[build.key] = (depth, build)
-            except TypeError:
-                continue
-    staged = sorted(ordered.values(), key=lambda pair: pair[0])
-    return [build for _, build in staged]
-
-
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
@@ -1004,7 +919,6 @@ def _run_pipeline(
     start: int,
     stop: int | None,
     artifacts: "tuple[BuildArtifact, ...] | None",
-    build_cache: BuildArtifactCache | None,
 ) -> PipelineState:
     """Filters and probes of ``plan`` over fact rows ``[start, stop)``.
 
@@ -1012,8 +926,6 @@ def _run_pipeline(
     the table's end); the caller finishes the returned state with the
     aggregate stage, final or partial.
     """
-    if build_cache is None:
-        build_cache = active_build_cache()
     # One snapshot pins the fact table for the whole execution: a concurrent
     # append publishes a new (version, columns) state, but every operator
     # here keeps reading this frozen, mutually consistent one -- the
@@ -1024,14 +936,13 @@ def _run_pipeline(
     if not 0 <= start <= stop <= fact.num_rows:
         raise ValueError(f"row range [{start}, {stop}) does not lie within the {fact.num_rows} fact rows")
     n = stop - start
-    zone_cache = active_zone_maps()
+    zone_cache = current().zones
     zones = zone_cache.maps(db, fact) if zone_cache is not None else None
     state = PipelineState(
         db=db,
         fact=fact,
         query_name=plan.logical.query.name,
         profile=QueryProfile(query=plan.logical.query.name, fact_rows=n, fact_filter_selectivity=1.0),
-        build_cache=build_cache,
         rows_alive=float(n),
         lo=start,
         hi=stop,
@@ -1052,20 +963,14 @@ def _run_pipeline(
     return state
 
 
-def execute_physical(
-    db: Database,
-    plan: PhysicalPlan,
-    build_cache: BuildArtifactCache | None = None,
-) -> tuple[object, QueryProfile]:
+def execute_physical(db: Database, plan: PhysicalPlan) -> tuple[object, QueryProfile]:
     """Run a physical plan stage by stage, collecting the query profile.
 
     Returns the same ``(value, profile)`` pair as the monolithic reference
-    executor -- byte-identically.  ``build_cache`` defaults to the
-    context-active :func:`~repro.engine.cache.active_build_cache` (installed
-    by ``Session.run_many(share_builds=True)``); pass one explicitly to
-    share builds without a context scope.
+    executor -- byte-identically.  Caches reach the operators through the
+    execution context (:func:`repro.context.current`) and no other way.
     """
-    state = _run_pipeline(db, plan, 0, None, None, build_cache)
+    state = _run_pipeline(db, plan, 0, None, None)
     plan.aggregate.run(state)
     return state.value, state.profile
 
@@ -1076,7 +981,6 @@ def execute_physical_partial(
     start: int,
     stop: int,
     artifacts: "tuple[BuildArtifact, ...] | None" = None,
-    build_cache: BuildArtifactCache | None = None,
 ) -> tuple[PartialAggregate, QueryProfile]:
     """Run a physical plan over fact rows ``[start, stop)``: one shard's
     range, or the rows a standing query's tick has not folded in yet.
@@ -1098,5 +1002,5 @@ def execute_physical_partial(
     :func:`~repro.engine.plan.fold_shard_profiles` reassembles the
     monolithic profile from the slices, byte-identically.
     """
-    state = _run_pipeline(db, plan, start, stop, artifacts, build_cache)
+    state = _run_pipeline(db, plan, start, stop, artifacts)
     return plan.aggregate.run_partial(state), state.profile

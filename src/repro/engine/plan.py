@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine.cache import active_cache, active_shard_executor
+from repro.context import current
 from repro.engine.expr import evaluate_pred, predicate_leaf_count, predicate_or_branches
 from repro.ssb.queries import AGGREGATE_OPS, AggregateSpec, SSBQuery, conjuncts
 from repro.storage import Database, Table
@@ -150,10 +150,10 @@ def build_dimension_lookup(
     one or two bytes), so probes gather and carry small codes, not int64.
 
     ``base`` offsets the arrays: slot ``i`` answers key ``base + i``.  The
-    zone-map plane passes the key column's statistics minimum so date-style
-    keys (``d_datekey`` starts at 19920101) index a ~65 K-entry array
-    instead of a ~20 M-entry one; probes subtract the artifact's base before
-    gathering.  The default keeps the seed layout (keys index from 0).
+    pipeline passes the key column's minimum so date-style keys
+    (``d_datekey`` starts at 19920101) index a ~61 K-entry array instead of
+    a ~20 M-entry one; probes subtract the artifact's base before gathering.
+    The default (keys index from 0) is the monolithic reference's layout.
     """
     keys = dimension[key_column]
     max_key = int(keys.max()) if keys.shape[0] else 0
@@ -339,15 +339,16 @@ def execute_query(db: Database, query: SSBQuery) -> tuple[object, QueryProfile]:
     Execution runs through the staged physical pipeline
     (:mod:`repro.engine.physical`): the query is lowered to discrete
     ScanFilter / BuildLookup / ProbeJoin / Aggregate operators whose
-    dimension builds are shared when a
-    :class:`~repro.engine.cache.BuildArtifactCache` is active.
+    dimension builds are shared when the execution context
+    (:mod:`repro.context`) carries a
+    :class:`~repro.engine.cache.BuildArtifactCache`.
 
-    When a :class:`~repro.engine.cache.ExecutionCache` is active (a
+    When it carries an :class:`~repro.engine.cache.ExecutionCache` (a
     :class:`~repro.api.Session` runs the same query on several engines), the
     functional pass happens once and subsequent calls replay the memoized
     answer and profile.
     """
-    cache = active_cache()
+    cache = current().cache
     if cache is not None:
         return cache.fetch(db, query, _execute_query_uncached)
     return _execute_query_uncached(db, query)
@@ -362,7 +363,7 @@ def _execute_query_uncached(db: Database, query: SSBQuery) -> tuple[object, Quer
     # uncached execution fans out over the worker-process pool and merges
     # partial aggregates; the binding sits *inside* the execution memo so a
     # cached answer replays without touching the pool.
-    binding = active_shard_executor()
+    binding = current().shards
     if binding is not None:
         return binding.execute(db, query)
     # Lowering sees the database so the zone-map pruning pass (when a

@@ -29,8 +29,8 @@ shards a *single query* across worker **processes** instead:
 The executor owns a persistent :class:`~concurrent.futures.
 ProcessPoolExecutor` (lifecycle tied to ``Session.close()``) and a
 :class:`~repro.storage.shm.SharedMemoryRegistry` with strict unlink
-discipline, and it is installed per-execution as a context binding
-(:func:`~repro.engine.cache.activate_shards`) so the engine layer routes
+discipline, and it is installed per-execution as the ``shards`` field of
+the execution context (:mod:`repro.context`) so the engine layer routes
 through it without importing it.
 """
 
@@ -46,8 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.engine.cache import active_build_cache, active_zone_maps
-from repro.faults import SHARD_TASK, FaultAction, TransientFaultError, active_fault_plan
+from repro.context import current
+from repro.faults import SHARD_TASK, FaultAction, TransientFaultError
 from repro.engine.physical import BuildArtifact, execute_physical, execute_physical_partial, lower_query
 from repro.engine.plan import QueryProfile, fold_shard_profiles, merge_partial_aggregates
 from repro.ssb.queries import SSBQuery
@@ -151,7 +151,7 @@ class ShardTask:
     packed_max_bits: int
     #: An armed fault the worker executes before the shard runs (chaos
     #: testing only; ``None`` on every production task).  Armed parent-side
-    #: because ContextVars do not cross the process boundary.
+    #: because the execution context does not cross the process boundary.
     fault: FaultAction | None = None
 
 
@@ -180,8 +180,8 @@ class ShardStats(NamedTuple):
 class ShardBinding:
     """One execution's view of the shard pool: an effective shard count.
 
-    The opaque object :func:`~repro.engine.cache.activate_shards` installs:
-    the engine layer reads ``shards`` (cache keys) and calls ``execute``
+    The opaque ``shards`` field of the execution context: the engine layer
+    reads ``shards`` (cache keys) and calls ``execute``
     (dispatch); everything else stays behind the executor.
     """
 
@@ -215,9 +215,6 @@ class ShardExecutor:
         db,
         *,
         start_method: str | None = None,
-        zones: bool = True,
-        zone_size: int | None = None,
-        packed_max_bits: int | None = None,
         retry_budget: int = 2,
         task_timeout_s: float | None = None,
     ) -> None:
@@ -232,9 +229,6 @@ class ShardExecutor:
             raise ValueError(f"task_timeout_s must be positive, got {task_timeout_s}")
         self.db = db
         self.start_method = start_method
-        self.zones = zones
-        self.zone_size = DEFAULT_ZONE_SIZE if zone_size is None else zone_size
-        self.packed_max_bits = PACKED_MAX_BITS if packed_max_bits is None else packed_max_bits
         #: Recoverable failures one query absorbs before the monolithic
         #: fallback rung; per-task result wait (None = no hang guard).
         self.retry_budget = retry_budget
@@ -315,10 +309,10 @@ class ShardExecutor:
         """Run ``query`` sharded ``shards`` ways; fall back monolithically
         when there is nothing to shard (off-database, or an empty fact).
 
-        Must be called with the session's cache scopes already active (the
-        normal ``Session._execute`` path): zone maps come from
-        :func:`~repro.engine.cache.active_zone_maps`, parent-side builds go
-        through :func:`~repro.engine.cache.active_build_cache`.
+        Must be called under the session's execution context (the normal
+        ``Session._execute`` path): zone maps, the cache parent-side builds
+        go through, and the fault plan all come from
+        :func:`repro.context.current`.
 
         Failure handling is a ladder, each rung cheaper than the last:
         recoverable failures (:data:`RECOVERABLE_SHARD_FAILURES`) are
@@ -343,16 +337,22 @@ class ShardExecutor:
             or fact_name not in tables
         ):
             return self._fallback(db, query)
-        # Snowflake validation (and anything else lowering rejects) raises
-        # here in the parent, before any pool work happens.
+        # Whatever lowering rejects raises here in the parent, before any
+        # pool work happens.
         plan = lower_query(query, db)
         fact = db.table(fact_name).snapshot()
         n = fact.num_rows
         if n == 0:
             return self._fallback(db, query)
 
-        faults = active_fault_plan()
-        ranges = [r for r in shard_ranges(n, shards, self.zone_size) if r[1] > r[0]]
+        context = current()
+        faults = context.faults
+        # Workers rebuild the parent's zone cache from its geometry, so shard
+        # pipelines take the pruning decisions the monolithic one would.
+        zones = context.zones
+        zone_size = zones.zone_size if zones is not None else DEFAULT_ZONE_SIZE
+        packed_max_bits = zones.packed_max_bits if zones is not None else PACKED_MAX_BITS
+        ranges = [r for r in shard_ranges(n, shards, zone_size) if r[1] > r[0]]
         # Deferred import keeps the worker module (and its module globals)
         # out of the parent's hot path until sharding is actually used.
         from repro.engine.shard_worker import run_shard_task
@@ -367,7 +367,7 @@ class ShardExecutor:
             try:
                 if export is None:
                     export = self._export_for(db, fact)
-                    build_cache = active_build_cache()
+                    build_cache = context.builds
                     artifacts = tuple(
                         self._artifact_ref(build.fetch_artifact(db, build_cache)) for build in plan.builds
                     )
@@ -388,9 +388,9 @@ class ShardExecutor:
                             start=start,
                             stop=stop,
                             artifacts=artifacts,
-                            zones=self.zones,
-                            zone_size=self.zone_size,
-                            packed_max_bits=self.packed_max_bits,
+                            zones=zones is not None,
+                            zone_size=zone_size,
+                            packed_max_bits=packed_max_bits,
                             fault=faults.arm(SHARD_TASK) if faults is not None else None,
                         ),
                     )
@@ -428,11 +428,10 @@ class ShardExecutor:
         profiles = [profile for _, profile, _ in ordered]
         value = merge_partial_aggregates(partials)
         profile = fold_shard_profiles(profiles, value)
-        zone_cache = active_zone_maps()
-        if zone_cache is not None:
+        if zones is not None:
             for _, _, (skipped, taken, evaluated, rows_pruned) in ordered:
                 if skipped or taken or evaluated or rows_pruned:
-                    zone_cache.record(
+                    zones.record(
                         skipped=skipped, taken=taken, evaluated=evaluated, rows_pruned=rows_pruned
                     )
         with self._lock:
@@ -519,8 +518,8 @@ class ShardExecutor:
             if held is not None and held[0] == version:
                 return held[1]
         packed: dict = {}
-        zone_cache = active_zone_maps()
-        if self.zones and zone_cache is not None:
+        zone_cache = current().zones
+        if zone_cache is not None:
             maps = zone_cache.maps(db, fact)
             if maps is not None:
                 packed = {name: maps.packed(name) for name in fact.columns}
@@ -576,7 +575,7 @@ class ShardExecutor:
 def partial_for_range(db, query: SSBQuery, start: int, stop: int):
     """Run one shard's partial in-process (test/experimentation helper).
 
-    Lowers under whatever cache scopes are active and returns the
+    Lowers under the current execution context and returns the
     ``(partial, profile)`` pair a worker would have produced for the range
     -- handy for property-style merge tests that need adversarial splits
     without paying for a process pool.

@@ -27,7 +27,8 @@ slices (build rows, hash-table bytes) identical to the monolithic plane's.
 
 from __future__ import annotations
 
-from repro.engine.cache import ZoneMapCache, activate_zones
+from repro.context import ExecutionContext, activate_context
+from repro.engine.cache import ZoneMapCache
 from repro.engine.physical import BuildArtifact, execute_physical_partial, lower_query
 from repro.engine.shard import InlineArtifact, ShardTask, ShmArtifact
 from repro.faults import FaultAction, execute_fault, unlink_segment
@@ -133,24 +134,19 @@ def run_shard_task(task: ShardTask):
     _apply_fault(task)
     db, zone_cache = _database_for(task)
     artifacts = tuple(_resolve_artifact(ref) for ref in task.artifacts)
-    if task.zones:
-        before = zone_cache.info()
-        with activate_zones(zone_cache):
-            plan = lower_query(task.query, db)
-            partial, profile = execute_physical_partial(
-                db, plan, task.start, task.stop, artifacts=artifacts
-            )
-        after = zone_cache.info()
-        delta = (
-            after.zones_skipped - before.zones_skipped,
-            after.zones_taken - before.zones_taken,
-            after.zones_evaluated - before.zones_evaluated,
-            after.rows_pruned - before.rows_pruned,
-        )
-    else:
+    before = zone_cache.info()
+    # The whole context is rebuilt from the manifest: a fork-started worker
+    # inherits a copy of whatever the submitting thread had installed (the
+    # parent's caches, its fault plan), a spawn-started one nothing.  No
+    # fault plan here -- the parent armed this task's fault and shipped it.
+    with activate_context(ExecutionContext(zones=zone_cache if task.zones else None)):
         plan = lower_query(task.query, db)
-        partial, profile = execute_physical_partial(
-            db, plan, task.start, task.stop, artifacts=artifacts
-        )
-        delta = (0, 0, 0, 0)
+        partial, profile = execute_physical_partial(db, plan, task.start, task.stop, artifacts=artifacts)
+    after = zone_cache.info()
+    delta = (
+        after.zones_skipped - before.zones_skipped,
+        after.zones_taken - before.zones_taken,
+        after.zones_evaluated - before.zones_evaluated,
+        after.rows_pruned - before.rows_pruned,
+    )
     return partial, profile, delta

@@ -42,11 +42,12 @@ Four modes:
     tail a power cut leaves behind, which recovery must detect and
     truncate.  Sites with no file in hand degrade to a plain ``kill``.
 
-Activation follows the cache idiom (:mod:`repro.engine.cache`): a
-``ContextVar`` scope installed by :func:`activate_faults`, read by
-:func:`active_fault_plan`.  The no-fault default is a single ContextVar
-read returning ``None`` per site -- zero allocation, no locks -- so
-production paths pay nothing for carrying the injection points.
+The active plan is the ``faults`` field of the one execution context
+(:mod:`repro.context`), installed by ``Session._execute`` or
+:func:`activate_faults` and read by :func:`active_fault_plan`.  The no-fault
+default is a single ContextVar read returning ``None`` per site -- zero
+allocation, no locks -- so production paths pay nothing for carrying the
+injection points.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ import random
 import threading
 import time
 from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+from repro.context import activate_context, current
 
 #: The fault modes a :class:`FaultPoint` may request.
 FAULT_MODES = ("kill", "raise", "latency", "unlink", "torn")
@@ -273,29 +275,23 @@ def unlink_segment(name: str) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Activation scope (the cache.py idiom: ContextVar + contextmanager)
+# Activation scope: the ``faults`` field of the one execution context
 # ----------------------------------------------------------------------
-
-_ACTIVE_FAULTS: ContextVar["FaultPlan | None"] = ContextVar("repro_active_fault_plan", default=None)
 
 
 def active_fault_plan() -> "FaultPlan | None":
-    """The plan installed by the innermost :func:`activate_faults`, or ``None``."""
-    return _ACTIVE_FAULTS.get()
+    """The fault plan of the current execution context, or ``None``."""
+    return current().faults
 
 
 @contextmanager
 def activate_faults(plan: FaultPlan):
     """Make ``plan`` the active fault plan for the calling context.
 
-    Installed by ``Session._execute`` when the session was constructed
-    with ``faults=...`` -- on the executing thread itself, because
-    ``loop.run_in_executor`` does not propagate ContextVars.  Instrumented
-    sites read :func:`active_fault_plan` and stay no-ops when it is
-    ``None``.
+    A session constructed with ``faults=...`` carries its plan in the
+    context ``Session._execute`` installs on the executing thread; this
+    scope is for code driven without a session.  Instrumented sites read
+    :func:`active_fault_plan` and stay no-ops when it is ``None``.
     """
-    token = _ACTIVE_FAULTS.set(plan)
-    try:
+    with activate_context(replace(current(), faults=plan)):
         yield plan
-    finally:
-        _ACTIVE_FAULTS.reset(token)

@@ -21,8 +21,10 @@ from-scratch evaluation at every version (the differential suite in
 
 Dimension appends cannot be folded incrementally (an updated dimension
 re-labels *old* fact rows), so a changed dimension version resets the state
-and folds ``[0, n)`` afresh; the per-query build cache keys its artifacts
-by ``(build, dimension version)``, so only the changed dimension rebuilds.
+and folds ``[0, n)`` afresh; the session's build cache keys its artifacts
+by ``(build, dimension version)``, so only the changed dimension rebuilds
+-- and standing queries, and the reads beside them, share one artifact per
+build.
 A dimension append racing a tick is caught by the next one: versions are
 read before the pipeline runs, so the recorded version can only lag the
 data the tick saw.
@@ -31,10 +33,11 @@ data the tick saw.
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
+from repro.context import activate_context
 from repro.engine import physical
-from repro.engine.cache import BuildArtifactCache
 from repro.engine.plan import PartialAggregate, combine_partials, finalize_partial
 from repro.ssb.queries import SSBQuery
 
@@ -61,10 +64,6 @@ class StandingQuery:
         self._state: "PartialAggregate | None" = None
         self._rows = 0
         self._versions: dict[str, int] = {}
-        # One persistent artifact cache per standing query: entries are
-        # keyed by (build, dimension version), so unchanged dimensions hit
-        # across every tick and a dimension append misses exactly once.
-        self._build_cache = BuildArtifactCache(session.db, maxsize=64)
         #: Refresh ticks that folded new data (or fully re-evaluated).
         self.ticks = 0
         #: Fact rows folded incrementally over the query's lifetime.
@@ -94,11 +93,17 @@ class StandingQuery:
                 self._versions = versions
                 return False
             start = 0 if full else self._rows
-            # Lowered through the module, so a tracer patching
-            # ``physical.lower_query`` sees ticks too.
-            delta, _ = physical.execute_physical_partial(
-                db, physical.lower_query(self.query, db), start, n, build_cache=self._build_cache
-            )
+            # A tick runs under the session's context *without* zones: column
+            # statistics and packed twins are O(table) on first touch, and a
+            # tick must cost O(batch).  (A ranged partial consults neither
+            # the execution memo nor a shard binding.)
+            context = replace(self.session.context(cache=False, shards=1), zones=None)
+            with activate_context(context):
+                # Lowered through the module, so a tracer patching
+                # ``physical.lower_query`` sees ticks too.
+                delta, _ = physical.execute_physical_partial(
+                    db, physical.lower_query(self.query, db), start, n
+                )
             self._state = delta if full else combine_partials([self._state, delta])
             self._rows = n
             self._versions = versions
@@ -122,10 +127,6 @@ class StandingQuery:
         """The table versions the maintained answer reflects."""
         with self._lock:
             return dict(self._versions)
-
-    def build_cache_info(self):
-        """Hit/miss counters of the query's private build-artifact cache."""
-        return self._build_cache.info()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -260,20 +260,11 @@ def conjuncts(pred: "PredLike") -> tuple[Pred, ...]:
 
 @dataclass(frozen=True)
 class JoinSpec:
-    """A join between a probe-side table and one dimension table.
+    """A join between the fact table and one dimension table.
 
     ``filters`` restricts the dimension before the hash-table build: either
     the legacy tuple of :class:`FilterSpec` (an implicit conjunction) or an
     arbitrary :class:`Pred` tree.
-
-    ``source`` names the table the probe-side key (``fact_key``) lives on.
-    ``None`` -- the overwhelmingly common case, and every canonical SSB
-    query -- means the query's fact table.  Naming another *dimension*
-    declares a snowflake chain (dimension -> dimension): the logical plan
-    (:class:`repro.engine.physical.LogicalPlan`) carries such chains
-    faithfully, but lowering them to physical operators is not implemented
-    yet, so executing one raises ``NotImplementedError`` (see the ROADMAP's
-    multi-fact / snowflake item -- it is a lowering change, not a rewrite).
     """
 
     dimension: str
@@ -281,7 +272,6 @@ class JoinSpec:
     dimension_key: str
     filters: "tuple[FilterSpec, ...] | Pred" = ()
     payload: str | None = None
-    source: str | None = None
 
     @property
     def predicate(self) -> Pred:

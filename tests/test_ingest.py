@@ -246,6 +246,12 @@ class TestDifferentialIngest:
         pruned = Session(ssb)            # zone-pruned plane, caches versioned
         unpruned = Session(ssb, zones=False)  # selection-vector plane
         standing = {name: pruned.register_standing(QUERIES[name]) for name in QUERY_ORDER}
+        # Standing queries fetch through the session's one build cache:
+        # registration built each distinct lookup of the 13 queries once.
+        distinct = {b.key for name in QUERY_ORDER for b in lower_query(QUERIES[name]).builds}
+        total_joins = sum(len(QUERIES[name].joins) for name in QUERY_ORDER)
+        registered = pruned.cache_info("builds")
+        assert (registered.misses, registered.hits) == (len(distinct), total_joins - len(distinct))
 
         for step in range(3):
             before = pruned.counters()
@@ -253,6 +259,10 @@ class TestDifferentialIngest:
                 "lineorder", generate_lineorder_batch(ssb, DEFAULT_ZONE_SIZE, seed=30 + step)
             )
             assert version == step + 1
+            # Standing-query work was delta-proportional: a tick of all 13
+            # hits every dimension artifact and builds none.
+            ticked = pruned.counters() - before
+            assert (ticked.build_misses, ticked.build_hits) == (0, total_joins)
             fresh = Session(ssb)  # from-scratch reference at this version
             for name in QUERY_ORDER:
                 query = QUERIES[name]
@@ -269,14 +279,7 @@ class TestDifferentialIngest:
                 assert delta.zone_extensions >= 1
                 assert delta.zone_misses == 0
 
-        # Standing-query work was delta-proportional: the three dimension
-        # artifacts of a 3-join query were built exactly once (registration)
-        # and hit on every later tick, including 4-join q4.x dimensions.
         for name in QUERY_ORDER:
-            info = standing[name].build_cache_info()
-            distinct = len(lower_query(QUERIES[name]).builds)
-            assert info.misses == distinct
-            assert info.hits == distinct * 3  # 3 ingest ticks
             assert standing[name].ticks == 4  # registration + 3 ingests
             assert standing[name].full_refreshes == 1
 
@@ -302,17 +305,20 @@ class TestDifferentialIngest:
                 assert handle.answer() == fresh.run(query).value, query.name
         # avg is one (sum, count) partial per tick, so it probes its one
         # build once per tick like any other op -- not once per half.
-        avg_info = handles[1].build_cache_info()
-        assert (avg_info.misses, avg_info.hits) == (1, 3)
+        # (The other two queries join nothing, and nothing else ran here.)
+        builds = session.cache_info("builds")
+        assert (builds.misses, builds.hits) == (1, 3)
 
     def test_dimension_append_triggers_one_full_refresh(self, ssb):
         session = Session(ssb)
         handle = session.register_standing(QUERIES["q2.1"])
         session.ingest("lineorder", generate_lineorder_batch(ssb, 500, seed=70))
         assert handle.full_refreshes == 1
+        built = session.cache_info("builds").misses
         ssb.table("supplier").append(supplier_batch(ssb))
         session.ingest("lineorder", generate_lineorder_batch(ssb, 500, seed=71))
         assert handle.full_refreshes == 2  # the dimension change forced one
+        assert session.cache_info("builds").misses == built + 1  # and rebuilt only itself
         reference, _ = execute_query_monolithic(ssb, QUERIES["q2.1"])
         assert handle.answer() == reference
 
@@ -387,7 +393,8 @@ class TestDifferentialIngest:
         handles = [session.register_standing(QUERIES[name]) for name in ("q1.1", "q2.1", "q4.1")]
         batch = DEFAULT_ZONE_SIZE
         fact.append(generate_lineorder_batch(db, batch, seed=73))
-        before = [(h.delta_rows, h.build_cache_info().misses) for h in handles]
+        before = [h.delta_rows for h in handles]
+        built = session.cache_info("builds").misses
         tracemalloc.start()
         try:
             baseline = tracemalloc.get_traced_memory()[0]
@@ -401,9 +408,27 @@ class TestDifferentialIngest:
         # sits far below one 4-byte fact column (>= 1.2 MB): no rescan, no
         # row-id vector over the prefix, no rebuilt dimension lookup.
         assert peak < 128 * batch < 2 * fact.num_rows
-        for handle, (rows, misses) in zip(handles, before):
+        for handle, rows in zip(handles, before):
             assert handle.delta_rows == rows + batch
-            assert handle.build_cache_info().misses == misses
+        assert session.cache_info("builds").misses == built
+
+    def test_registration_builds_range_sized_lookups(self, ssb):
+        """Clock-free: registering q2.1 (60 000 fact rows) allocates its
+        scan temporaries and three small lookups -- not a ``date`` lookup
+        zero-based over ``d_datekey`` (19 981 232 slots, ~60 MB pinned per
+        standing query), which a tick run outside the session's scopes
+        used to build."""
+        session = Session(ssb)
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            handle = session.register_standing(QUERIES["q2.1"])
+            peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        assert handle.answer() == execute_query_monolithic(ssb, QUERIES["q2.1"])[0]
 
 
 # ----------------------------------------------------------------------
@@ -426,7 +451,7 @@ class TestVersionedInvalidation:
     def test_dimension_append_invalidates_exactly_one_artifact(self, ssb):
         session = Session(ssb, cache=False)  # force execution; isolate builds
         queries = [QUERIES["q2.1"]] * 4
-        session.run_many(queries, share_builds=True)
+        session.run_many(queries)
         before = session.cache_info("builds")
         ssb.table("part").append({
             "p_partkey": np.array([ssb.table("part").num_rows], dtype=np.int32),
@@ -434,7 +459,7 @@ class TestVersionedInvalidation:
             "p_category": np.array(["MFGR#11"]),
             "p_brand1": np.array(["MFGR#1111"]),
         })
-        session.run_many(queries, share_builds=True, workers=4, oversubscribe=True)
+        session.run_many(queries, workers=4)
         delta_misses = session.cache_info("builds").misses - before.misses
         assert delta_misses == 1  # the part build, exactly once, despite 4 workers
         reference, _ = execute_query_monolithic(ssb, QUERIES["q2.1"])
@@ -452,7 +477,7 @@ class TestVersionedInvalidation:
 class TestClearCaches:
     def test_clear_caches_drops_everything_and_zeroes_counters(self, ssb):
         session = Session(ssb)
-        session.run_many([QUERIES["q2.1"], QUERIES["q1.1"]], share_builds=True)
+        session.run_many([QUERIES["q2.1"], QUERIES["q1.1"]])
         assert session.cache_info().size > 0
         assert session.cache_info("builds").size > 0
         assert session.cache_info("zones").misses > 0
@@ -618,7 +643,7 @@ class TestConcurrentIngestHammer:
         observed = []
         try:
             while not stop.is_set():
-                results = session.run_many([count_q] * 4, workers=4, oversubscribe=True)
+                results = session.run_many([count_q] * 4, workers=4)
                 observed.extend(result.value for result in results)
         finally:
             thread.join()
@@ -632,12 +657,12 @@ class TestConcurrentIngestHammer:
     def test_racing_workers_rebuild_an_invalidated_artifact_exactly_once(self, ssb):
         session = Session(ssb, cache=False)
         queries = [QUERIES["q3.1"]] * 8
-        session.run_many(queries, share_builds=True, workers=4, oversubscribe=True)
+        session.run_many(queries, workers=4)
         baseline = session.cache_info("builds")
         # Grow one dimension, hammer again: its artifact misses exactly once
         # (the in-flight arbitration), everything else keeps hitting.
         ssb.table("supplier").append(supplier_batch(ssb))
-        session.run_many(queries, share_builds=True, workers=4, oversubscribe=True)
+        session.run_many(queries, workers=4)
         info = session.cache_info("builds")
         assert info.misses - baseline.misses == 1
         reference, _ = execute_query_monolithic(ssb, QUERIES["q3.1"])

@@ -4,9 +4,8 @@
 each query is one morsel, workers pull morsels as they free up, and every
 worker shares the session's lock-protected caches.  The contract under
 test: results identical to serial execution (values *and* simulated
-times, in input order), and -- with ``share_builds=True`` -- each distinct
-dimension build constructed exactly once no matter how the batch lands on
-the workers.
+times, in input order), and each distinct dimension build constructed
+exactly once no matter how the batch lands on the workers.
 """
 
 import dataclasses
@@ -35,7 +34,7 @@ class TestThreadedRunMany:
         queries = [QUERIES[name] for name in QUERY_ORDER]
         serial = Session(tiny_ssb, cache=False).run_many(queries, engine="cpu")
         threaded = Session(tiny_ssb, cache=False).run_many(
-            queries, engine="cpu", workers=4, oversubscribe=True
+            queries, engine="cpu", workers=4
         )
         assert len(threaded) == len(serial)
         for a, b in zip(serial, threaded):
@@ -45,9 +44,9 @@ class TestThreadedRunMany:
 
     def test_matches_serial_with_shared_builds(self, tiny_ssb):
         queries = [QUERIES[name] for name in QUERY_ORDER] * 2
-        serial = Session(tiny_ssb, cache=False).run_many(queries, engine="cpu", share_builds=True)
+        serial = Session(tiny_ssb, cache=False).run_many(queries, engine="cpu")
         threaded = Session(tiny_ssb, cache=False).run_many(
-            queries, engine="cpu", share_builds=True, workers=4, oversubscribe=True
+            queries, engine="cpu", workers=4
         )
         for a, b in zip(serial, threaded):
             assert a.value == b.value
@@ -58,7 +57,7 @@ class TestThreadedRunMany:
         """Repeated fresh 26-query batches: one miss per distinct artifact."""
         queries = [QUERIES[name] for name in QUERY_ORDER] * 2
         session = Session(tiny_ssb, cache=False)
-        session.run_many(queries, engine="cpu", share_builds=True, workers=4, oversubscribe=True)
+        session.run_many(queries, engine="cpu", workers=4)
         info = session.cache_info("builds")
         distinct = _distinct_builds(queries)
         assert info.misses == len(distinct)
@@ -66,21 +65,11 @@ class TestThreadedRunMany:
         total_joins = sum(len(q.joins) for q in queries)
         assert info.hits + info.misses == total_joins
 
-    def test_small_build_cache_grows_to_fit_threaded_batch(self, tiny_ssb):
-        """Exactly-once survives an undersized LRU in the threaded path too."""
-        queries = [QUERIES[name] for name in QUERY_ORDER]
-        session = Session(tiny_ssb, cache=False, build_cache_size=1)
-        session.run_many(queries, engine="cpu", share_builds=True, workers=4, oversubscribe=True)
-        info = session.cache_info("builds")
-        distinct = _distinct_builds(queries)
-        assert info.misses == len(distinct)
-        assert info.maxsize >= len(distinct)
-
     def test_workers_with_execution_cache(self, tiny_ssb):
         """Duplicate queries in a threaded batch still agree with serial."""
         queries = [QUERIES["q2.1"], QUERIES["q2.1"], QUERIES["q3.1"], QUERIES["q2.1"]]
         session = Session(tiny_ssb)
-        results = session.run_many(queries, engine="cpu", workers=4, oversubscribe=True)
+        results = session.run_many(queries, engine="cpu", workers=4)
         reference = Session(tiny_ssb).run(QUERIES["q2.1"], engine="cpu")
         for result in (results[0], results[1], results[3]):
             assert result.value == reference.value
@@ -94,7 +83,7 @@ class TestThreadedRunMany:
         session = Session(tiny_ssb)
         with pytest.raises(KeyError, match="unknown engine"):
             session.run_many(
-                [QUERIES["q1.1"]], engine="gpx", workers=4, share_builds=True, oversubscribe=True
+                [QUERIES["q1.1"]], engine="gpx", workers=4
             )
         assert session.cache_info("builds").size == 0
 
@@ -105,23 +94,6 @@ class TestThreadedRunMany:
         for a, b in zip(default, explicit):
             assert a.value == b.value
 
-    def test_pool_capped_at_cpu_count(self, tiny_ssb, monkeypatch):
-        """Morsel pools size to the hardware: no pool on a 1-core machine."""
-        import repro.api.session as session_module
-
-        monkeypatch.setattr(session_module.os, "cpu_count", lambda: 1)
-        session = Session(tiny_ssb, cache=False)
-        called = []
-        original = session._run_many_threaded
-        monkeypatch.setattr(
-            session, "_run_many_threaded", lambda *a, **k: called.append(1) or original(*a, **k)
-        )
-        results = session.run_many([QUERIES["q1.1"]], engine="cpu", workers=8)
-        assert not called  # clamped to 1 worker -> serial path, no pool
-        assert results[0].value is not None
-        session.run_many([QUERIES["q1.1"]], engine="cpu", workers=8, oversubscribe=True)
-        assert called  # oversubscribe forces the requested pool size
-
 
 class TestErrorPropagation:
     """A failing morsel must surface -- never hang the pool or scramble order."""
@@ -131,9 +103,9 @@ class TestErrorPropagation:
     def test_threaded_failure_raises_without_deadlock(self, tiny_ssb):
         session = Session(tiny_ssb, cache=False)
         with pytest.raises(KeyError, match="lo_nope"):
-            session.run_many(self.BATCH, engine="cpu", workers=4, oversubscribe=True)
+            session.run_many(self.BATCH, engine="cpu", workers=4)
         # The pool drained cleanly: the same session keeps working.
-        results = session.run_many([QUERIES["q1.1"]], engine="cpu", workers=4, oversubscribe=True)
+        results = session.run_many([QUERIES["q1.1"]], engine="cpu", workers=4)
         assert results[0].value is not None
 
     def test_threaded_return_exceptions_keeps_survivors_in_order(self, tiny_ssb):
@@ -141,7 +113,7 @@ class TestErrorPropagation:
             [q for q in self.BATCH if q.name != "q_broken"], engine="cpu"
         )
         mixed = Session(tiny_ssb, cache=False).run_many(
-            self.BATCH, engine="cpu", workers=4, oversubscribe=True, return_exceptions=True
+            self.BATCH, engine="cpu", workers=4, return_exceptions=True
         )
         assert isinstance(mixed[1], KeyError)
         survivors = [mixed[0], mixed[2], mixed[3]]
@@ -150,12 +122,11 @@ class TestErrorPropagation:
             assert got.value == expected.value
             assert got.simulated_ms == expected.simulated_ms
 
-    @pytest.mark.parametrize("kwargs", [{}, {"share_builds": True}])
-    def test_serial_paths_honor_return_exceptions(self, tiny_ssb, kwargs):
+    def test_serial_paths_honor_return_exceptions(self, tiny_ssb):
         session = Session(tiny_ssb, cache=False)
         with pytest.raises(KeyError, match="lo_nope"):
-            session.run_many(self.BATCH, engine="cpu", **kwargs)
-        mixed = session.run_many(self.BATCH, engine="cpu", return_exceptions=True, **kwargs)
+            session.run_many(self.BATCH, engine="cpu")
+        mixed = session.run_many(self.BATCH, engine="cpu", return_exceptions=True)
         assert isinstance(mixed[1], KeyError)
         assert [r.query for i, r in enumerate(mixed) if i != 1] == ["q1.1", "q2.1", "q3.1"]
 
@@ -163,7 +134,7 @@ class TestErrorPropagation:
         other = dataclasses.replace(BROKEN, name="q_broken2")
         batch = [BROKEN, QUERIES["q1.1"], other]
         mixed = Session(tiny_ssb, cache=False).run_many(
-            batch, engine="cpu", workers=4, oversubscribe=True, return_exceptions=True
+            batch, engine="cpu", workers=4, return_exceptions=True
         )
         assert isinstance(mixed[0], KeyError) and isinstance(mixed[2], KeyError)
         assert mixed[1].value is not None

@@ -3,14 +3,17 @@
 The physical pipeline (ScanFilter / BuildLookup / ProbeJoin / Aggregate) is
 held byte-identical to the seed monolithic executor: same answers, same
 profiles, stage by stage.  On top of that sit the shared-build artifact
-cache (``Session.run_many(share_builds=True)``), the snowflake-capable plan
-representation, and the context-local cache scopes.
+cache and the one ambient execution context.
 """
+
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.api import Q, QueryValidationError, Session, col
+from repro.context import ExecutionContext, activate_context, current
 from repro.engine.cache import (
     BuildArtifactCache,
     ExecutionCache,
@@ -22,13 +25,10 @@ from repro.engine.cache import (
     active_cache,
 )
 from repro.engine.physical import (
-    LogicalPlan,
     PipelineState,
     execute_physical,
     execute_physical_partial,
-    lower,
     lower_query,
-    staged_builds,
 )
 from repro.engine.plan import (
     QueryProfile,
@@ -38,6 +38,7 @@ from repro.engine.plan import (
     merge_partial_aggregates,
 )
 from repro.engine.planner import JoinOrderPlanner
+from repro.faults import activate_faults
 from repro.ssb import generate_ssb
 from repro.ssb.queries import QUERIES, AggregateSpec, FilterSpec, JoinSpec, SSBQuery
 from repro.storage import Database, Table
@@ -99,7 +100,7 @@ class TestPipelineParity:
         assert profile_phys == profile_mono
         # And through a Session batch: it runs, it just never shares.
         session = Session(tiny_ssb)
-        [result] = session.run_many([query], engine="cpu", share_builds=True)
+        [result] = session.run_many([query], engine="cpu")
         assert result.value == value_mono
         assert session.cache_info("builds").size == 0
 
@@ -107,8 +108,9 @@ class TestPipelineParity:
         """A probe against a cached artifact emits the same profile slice."""
         cache = BuildArtifactCache(tiny_ssb)
         plan = lower_query(QUERIES["q2.1"])
-        first = execute_physical(tiny_ssb, plan, build_cache=cache)
-        second = execute_physical(tiny_ssb, plan, build_cache=cache)
+        with activate_builds(cache):
+            first = execute_physical(tiny_ssb, plan)
+            second = execute_physical(tiny_ssb, plan)
         assert second[0] == first[0]
         assert second[1] == first[1]
         assert cache.hits > 0
@@ -147,58 +149,12 @@ class TestLowering:
         }
         assert len(part_keys) == 3
 
-    def test_staged_builds_dedupes_across_batch(self):
-        plans = [lower_query(query) for query in QUERIES.values()]
-        builds = staged_builds(plans)
-        keys = [build.key for build in builds]
-        assert len(keys) == len(set(keys))
-        assert len(keys) < sum(len(plan.builds) for plan in plans)
-
-    def test_snowflake_chain_is_represented_but_not_lowered(self):
-        """A dimension->dimension join survives normalization, fails lowering."""
-        query = SSBQuery(
-            name="snowflake",
-            flight=0,
-            fact_filters=(),
-            joins=(
-                JoinSpec("supplier", "lo_suppkey", "s_suppkey"),
-                JoinSpec("date", "s_suppkey", "d_datekey", source="supplier"),
-            ),
-            group_by=(),
-            aggregate=QUERIES["q1.1"].aggregate,
-        )
-        logical = LogicalPlan.from_query(query)
-        assert logical.joins[1].source == "supplier"
-        assert logical.join_depth(logical.joins[0]) == 0
-        assert logical.join_depth(logical.joins[1]) == 1
-        with pytest.raises(NotImplementedError, match="snowflake"):
-            lower(logical)
-
-    def test_unknown_join_source_rejected(self):
-        query = SSBQuery(
-            name="dangling",
-            flight=0,
-            fact_filters=(),
-            joins=(JoinSpec("date", "x_key", "d_datekey", source="nowhere"),),
-            group_by=(),
-            aggregate=QUERIES["q1.1"].aggregate,
-        )
-        logical = LogicalPlan.from_query(query)
-        with pytest.raises(ValueError, match="neither the fact table"):
-            logical.join_depth(logical.joins[0])
-
-    def test_builder_source_validation(self, tiny_ssb):
-        base = Q("lineorder", db=tiny_ssb).agg("count")
-        with pytest.raises(QueryValidationError, match="hangs off"):
-            base.join("date", on=("s_suppkey", "d_datekey"), source="supplier")
-        chained = (
-            base.join("supplier", on=("lo_suppkey", "s_suppkey"))
-            .join("date", on=("s_suppkey", "d_datekey"), source="supplier")
-        )
-        query = chained.build(tiny_ssb)
-        assert query.joins[1].source == "supplier"
-        with pytest.raises(NotImplementedError, match="snowflake"):
-            execute_query(tiny_ssb, query)
+    def test_join_key_must_be_a_fact_column(self, tiny_ssb):
+        """A probe-side key that lives on a dimension is rejected by name."""
+        builder = Q("lineorder", db=tiny_ssb).join("date", on=("s_suppkey", "d_datekey")).agg("count")
+        expected = "join fact-key column 's_suppkey' does not exist in table 'lineorder'.*lo_suppkey"
+        with pytest.raises(QueryValidationError, match=expected):
+            builder.build(tiny_ssb)
 
 
 # ----------------------------------------------------------------------
@@ -210,13 +166,13 @@ class TestSharedBuilds:
     def test_each_distinct_build_constructed_exactly_once(self, tiny_ssb):
         queries = [QUERIES[name] for name in sorted(QUERIES)]
         session = Session(tiny_ssb)
-        batched = session.run_many(queries, engine="cpu", share_builds=True)
+        batched = session.run_many(queries, engine="cpu")
 
         distinct = {b.key for q in queries for b in lower_query(q).builds}
         total_joins = sum(len(q.joins) for q in queries)
         info = session.cache_info("builds")
         assert info.misses == len(distinct)  # one construction per distinct build
-        assert info.hits == total_joins      # every probe-side fetch shared
+        assert info.hits + info.misses == total_joins  # every other fetch shared
         assert info.size == len(distinct)
 
         serial = Session(tiny_ssb).run_many(queries, engine="cpu")
@@ -227,20 +183,10 @@ class TestSharedBuilds:
     def test_repeated_batches_keep_sharing(self, tiny_ssb):
         session = Session(tiny_ssb, cache=False)  # isolate the build cache
         queries = [QUERIES["q2.1"], QUERIES["q2.2"]]
-        session.run_many(queries, engine="cpu", share_builds=True)
+        session.run_many(queries, engine="cpu")
         misses_after_first = session.cache_info("builds").misses
-        session.run_many(queries, engine="cpu", share_builds=True)
+        session.run_many(queries, engine="cpu")
         assert session.cache_info("builds").misses == misses_after_first
-
-    def test_small_build_cache_grows_to_fit_the_batch(self, tiny_ssb):
-        """The exactly-once guarantee survives an undersized LRU."""
-        queries = [QUERIES[name] for name in sorted(QUERIES)]
-        session = Session(tiny_ssb, build_cache_size=1)
-        session.run_many(queries, engine="cpu", share_builds=True)
-        distinct = {b.key for q in queries for b in lower_query(q).builds}
-        info = session.cache_info("builds")
-        assert info.misses == len(distinct)
-        assert info.maxsize >= len(distinct)
 
     def test_memoized_queries_skip_prebuild(self, tiny_ssb):
         """Replayed queries never probe, so they move no build counter."""
@@ -249,13 +195,13 @@ class TestSharedBuilds:
         built = session.cache_info("builds")
         assert built == (0, 3, 3, 128)  # the cold run constructed its three lookups
         session.run(QUERIES["q2.1"], engine="cpu")
-        session.run_many([QUERIES["q2.1"]], engine="cpu", share_builds=True)
+        session.run_many([QUERIES["q2.1"]], engine="cpu")
         assert session.cache_info("builds") == built
 
     def test_bad_engine_fails_before_building(self, tiny_ssb):
         session = Session(tiny_ssb)
         with pytest.raises(KeyError, match="unknown engine"):
-            session.run_many([QUERIES["q2.1"]], engine="gpx", share_builds=True)
+            session.run_many([QUERIES["q2.1"]], engine="gpx")
         assert session.cache_info("builds") == (0, 0, 0, 128)
 
     def test_serial_run_many_untouched(self, tiny_ssb):
@@ -287,7 +233,7 @@ class TestSharedBuilds:
 
     def test_clear_cache_resets_build_counters(self, tiny_ssb):
         session = Session(tiny_ssb)
-        session.run_many([QUERIES["q1.1"]], engine="cpu", share_builds=True)
+        session.run_many([QUERIES["q1.1"]], engine="cpu")
         assert session.cache_info("builds").size > 0
         session.clear_caches()
         assert session.cache_info("builds") == (0, 0, 0, 128)
@@ -299,7 +245,8 @@ class TestSharedBuilds:
     def test_artifacts_are_immutable(self, tiny_ssb):
         cache = BuildArtifactCache(tiny_ssb)
         plan = lower_query(QUERIES["q2.1"])
-        execute_physical(tiny_ssb, plan, build_cache=cache)
+        with activate_builds(cache):
+            execute_physical(tiny_ssb, plan)
         artifact = next(iter(cache._entries.values()))
         with pytest.raises(ValueError):
             artifact.lookup[0] = 99
@@ -333,7 +280,7 @@ class TestBuildArtifactCacheUnit:
 
 
 # ----------------------------------------------------------------------
-# Context-local cache scopes (the ContextVar satellite)
+# The one ambient execution context
 # ----------------------------------------------------------------------
 
 
@@ -376,6 +323,43 @@ class TestContextScopes:
         for t in threads:
             t.join()
         assert observed == {0: True, 1: True}
+
+    @pytest.mark.parametrize(
+        "scope, field",
+        [
+            (activate, "cache"),
+            (activate_builds, "builds"),
+            (activate_zones, "zones"),
+            (activate_faults, "faults"),
+        ],
+    )
+    def test_field_scope_changes_only_its_field(self, scope, field):
+        """Each ``activate_*`` replaces one field of the enclosing context
+        (and yields the value it installed); exits restore, nested or not."""
+        base = ExecutionContext(cache="c", builds="b", zones="z", shards="s", faults="f")
+        assert current() == ExecutionContext()
+        with activate_context(base):
+            with scope("outer") as installed:
+                assert installed == "outer"
+                assert current() == replace(base, **{field: "outer"})
+                with scope("inner"):
+                    assert current() == replace(base, **{field: "inner"})
+                assert current() == replace(base, **{field: "outer"})
+            assert current() is base
+        assert current() == ExecutionContext()
+
+    def test_activate_context_replaces_rather_than_merges(self):
+        with activate_zones("z"):
+            with activate_context(ExecutionContext(builds="b")):
+                assert current() == ExecutionContext(builds="b")
+            assert current() == ExecutionContext(zones="z")
+
+    def test_pool_thread_starts_from_the_empty_context(self, tiny_ssb):
+        """Why ``Session._execute`` installs the context on the executing
+        thread: a pool thread inherits nothing from its submitter."""
+        with activate_context(ExecutionContext(builds=BuildArtifactCache(tiny_ssb))):
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                assert pool.submit(current).result() == ExecutionContext()
 
 
 # ----------------------------------------------------------------------
@@ -448,7 +432,7 @@ class TestFilterStages:
 
 def _span_state(table, lo, hi, zone_size):
     return PipelineState(
-        db=None, fact=table, query_name="t", profile=QueryProfile("t", hi - lo, 1.0), build_cache=None,
+        db=None, fact=table, query_name="t", profile=QueryProfile("t", hi - lo, 1.0),
         rows_alive=float(hi - lo), lo=lo, hi=hi, zones=TableZoneMaps(table, zone_size=zone_size),
     )
 

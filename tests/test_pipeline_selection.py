@@ -360,7 +360,7 @@ class TestPayloadValidationAtLowerTime:
     def test_rejected_without_building_artifacts(self, tiny_ssb):
         session = Session(tiny_ssb)
         with pytest.raises(ValueError, match="more than one join"):
-            session.run_many([self._duplicate_payload_query()], engine="cpu", share_builds=True)
+            session.run_many([self._duplicate_payload_query()], engine="cpu")
         assert session.cache_info("builds").size == 0
 
 

@@ -103,10 +103,10 @@ class TestServedBuildsExactlyOnce:
         constructed = []
         original = BuildLookup._build_from
 
-        def slow_build(self, db, dimension):
+        def slow_build(self, dimension):
             constructed.append(self.key)
             time.sleep(0.02)  # long enough for the other request to miss the same key
-            return original(self, db, dimension)
+            return original(self, dimension)
 
         monkeypatch.setattr(BuildLookup, "_build_from", slow_build)
 

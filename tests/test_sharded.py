@@ -403,7 +403,7 @@ class TestCacheKeying:
             info = session.cache_info()
             assert (info.hits, info.misses) == (1, 1)
             # The morsel-threaded path shares the same entries.
-            session.run_many([QUERIES["q1.1"]] * 2, workers=2, oversubscribe=True)
+            session.run_many([QUERIES["q1.1"]] * 2, workers=2)
             info = session.cache_info()
             assert (info.hits, info.misses) == (3, 1)
 
@@ -459,6 +459,24 @@ class TestLeakSafety:
         session.close()
         assert executor.registry.closed
         assert executor.registry.num_segments == 0
+
+    def test_closed_session_does_not_resurrect_its_pool(self, tiny_ssb):
+        """A sharded run after ``close()`` used to build a fresh pool and
+        fresh ``/dev/shm`` exports that nothing would ever close."""
+        session = Session(tiny_ssb, shards=2)
+        expected = session.run(QUERIES["q1.1"], cache=False).value
+        prefix = session.shard_executor().registry._prefix
+        session.close()
+        segments = _shm_segments()
+        assert not any(prefix in path for path in segments)
+        with pytest.raises(RuntimeError, match="session is closed"):
+            session.run(QUERIES["q1.1"], cache=False)
+        with pytest.raises(RuntimeError, match="session is closed"):
+            session.shard_executor()
+        assert session._shards is None
+        assert _shm_segments() == segments  # no leftover segment
+        # Caches stay intact: unsharded runs keep working.
+        assert session.run(QUERIES["q1.1"], cache=False, shards=1).value == expected
 
     def test_artifact_refs_stay_bounded(self, tiny_ssb, monkeypatch):
         """The parent used to table (and pin) one ref per join per query

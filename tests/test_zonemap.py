@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from repro.api import Q, Session, col
-from repro.engine.cache import ZoneMapCache, activate_zones
+from repro.context import ExecutionContext, activate_context
+from repro.engine.cache import BuildArtifactCache, ZoneMapCache, activate_zones
 from repro.engine.physical import BuildLookup, lower_query
-from repro.engine.plan import execute_query, execute_query_monolithic
+from repro.engine.plan import build_dimension_lookup, execute_query, execute_query_monolithic
 from repro.ssb import generate_lineorder_batch, generate_ssb
-from repro.ssb.queries import QUERIES, FilterSpec, JoinSpec, SSBQuery
+from repro.ssb.queries import QUERIES, FilterSpec, SSBQuery
 from repro.storage import Table
 from repro.storage.zonemap import (
     ZONE_EVALUATE,
@@ -144,23 +145,6 @@ class TestZonePlaneParity:
         )
         builder = builder.agg(op) if op == "count" else builder.agg(op, "lo_revenue")
         _assert_identical(clustered_ssb, builder.build(clustered_ssb))
-
-    def test_snowflake_spec_still_rejected(self, tiny_ssb):
-        """Snowflake lowering stays NotImplemented, zones active or not."""
-        query = SSBQuery(
-            name="snowflake",
-            flight=0,
-            fact_filters=(),
-            joins=(
-                JoinSpec("supplier", "lo_suppkey", "s_suppkey", ()),
-                JoinSpec("customer", "s_suppkey", "c_custkey", (), source="supplier"),
-            ),
-            group_by=(),
-            aggregate=QUERIES["q1.1"].aggregate,
-        )
-        with activate_zones(ZoneMapCache(tiny_ssb)):
-            with pytest.raises(NotImplementedError, match="snowflake"):
-                lower_query(query, tiny_ssb)
 
     def test_type_error_parity(self, tiny_ssb):
         """A bad constant raises identically -- folding must not hide it."""
@@ -325,26 +309,42 @@ class TestZoneStats:
 
 
 # ----------------------------------------------------------------------
-# Stats-compacted build artifacts and probe fast paths
+# One lookup layout (based at the key minimum) and probe fast paths
 # ----------------------------------------------------------------------
 
 
 class TestCompactBuilds:
-    def test_date_lookup_is_compact_under_zones(self, tiny_ssb):
+    @pytest.mark.parametrize("plane", ["zones", "no-zones", "bare"])
+    def test_date_lookup_spans_the_key_range_on_every_plane(self, tiny_ssb, plane):
+        """No plane builds a zero-based ``date`` lookup (19 981 232 slots for
+        61 131 keys), and every plane matches the reference on all 13."""
+        if plane == "bare":  # execute_query with no session and no zones
+            context = ExecutionContext(builds=BuildArtifactCache(tiny_ssb))
+        else:
+            context = Session(tiny_ssb, zones=plane == "zones").context(cache=False)
+        with activate_context(context):
+            for name, query in QUERIES.items():
+                assert execute_query(tiny_ssb, query) == execute_query_monolithic(tiny_ssb, query), name
+        datekeys = tiny_ssb.table("date")["d_datekey"]
+        low, high = int(datekeys.min()), int(datekeys.max())
+        dates = [a for a in context.builds._entries.values() if a.dimension == "date"]
+        assert dates
+        for artifact in dates:
+            assert artifact.key_base == low
+            assert artifact.lookup.shape[0] == artifact.present.shape[0] == high - low + 1
+
+    def test_membership_matches_the_reference_layout(self, tiny_ssb):
+        """Same keys present as in the monolithic reference's zero-based
+        arrays, shifted by the base -- with no context installed at all."""
         plan = lower_query(QUERIES["q2.1"])
         date_build = next(b for b in plan.builds if b.join.dimension == "date")
-        dense = date_build.build(tiny_ssb)
-        with activate_zones(ZoneMapCache(tiny_ssb)):
-            compact = date_build.build(tiny_ssb)
-        datekeys = tiny_ssb.table("date")["d_datekey"]
-        assert dense.key_base == 0
-        assert dense.lookup.shape[0] == int(datekeys.max()) + 1  # ~20M entries
-        assert compact.key_base == int(datekeys.min())
-        assert compact.lookup.shape[0] == int(datekeys.max()) - int(datekeys.min()) + 1
-        # Same membership, shifted by the base.
-        present_keys_dense = np.flatnonzero(dense.present)
-        present_keys_compact = np.flatnonzero(compact.present) + compact.key_base
-        np.testing.assert_array_equal(present_keys_dense, present_keys_compact)
+        artifact = date_build.build(tiny_ssb)
+        date = tiny_ssb.table("date")
+        _, present = build_dimension_lookup(date, "d_datekey", np.ones(date.num_rows, dtype=bool), "d_year")
+        assert artifact.key_base == int(date["d_datekey"].min())
+        np.testing.assert_array_equal(
+            np.flatnonzero(present), np.flatnonzero(artifact.present) + artifact.key_base
+        )
 
     def test_key_range_recorded(self, tiny_ssb):
         join = lower_query(QUERIES["q1.1"]).logical.joins[0]
@@ -354,8 +354,8 @@ class TestCompactBuilds:
         assert artifact.key_low == int(selected.min())
         assert artifact.key_high == int(selected.max())
 
-    def test_mixed_layout_artifacts_probe_identically(self, tiny_ssb):
-        """A shared build cache may hold either layout; probes must not care."""
+    def test_probes_agree_with_and_without_zone_statistics(self, tiny_ssb):
+        """Without statistics the probe range-checks every slot itself."""
         session_dense = Session(tiny_ssb, zones=False, cache=False)
         session_zones = Session(tiny_ssb, cache=False)
         for name in ("q2.1", "q3.2", "q4.1"):
@@ -394,10 +394,10 @@ class TestSessionZones:
         session.clear_caches()
         assert session.cache_info("zones") == (0, 0, 0, 0, 0, 0, 0, 0)
 
-    def test_run_many_share_builds_with_zones(self, tiny_ssb):
+    def test_run_many_with_zones(self, tiny_ssb):
         queries = [QUERIES[name] for name in ("q1.1", "q2.1", "q3.1", "q4.1")]
         plain = Session(tiny_ssb, zones=False, cache=False).run_many(queries)
-        shared = Session(tiny_ssb, cache=False).run_many(queries, share_builds=True)
+        shared = Session(tiny_ssb, cache=False).run_many(queries)
         for a, b in zip(plain, shared):
             assert a.value == b.value
             assert a.simulated_ms == b.simulated_ms
@@ -405,9 +405,7 @@ class TestSessionZones:
     def test_threaded_run_many_with_zones(self, tiny_ssb):
         queries = [QUERIES[name] for name in sorted(QUERIES)] * 2
         serial = Session(tiny_ssb, zones=False, cache=False).run_many(queries)
-        threaded = Session(tiny_ssb, cache=False).run_many(
-            queries, share_builds=True, workers=4, oversubscribe=True
-        )
+        threaded = Session(tiny_ssb, cache=False).run_many(queries, workers=4)
         for a, b in zip(serial, threaded):
             assert a.value == b.value
             assert a.simulated_ms == b.simulated_ms
