@@ -5,9 +5,11 @@ time grows with everything ever ingested.  A checkpoint caps it: the
 published state of *every* table (full column arrays, dtypes, encodings,
 dictionary labels, version) is serialized into ``checkpoint-<seq>.ckpt``
 using the same framed-record codec as the WAL
-(:func:`repro.storage.wal.frame_record`), closed by a footer record that
-names the sequence number and the exact version frontier.  After the file
-is durably in place, the WAL drops every record the snapshot covers.
+(:func:`repro.storage.wal.frame_chunks`, streamed column by column -- the
+writer never assembles a second copy of the data), closed by a footer
+record that names the sequence number and the exact version frontier.
+After the file is durably in place, the WAL drops every record the
+snapshot covers.
 
 Validity is structural, not advisory: a checkpoint counts only if the
 whole file parses record-by-record to exact EOF, the footer is present,
@@ -27,6 +29,7 @@ the orphan + partial-file shapes the loader is tested against.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import struct
@@ -76,39 +79,41 @@ def next_checkpoint_seq(directory: str) -> int:
 def write_checkpoint(
     directory: str,
     seq: int,
-    table_payloads,
+    table_records,
     versions: "dict[str, int]",
     *,
     faults=None,
 ) -> str:
     """Write one checkpoint generation atomically; return its final path.
 
-    ``table_payloads`` are pre-encoded table record payloads (one per
-    table, from :func:`repro.storage.wal.encode_table_payload`);
-    ``versions`` the frontier they capture, recorded in the footer.  The
-    fault site fires after the ``.tmp`` file is open but before it is
-    complete, so an injected ``kill`` orphans the temp file and a ``torn``
-    leaves it half-written -- both invisible to the loader, both swept by
-    the next recovery.
+    ``table_records`` holds one record per table as its payload's byte
+    chunks (:func:`repro.storage.wal.table_payload_chunks`); ``versions``
+    the frontier they capture, recorded in the footer.  Each record is
+    framed from the chunks themselves -- length summed, CRC32 accumulated
+    chunk by chunk -- and the chunks are written straight to the ``.tmp``
+    handle (:func:`repro.storage.wal.frame_chunks`), so no second copy of
+    the database is ever assembled.  The fault site fires after the
+    ``.tmp`` file is open but before it is complete, so an injected
+    ``kill`` orphans the temp file and a ``torn`` leaves it half-written
+    -- both invisible to the loader, both swept by the next recovery.
     """
     # Local import: wal.py imports this module lazily for the same reason.
-    from repro.storage.wal import frame_record
-    import json
+    from repro.storage.wal import frame_chunks
 
     footer = json.dumps(
         {"kind": "footer", "seq": int(seq), "versions": {k: int(v) for k, v in versions.items()}},
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    footer_payload = struct.pack("<I", len(footer)) + footer
-    blob = _CKPT_HEADER + b"".join(
-        frame_record(payload) for payload in list(table_payloads) + [footer_payload]
-    )
+    pieces = [_CKPT_HEADER]
+    for chunks in [*table_records, [struct.pack("<I", len(footer)), footer]]:
+        pieces.extend(frame_chunks(chunks))
     final_path = checkpoint_path(directory, seq)
     tmp_path = final_path + ".tmp"
     with open(tmp_path, "wb") as handle:
-        _fire(faults, handle, blob)
-        handle.write(blob)
+        _fire(faults, handle, pieces)
+        for piece in pieces:
+            handle.write(piece)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp_path, final_path)
@@ -116,7 +121,7 @@ def write_checkpoint(
     return final_path
 
 
-def _fire(faults, handle, blob: bytes) -> None:
+def _fire(faults, handle, pieces) -> None:
     """Arm the :data:`CHECKPOINT_WRITE` site with the temp file in hand."""
     plan = faults() if callable(faults) else faults
     if plan is None:
@@ -132,8 +137,13 @@ def _fire(faults, handle, blob: bytes) -> None:
             f"injected transient fault at {CHECKPOINT_WRITE} (pid {os.getpid()})"
         )
     if action.mode == "torn":
-        cut = max(1, min(len(blob) - 1, len(blob) // 2))
-        handle.write(blob[:cut])
+        total = sum(len(piece) for piece in pieces)
+        cut = max(1, min(total - 1, total // 2))
+        for piece in pieces:
+            handle.write(piece[:cut])
+            cut -= len(piece)
+            if cut <= 0:
+                break
         handle.flush()
         os.fsync(handle.fileno())
     # "kill", and the crash half of "torn": the .tmp orphan stays behind.
@@ -213,7 +223,9 @@ def parse_checkpoint(path: str):
         return None
     if data[: len(_CKPT_HEADER)] != _CKPT_HEADER:
         return None
-    scan = scan_records(data, len(_CKPT_HEADER))
+    # Scan through a memoryview: record payloads are zero-copy slices of
+    # ``data``, so the only second copy is the decoded arrays themselves.
+    scan = scan_records(memoryview(data), len(_CKPT_HEADER))
     if scan.torn or not scan.payloads:
         return None
     try:

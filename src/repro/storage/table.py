@@ -2,11 +2,30 @@
 
 A table's data is published as one immutable ``(version, columns)`` tuple:
 readers take a :meth:`Table.snapshot` (a single atomic read of the tuple)
-and work against a frozen view, while :meth:`Table.append` builds the grown
-column arrays off to the side and publishes them with one atomic tuple flip
-under the per-table append lock.  A reader therefore never observes a torn
-micro-batch -- it either sees all of version ``v`` or all of ``v + 1``, and
-the columns of one snapshot are always mutually consistent lengths.
+and work against a frozen view.  The columns of an appendable table are
+*prefix views* of over-allocated buffers the table itself owns, and **a
+version is a length**: :meth:`Table.append` writes the batch into each
+buffer's spare tail and then publishes the longer views with one atomic
+tuple flip under the per-table append lock.  A reader therefore never
+observes a torn micro-batch -- it either sees all of version ``v`` or all of
+``v + 1``, the columns of one snapshot are always mutually consistent
+lengths, and an append costs the batch, not the table.  Three invariants
+carry that:
+
+* **Rows beyond the published length are invisible.**  No published view
+  covers ``buf[n:]``, so the writer may fill it while readers hold
+  ``buf[:n]``; an older snapshot keeps its shorter view of the same memory
+  (zero copy), and when a full buffer is replaced its old readers keep the
+  old one alive through their views.
+* **Arrays a table did not allocate are never written.**  The arrays a
+  table was constructed over (or restored from) may be shared -- with the
+  caller, another table, a shared-memory export -- so the first append
+  copies them once into a buffer of the table's own.
+* **Ownership is per** :class:`Table` **and explicit** (``_buffers``, under
+  the append lock; never inferred from ``ndarray.base``).  A snapshot, a
+  :meth:`Table.from_published` view and a second table built over the same
+  :class:`Column` objects own nothing; :meth:`Table.restore_published` and
+  :meth:`Table.add_column` replace columns and so reset it.
 
 ``version`` increases monotonically with every non-empty append, which is
 what the engine caches key invalidation on: execution memo entries, build
@@ -24,6 +43,20 @@ import numpy as np
 from repro.hardware.memory import Device
 from repro.storage.column import Column
 from repro.storage.dictionary import DictionaryEncoder
+
+
+#: Spare capacity of a freshly allocated column buffer, as a divisor of the
+#: rows it must hold: ``rows + rows // 4``.  A reallocation copies the whole
+#: prefix, but only after ``rows / 4`` further rows were appended in place,
+#: so growth costs an amortised ``1 / slack`` = 4 row-copies per appended row
+#: -- against ``table_rows / batch_rows`` (300-780 on the ledger's
+#: ``ingest_htap``) when every batch rebuilt the table.  Classical doubling
+#: would halve that again but hold up to 2x the table between appends and
+#: 3x while a reallocation is in flight: its first buffer alone (2 x 52 MB
+#: on ``ingest_htap``) tops the two whole versions the copying append kept
+#: alive (100 MB), where 25 % slack holds 1.25x (65 MB) between appends and
+#: old + 1.25x only during the one reallocation per 25 % of growth.
+SPARE_ROWS_DIVISOR = 4
 
 
 class Table:
@@ -53,6 +86,11 @@ class Table:
         #: concurrent reader may hold it (append builds a fresh dict).
         self._published: tuple[int, dict[str, Column]] = (0, columns if columns is not None else {})
         self._append_lock = threading.Lock()
+        #: Column name -> the over-allocated buffer *this table allocated*
+        #: and whose prefix the published column is (see the module
+        #: docstring).  Guarded by ``_append_lock``; empty until the first
+        #: append, and again whenever the columns are replaced wholesale.
+        self._buffers: dict[str, np.ndarray] = {}
         self._frozen = False
         #: Durability hook: when set (by
         #: :class:`repro.storage.wal.DurabilityManager`), every non-empty
@@ -83,14 +121,8 @@ class Table:
         """
         if self._frozen:
             return self
-        snap = Table.__new__(Table)
-        snap.name = self.name
-        snap.dictionaries = self.dictionaries
-        snap._published = self._published  # the one atomic read
-        snap._append_lock = threading.Lock()
-        snap._frozen = True
-        snap.wal_sink = None
-        return snap
+        # ``self._published`` is read exactly once: the pair is consistent.
+        return self._frozen_view(self.name, self._published, self.dictionaries)
 
     @classmethod
     def from_published(
@@ -108,14 +140,15 @@ class Table:
         version-pinned view the parent exported, so version-keyed caches
         (zone maps, build artifacts) agree across the process boundary.
         """
-        table = cls.__new__(cls)
-        table.name = name
-        table.dictionaries = dictionaries if dictionaries is not None else {}
-        table._published = (version, dict(columns))
-        table._append_lock = threading.Lock()
-        table._frozen = True
-        table.wal_sink = None
-        return table
+        return cls._frozen_view(name, (version, dict(columns)), dictionaries)
+
+    @classmethod
+    def _frozen_view(cls, name: str, published: tuple, dictionaries) -> "Table":
+        """A read-only table pinned to one ``published`` tuple; it owns no buffer."""
+        view = cls(name, dictionaries=dictionaries)
+        view._published = published
+        view._frozen = True
+        return view
 
     @classmethod
     def from_arrays(cls, name: str, arrays: dict[str, np.ndarray], device: Device = Device.CPU) -> "Table":
@@ -133,6 +166,7 @@ class Table:
                 f"has {self.num_rows}"
             )
         self.columns[column.name] = column
+        self._buffers = {}  # setup-time mutation: the next append re-owns every column
 
     def add_encoded_column(
         self, name: str, raw_values, device: Device = Device.CPU, domain=None
@@ -160,11 +194,16 @@ class Table:
         dtype with a losslessness check, so an overflowing append fails
         instead of silently wrapping.
 
-        The grown arrays are built entirely off to the side and then
-        published with a single ``(version + 1, columns)`` tuple flip, so a
-        concurrent :meth:`snapshot` sees either the old state or the new
-        one, never a mix.  Returns the new version (the old one for an
-        empty batch, which publishes nothing).
+        The batch is written into the spare tail of each column's
+        table-owned buffer -- rows no published view covers -- and then
+        published as longer prefix views with a single ``(version + 1,
+        columns)`` tuple flip, so a concurrent :meth:`snapshot` sees either
+        the old state or the new one, never a mix, and the cost is the
+        batch's, not the table's.  The first append onto arrays the table
+        did not allocate, and any append that outgrows the spare tail,
+        copies the published prefix once into a new buffer
+        (:data:`SPARE_ROWS_DIVISOR`).  Returns the new version (the old
+        one for an empty batch, which publishes nothing).
         """
         if self._frozen:
             raise ValueError(f"table {self.name!r} is a frozen snapshot; append to the source table")
@@ -201,8 +240,9 @@ class Table:
                         f"{incoming.shape[0]} rows, expected {batch_rows}"
                     )
                 if incoming.dtype != column.values.dtype:
-                    cast = incoming.astype(column.values.dtype)
-                    if not np.array_equal(cast, incoming):
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        cast = incoming.astype(column.values.dtype)
+                    if not np.array_equal(cast, incoming, equal_nan=cast.dtype.kind == "f"):
                         raise ValueError(
                             f"append values for column {name!r} do not fit dtype "
                             f"{column.values.dtype} losslessly"
@@ -220,18 +260,7 @@ class Table:
                 # makes the batch visible.  A failure here (injected or
                 # real) aborts the append with nothing published.
                 self.wal_sink(self, version + 1, prepared)
-            new_columns = {
-                name: Column(
-                    name=name,
-                    values=np.concatenate([column.values, prepared[name]]),
-                    device=column.device,
-                    encoding=column.encoding,
-                )
-                for name, column in columns.items()
-            }
-            # Seal-then-publish: the grown state becomes visible in one
-            # atomic assignment, and only after every column is complete.
-            self._published = (version + 1, new_columns)
+            self._publish_grown(version + 1, columns, prepared)
             return version + 1
 
     # ------------------------------------------------------------------
@@ -240,12 +269,13 @@ class Table:
 
         ``arrays`` are the *prepared* batch exactly as logged (already
         dictionary-encoded, already cast), so this bypasses the encoders
-        and concatenates byte-for-byte.  Records at or below the current
-        version are duplicates -- a checkpoint already covers them, or a
-        crash interrupted the log truncation -- and replay as no-ops, so
-        version numbers never skip across recovery.  A gap (record version
-        more than one ahead) means the log is from a different lineage and
-        is an error, not data.
+        and writes them byte-for-byte through the same growth helper as
+        :meth:`append`.  Records at or below the current version are
+        duplicates -- a checkpoint already covers them, or a crash
+        interrupted the log truncation -- and replay as no-ops, so version
+        numbers never skip across recovery.  A gap (record version more
+        than one ahead) means the log is from a different lineage and is an
+        error, not data.
         """
         if self._frozen:
             raise ValueError(f"table {self.name!r} is a frozen snapshot; cannot replay into it")
@@ -263,17 +293,36 @@ class Table:
                     f"replay record for table {self.name!r} has columns {sorted(arrays)}, "
                     f"table has {sorted(columns)}"
                 )
-            new_columns = {
-                name: Column(
-                    name=name,
-                    values=np.concatenate([column.values, arrays[name]]),
-                    device=column.device,
-                    encoding=column.encoding,
-                )
-                for name, column in columns.items()
-            }
-            self._published = (version, new_columns)
+            self._publish_grown(version, columns, arrays)
             return True
+
+    def _publish_grown(self, version: int, columns: dict[str, Column], batch: dict) -> None:
+        """Write ``batch`` into every column's spare tail; publish ``version``.
+
+        Caller holds ``_append_lock`` and passes a prepared batch (every
+        column, equal lengths, stored dtype).  A column whose buffer this
+        table does not own yet, or whose spare tail is too short, gets one
+        new buffer with :data:`SPARE_ROWS_DIVISOR` slack and its published
+        prefix copied once; otherwise only ``buf[n:grown]`` is touched,
+        which no published view covers.  The single tuple flip at the end
+        is the only moment readers can see any of it.
+        """
+        n = len(next(iter(columns.values())))
+        grown = n + len(next(iter(batch.values())))
+        new_columns = {}
+        for name, column in columns.items():
+            buf = self._buffers.get(name)
+            if buf is None or grown > buf.shape[0]:
+                buf = np.empty(grown + grown // SPARE_ROWS_DIVISOR, dtype=column.values.dtype)
+                buf[:n] = column.values
+                self._buffers[name] = buf
+            buf[n:grown] = batch[name]
+            new_columns[name] = Column(
+                name=name, values=buf[:grown], device=column.device, encoding=column.encoding
+            )
+        # Seal-then-publish: the grown state becomes visible in one atomic
+        # assignment, and only after every column is complete.
+        self._published = (version, new_columns)
 
     def restore_published(
         self,
@@ -303,6 +352,7 @@ class Table:
                         for label in restored.values:
                             existing.add(label)
             self._published = (int(version), dict(columns))
+            self._buffers = {}  # the restored arrays are the caller's, not ours
 
     # ------------------------------------------------------------------
     def column(self, name: str) -> Column:

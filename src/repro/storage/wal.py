@@ -179,9 +179,21 @@ class RecoveryReport:
 # Record codec (shared by the WAL and the checkpoint files)
 # ----------------------------------------------------------------------
 
+def frame_chunks(chunks) -> list:
+    """The frame of a record given as byte chunks: its header, then the chunks.
+
+    Length and CRC32 are accumulated over the chunks (``bytes`` or ``uint8``
+    arrays), so a writer can stream a large record without joining it.
+    """
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    return [_RECORD_FRAME.pack(sum(len(chunk) for chunk in chunks), crc), *chunks]
+
+
 def frame_record(payload: bytes) -> bytes:
     """Wrap ``payload`` in the length-prefixed, CRC32-checksummed frame."""
-    return _RECORD_FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+    return b"".join(frame_chunks([payload]))
 
 
 @dataclass(frozen=True)
@@ -219,21 +231,23 @@ def scan_records(buffer: bytes, offset: int = 0) -> ScanResult:
         offset = start + length
 
 
-def encode_table_payload(
+def table_payload_chunks(
     table_name: str,
     version: int,
     arrays: "dict[str, np.ndarray]",
     meta: "dict[str, tuple[str, str | None]]",
     labels: "dict[str, list[str]]",
-) -> bytes:
-    """Serialize one table state (or micro-batch) into a record payload.
+) -> list:
+    """One table state (or micro-batch) as the byte chunks of its payload.
 
     ``arrays`` maps column names to 1-D arrays; ``meta`` carries each
     column's ``(dtype_str, encoding)`` pair; ``labels`` the dictionary
     labels of encoded columns.  Layout: a length-prefixed JSON header
     (column order, dtypes, row count, labels) followed by each column's
     raw little-endian bytes in header order -- self-describing, byte-exact,
-    no pickling.
+    no pickling.  The column chunks are zero-copy ``uint8`` views, so a
+    writer that streams them (:func:`repro.storage.checkpoint.write_checkpoint`)
+    never holds a second copy of the data.
     """
     names = sorted(arrays)
     rows = int(next(iter(arrays.values())).shape[0]) if arrays else 0
@@ -246,15 +260,20 @@ def encode_table_payload(
         "labels": {name: list(values) for name, values in sorted(labels.items())},
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    parts = [struct.pack("<I", len(header_bytes)), header_bytes]
+    chunks = [struct.pack("<I", len(header_bytes)), header_bytes]
     for name in names:
         values = np.ascontiguousarray(arrays[name])
         if values.dtype.str != meta[name][0]:  # pragma: no cover - caller bug guard
             raise DurabilityError(
                 f"column {name!r}: array dtype {values.dtype.str} != declared {meta[name][0]}"
             )
-        parts.append(values.tobytes())
-    return b"".join(parts)
+        chunks.append(values.view(np.uint8))
+    return chunks
+
+
+def encode_table_payload(table_name, version, arrays, meta, labels) -> bytes:
+    """:func:`table_payload_chunks` joined into one record payload (WAL records)."""
+    return b"".join(table_payload_chunks(table_name, version, arrays, meta, labels))
 
 
 def decode_payload_header(payload: bytes) -> dict:
@@ -264,7 +283,7 @@ def decode_payload_header(payload: bytes) -> dict:
     (header_len,) = struct.unpack_from("<I", payload, 0)
     if 4 + header_len > len(payload):
         raise DurabilityError("record payload shorter than its declared header")
-    return json.loads(payload[4:4 + header_len].decode("utf-8"))
+    return json.loads(bytes(payload[4:4 + header_len]))
 
 
 def decode_table_payload(payload: bytes) -> "tuple[dict, dict[str, np.ndarray]]":
@@ -621,7 +640,7 @@ class DurabilityManager:
         Called by :meth:`Table.append` under the table's own append lock,
         *after* validation/encoding and *before* the version flip -- the
         write-ahead contract.  ``prepared`` holds the batch exactly as it
-        will be concatenated (encoded, cast), so replay re-applies it
+        will be written (encoded, cast), so replay re-applies it
         byte-for-byte without consulting the encoders.
         """
         meta = {
@@ -683,7 +702,7 @@ class DurabilityManager:
                     for cname in columns
                     if cname in table.dictionaries
                 }
-                states.append(encode_table_payload(name, version, arrays, meta, labels))
+                states.append(table_payload_chunks(name, version, arrays, meta, labels))
             seq = next_checkpoint_seq(self.config.dir)
             path = write_checkpoint(
                 self.config.dir, seq, states, versions, faults=self._plan()

@@ -28,10 +28,12 @@ end the run with no orphaned ``.tmp`` checkpoint files.
 """
 
 import asyncio
+import json
 import multiprocessing
 import os
 import shutil
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,7 +59,7 @@ from repro.storage import (
     Table,
     WriteAheadLog,
 )
-from repro.storage.checkpoint import checkpoint_paths, parse_checkpoint
+from repro.storage.checkpoint import CHECKPOINT_MAGIC, checkpoint_paths, parse_checkpoint
 from repro.storage.wal import (
     WAL_NAME,
     decode_table_payload,
@@ -234,7 +236,9 @@ class TestCrashRecoveryDifferential:
         dur_dir = str(tmp_path / f"ckpt-{mode}")
         exitcode = _run_child("fork", _crash_mid_checkpoint_child, (dur_dir, mode))
         assert exitcode == KILL_EXIT_CODE
-        assert any(name.endswith(".tmp") for name in os.listdir(dur_dir))
+        (orphan,) = [name for name in os.listdir(dur_dir) if name.endswith(".tmp")]
+        with open(os.path.join(dur_dir, orphan), "rb") as handle:
+            orphaned = handle.read()
 
         recovered_db = base_ssb()
         recovered = Session.open(recovered_db, durability=DurabilityConfig(dir=dur_dir))
@@ -244,9 +248,14 @@ class TestCrashRecoveryDifferential:
         assert report.replayed_records == BATCHES_BEFORE_CRASH
 
         reference_db = base_ssb()
-        reference = Session(reference_db)
+        reference = Session(reference_db, durability=DurabilityConfig(dir=str(tmp_path / "reference")))
         ingest_batches(reference, reference_db, BATCHES_BEFORE_CRASH)
         assert_tables_identical(recovered_db, reference_db)
+        # ``torn`` leaves exactly the first half of the file the uncrashed
+        # writer produces; ``kill`` dies before the first byte.
+        with open(reference.checkpoint(), "rb") as handle:
+            whole = handle.read()
+        assert orphaned == (whole[: len(whole) // 2] if mode == "torn" else b"")
         recovered.close()
         reference.close()
 
@@ -350,6 +359,119 @@ class TestWalCodec:
         assert off.fsyncs == 0 and off.last_fsync_ms is None
         off.close()
         wal.close()
+
+
+# ----------------------------------------------------------------------
+# The streaming checkpoint writer: same bytes, no second copy
+# ----------------------------------------------------------------------
+
+
+def wide_db(rows):
+    """One ``rows``-row fact table of four 4-byte columns, one encoded."""
+    fact = Table("fact")
+    for name in ("a", "b", "c"):
+        fact.add_column(Column(name=name, values=np.arange(rows, dtype=np.int32)))
+    fact.add_encoded_column("tag", np.array(["x", "y", "z", "y"])[np.arange(rows) % 4])
+    db = Database(name="wide")
+    db.add_table(fact)
+    return db
+
+
+def wide_batch(rows, seed):
+    values = np.arange(rows, dtype=np.int32) + seed
+    return {"a": values, "b": values * 2, "c": values * 3, "tag": np.array(["z", "x"])[values % 2]}
+
+
+def checkpoint_bytes_assembled_whole(db, seq):
+    """A checkpoint file built the pre-streaming way: every table encoded
+    into one payload, every payload framed, everything joined."""
+    payloads, versions = [], {}
+    for name, table in sorted(db.tables.items()):
+        versions[name] = table.version
+        arrays = {cname: column.values for cname, column in table.columns.items()}
+        meta = {cname: (column.values.dtype.str, column.encoding) for cname, column in table.columns.items()}
+        labels = {cname: list(encoder.values) for cname, encoder in table.dictionaries.items()}
+        payloads.append(encode_table_payload(name, table.version, arrays, meta, labels))
+    footer = json.dumps(
+        {"kind": "footer", "seq": seq, "versions": versions}, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+    payloads.append(struct.pack("<I", len(footer)) + footer)
+    return CHECKPOINT_MAGIC + struct.pack("<I", 1) + b"".join(frame_record(payload) for payload in payloads)
+
+
+def traced_peak(body):
+    """``(result, tracemalloc peak over the level at entry)`` of ``body()``."""
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = body()
+        return result, tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamingCheckpoint:
+    def test_file_is_byte_identical_to_the_whole_assembly(self, tmp_path):
+        """Format unchanged: what the streaming writer puts on disk equals
+        the old join-everything assembly of the same state, and a file
+        produced by that old assembly recovers through today's reader."""
+        db = tiny_db()
+        session = Session(db, durability=DurabilityConfig(dir=str(tmp_path / "new")))
+        session.ingest("fact", {"qty": np.array([5, 6], dtype=np.int32), "tag": np.array(["z", "x"])})
+        session.ingest("dim", {"key": np.array([], dtype=np.int32)})  # empty: no version
+        session.ingest("dim", {"key": np.array([7], dtype=np.int32)})
+        with open(session.checkpoint(), "rb") as handle:
+            streamed = handle.read()
+        session.close()
+        assert streamed == checkpoint_bytes_assembled_whole(db, 1)
+
+        old_dir = tmp_path / "old"
+        old_dir.mkdir()
+        (old_dir / "checkpoint-00000001.ckpt").write_bytes(checkpoint_bytes_assembled_whole(db, 1))
+        db2 = tiny_db()
+        session2 = Session.open(db2, durability=DurabilityConfig(dir=str(old_dir)))
+        assert session2.recovery.checkpoint_seq == 1 and session2.recovery.replayed_records == 0
+        assert_tables_identical(db, db2)
+        session2.close()
+
+    def test_checkpoint_streams_instead_of_copying_the_database(self, tmp_path):
+        """Clock-free: writing a checkpoint allocates a sliver of the
+        database -- it used to hold three whole copies in flight."""
+        db = wide_db(500_000)
+        session = Session(db, durability=DurabilityConfig(dir=str(tmp_path / "stream")))
+        session.ingest("fact", wide_batch(1024, seed=1))
+        database_bytes = db.table("fact").nbytes
+        assert database_bytes >= 8_000_000
+        path, peak = traced_peak(session.checkpoint)
+        assert peak < database_bytes // 4
+        assert os.path.getsize(path) > database_bytes
+        session.close()
+
+    def test_recovery_copies_the_table_once_not_once_per_record(self, tmp_path):
+        """Clock-free: checkpoint + 16 WAL records recover inside the file
+        bytes plus the decoded arrays, then those arrays plus one buffer
+        with slack -- the whole-table path held file, payload slices and
+        arrays (3x) and then rebuilt the table for every record."""
+        config = DurabilityConfig(dir=str(tmp_path / "recover"))
+        db = wide_db(250_000)
+        session = Session(db, durability=config)
+        session.ingest("fact", wide_batch(1024, seed=1))
+        session.checkpoint()
+        for i in range(16):
+            session.ingest("fact", wide_batch(1024, seed=2 + i))
+        session.close()
+
+        base = wide_db(250_000)
+        manager = DurabilityManager(base, config)
+        table_bytes = db.table("fact").nbytes
+        try:
+            report, peak = traced_peak(manager.recover)
+        finally:
+            manager.close()
+        assert report.checkpoint_seq == 1 and report.replayed_records == 16
+        assert_tables_identical(db, base)
+        assert peak < 2.5 * table_bytes
 
 
 # ----------------------------------------------------------------------
