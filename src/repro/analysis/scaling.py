@@ -23,8 +23,6 @@ attributes are uniform):
 
 from __future__ import annotations
 
-from copy import deepcopy
-
 from repro.engine.plan import QueryProfile
 from repro.ssb.schema import ssb_table_rows
 
@@ -42,7 +40,7 @@ def scale_profile(
     target_fact = ssb_table_rows("lineorder", target_scale_factor)
     fact_ratio = target_fact / base_fact
 
-    scaled = deepcopy(profile)
+    scaled = profile.copy()
     scaled.fact_rows = int(profile.fact_rows * fact_ratio)
     scaled.result_input_rows = profile.result_input_rows * fact_ratio
 

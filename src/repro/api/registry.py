@@ -33,7 +33,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @runtime_checkable
 class Engine(Protocol):
-    """What :class:`~repro.api.session.Session` requires of an engine."""
+    """What :class:`~repro.api.session.Session` requires of an engine.
+
+    ``run`` must be a pure function of the query and the contents of the
+    tables it reads, and answer with the shared functional pass's value
+    (:func:`~repro.engine.plan.execute_query`).  A caching session stores
+    each engine's result beside that pass and replays it for the same query
+    at the same table versions without calling ``run`` again.  All six
+    built-in engines qualify: each is ``execute_query`` plus a simulator.
+    """
 
     name: str
 

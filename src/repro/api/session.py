@@ -22,8 +22,11 @@ engine answer plus named, dictionary-decoded output columns.
 Sessions memoize the shared functional execution pass (the answer and
 profile of :func:`~repro.engine.plan.execute_query`) per query, so
 ``compare`` across N engines executes the answer once and replays it N-1
-times; pass ``cache=False`` (to the constructor or per call) to opt out,
-and read :meth:`Session.cache_info` for hit/miss counters.
+times.  The same cache entry keeps the decoded rows and each engine's
+costed result, so a query repeated on an engine is a replay: no execution,
+no ``simulate``, no decode -- only fresh copies of the result's containers.
+Pass ``cache=False`` (to the constructor or per call) to opt out, and read
+:meth:`Session.cache_info` for hit/miss counters.
 
 Dimension builds are cached on every path: each execution runs under the
 session's :class:`~repro.engine.cache.BuildArtifactCache`, keyed by
@@ -45,7 +48,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.api.builder import QueryBuilder
@@ -59,10 +62,13 @@ from repro.engine.cache import (
     ExecutionCache,
     ZoneInfo,
     ZoneMapCache,
+    private_value,
     snapshot_counters,
 )
 from repro.engine.planner import JoinOrderPlanner
+from repro.engine.result import QueryResult
 from repro.faults import FaultPlan, ResiliencePolicy
+from repro.sim.timing import TimeBreakdown
 from repro.ssb.queries import SSBQuery
 from repro.storage import Database
 from repro.storage.wal import DurabilityConfig, DurabilityManager, RecoveryReport
@@ -95,6 +101,19 @@ def values_agree(a, b) -> bool:
     if isinstance(a, dict) and isinstance(b, dict):
         return a.keys() == b.keys() and all(_scalars_agree(a[key], b[key]) for key in a)
     return _scalars_agree(a, b)
+
+
+def _private_result(result: QueryResult, value) -> QueryResult:
+    """``result`` answering ``value``, with a fresh copy of every container
+    it exposes (time components, traffic and its notes, stats)."""
+    return QueryResult(
+        query=result.query,
+        engine=result.engine,
+        value=private_value(value),
+        time=TimeBreakdown(dict(result.time.components)),
+        traffic=replace(result.traffic, notes=list(result.traffic.notes)),
+        stats=dict(result.stats),
+    )
 
 
 @dataclass(frozen=True)
@@ -546,13 +565,26 @@ class Session:
         cache: bool | None,
         shards: int | None = None,
     ) -> ResultSet:
-        chosen = self.engine(engine_name)
+        engine_key = self.registry.resolve(engine_name)
+        chosen = self.engine(engine_key)
         # Installed here, on the executing thread: pool threads and
         # ``loop.run_in_executor`` do not inherit the submitter's context,
         # and this is the one place every execution path flows through.
-        with activate_context(self.context(cache=cache, shards=shards)):
+        with activate_context(self.context(cache=cache, shards=shards)) as context:
+            memo = context.cache
+            key = memo.key(self.db, prepared) if memo is not None else None
+            if key is not None:
+                stored = memo.replay(key, engine_key)
+                if stored is not None:
+                    value, (columns, records), product = stored
+                    return ResultSet(_private_result(product, value), prepared, columns, records)
             raw = chosen.run(prepared)
-        return ResultSet.from_result(self.db, prepared, raw)
+            result = ResultSet.from_result(self.db, prepared, raw)
+            # Appends only grow versions, so an unchanged key proves the run
+            # read exactly the versions the product is stored under.
+            if key is not None and memo.key(self.db, prepared) == key:
+                memo.record(key, engine_key, (result.columns, result.records), _private_result(raw, None))
+        return result
 
     # ------------------------------------------------------------------
     def run(
@@ -643,7 +675,8 @@ class Session:
         With caching enabled (the default) the functional execution pass
         runs once for the whole comparison; every engine after the first
         replays the memoized answer and profile and only re-costs it under
-        its own hardware model.
+        its own hardware model.  Repeating the comparison replays every
+        engine's finished result.
         """
         if isinstance(engines, str):
             engines = (engines,)

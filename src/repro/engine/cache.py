@@ -13,9 +13,12 @@ one frozen :class:`~repro.context.ExecutionContext` in one ContextVar
   and the *profile* depend only on ``(database, query)``, so when one query
   runs on several engines -- :meth:`repro.api.Session.compare` across the
   paper's six execution strategies -- the functional pass is pure repeated
-  work.  Cached entries are deep-copied on the way out so an engine (or the
-  experiment harness, which rescales profiles to the paper's SF 20 sizes)
-  can never mutate another engine's view.
+  work.  An entry also keeps what a :class:`~repro.api.Session` finished
+  from it (the decoded rows, and per engine the costed result), so a
+  repeated query on an engine replays without re-executing, re-costing or
+  re-decoding.  Everything leaves an entry as a private shallow copy
+  (answers hold only immutable scalars and tuples, profiles copy per
+  stage), so no caller can mutate another caller's view.
 
 * ``builds`` -- a :class:`BuildArtifactCache`, memoizing one *stage* of that
   pass: the dimension hash-table builds of the physical pipeline
@@ -74,7 +77,6 @@ duplicate a computation instead of serializing whole query executions.
 
 from __future__ import annotations
 
-import copy
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -206,8 +208,41 @@ def table_versions(db, query) -> "tuple[tuple[str, int], ...] | None":
     return tuple(sorted(versions.items()))
 
 
+def private_value(value):
+    """A copy of an answer that its receiver may mutate freely.
+
+    An answer is a scalar (immutable) or a dict whose keys are tuples of
+    ints and whose values are floats or ``None``, so one shallow copy is a
+    whole private copy.
+    """
+    return dict(value) if isinstance(value, dict) else value
+
+
+class _Entry:
+    """One memoized query: the functional pass and what was finished from it."""
+
+    __slots__ = ("value", "profile", "decoded", "products")
+
+    def __init__(self, value, profile) -> None:
+        self.value = value
+        self.profile = profile
+        #: Engine-independent decoded output (set by :meth:`record`).
+        self.decoded = None
+        #: Engine key -> that engine's finished product, replayed on a hit.
+        self.products: dict = {}
+
+
 class ExecutionCache:
-    """An LRU memo of ``(value, profile)`` keyed by query spec.
+    """An LRU memo of finished query executions, keyed by query spec.
+
+    An entry holds the functional pass ``(value, profile)``, the decoded
+    output a session built from it, and per engine the costed product that
+    engine finished from it -- one LRU slot, so eviction drops all of them
+    together.  :meth:`fetch` memoizes the functional pass for engines;
+    :meth:`replay` and :meth:`record` let a session skip the engine entirely
+    once its product is stored.  Nothing stored is ever handed out: answers
+    leave as :func:`private_value` copies and profiles as
+    :meth:`~repro.engine.plan.QueryProfile.copy`.
 
     The cache is bound to one database at construction: queries are hashable
     frozen dataclasses, databases are not, so ``fetch`` falls through to an
@@ -234,7 +269,7 @@ class ExecutionCache:
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
-    def _key(self, db, query):
+    def key(self, db, query):
         """The memo key: the spec plus the versions of the tables it reads.
 
         Folding :func:`table_versions` into the key is how streaming
@@ -243,8 +278,11 @@ class ExecutionCache:
         post-append fetches simply miss into a new entry while answers for
         other tables -- and for the *old* version, while it stays resident
         -- keep replaying.  Stale versions age out of the LRU naturally.
-        ``None`` means "don't cache" (unhashable or uninspectable spec).
+        ``None`` means "don't cache" (another database, or an unhashable or
+        uninspectable spec).
         """
+        if db is not self.db:
+            return None
         try:
             hash(query)
         except TypeError:  # a hand-built spec holding e.g. a list constant
@@ -264,25 +302,55 @@ class ExecutionCache:
         return (query, versions)
 
     def fetch(self, db, query, compute: Callable):
-        """``compute(db, query)``, memoized per (query, table versions)."""
-        if db is not self.db:
-            return compute(db, query)
-        key = self._key(db, query)
+        """``compute(db, query)``, memoized per (query, table versions).
+
+        Stores the computed ``(value, profile)`` itself and hands every
+        caller -- the computing one included -- private copies.
+        """
+        key = self.key(db, query)
         if key is None:
             return compute(db, query)
         with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
+            entry = self._entries.get(key)
+            if entry is not None:
                 self.hits += 1
                 self._entries.move_to_end(key)
-                return copy.deepcopy(cached)
-            self.misses += 1
-        value, profile = compute(db, query)
+            else:
+                self.misses += 1
+        if entry is None:
+            entry = _Entry(*compute(db, query))
+            with self._lock:
+                self._entries[key] = entry
+                while len(self._entries) > self.maxsize:
+                    self._entries.popitem(last=False)
+        return private_value(entry.value), entry.profile.copy()
+
+    def replay(self, key, engine: Hashable):
+        """``(value, decoded, product)`` stored for ``engine`` under ``key``.
+
+        A stored product counts as one hit.  All three are the stored
+        objects: the caller copies whatever it hands out that is mutable.
+        ``None`` (nothing counted) when the entry or this engine's product
+        is absent: the caller then runs the engine, whose :meth:`fetch`
+        counts instead.
+        """
         with self._lock:
-            self._entries[key] = (copy.deepcopy(value), copy.deepcopy(profile))
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-        return value, profile
+            entry = self._entries.get(key)
+            if entry is None or engine not in entry.products:
+                return None
+            self.hits += 1
+            self._entries.move_to_end(key)
+            return entry.value, entry.decoded, entry.products[engine]
+
+    def record(self, key, engine: Hashable, decoded, product) -> None:
+        """Store ``engine``'s finished product (and the decoded output) under
+        ``key``, if the entry is still resident; the caller must not mutate
+        either afterwards."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                entry.decoded = decoded
+                entry.products[engine] = product
 
     def info(self) -> CacheInfo:
         """Hit/miss counters and occupancy."""

@@ -19,7 +19,7 @@ byte-identical answers and profiles (see ``tests/test_physical.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -103,6 +103,15 @@ class QueryProfile:
     #: Bytes per output row (group keys + aggregate).
     output_row_bytes: float = 16.0
 
+    def copy(self) -> "QueryProfile":
+        """A private copy: fresh stage lists holding fresh stage records."""
+        return replace(
+            self,
+            column_accesses=[replace(access) for access in self.column_accesses],
+            filter_stages=[replace(stage) for stage in self.filter_stages],
+            joins=[replace(stage) for stage in self.joins],
+        )
+
     def fact_bytes_accessed_full(self) -> float:
         """Total bytes of the fact columns the query touches (full columns)."""
         return sum(access.column_bytes for access in self.column_accesses)
@@ -154,6 +163,10 @@ def build_dimension_lookup(
     (``d_datekey`` starts at 19920101) index a ~61 K-entry array instead of
     a ~20 M-entry one; probes subtract the artifact's base before gathering.
     The default (keys index from 0) is the monolithic reference's layout.
+
+    A key the selection holds twice raises :class:`ValueError`: the array
+    keeps one payload per key, while SQL's join would match the fact row
+    once per dimension row.  Duplicates only among unselected rows build.
     """
     keys = dimension[key_column]
     max_key = int(keys.max()) if keys.shape[0] else 0
@@ -173,6 +186,13 @@ def build_dimension_lookup(
     slots = keys[selected] - base if base else keys[selected]
     lookup[slots] = chosen.astype(dtype)
     present[slots] = True
+    if np.count_nonzero(present) != selected.size:
+        unique, counts = np.unique(keys[selected], return_counts=True)
+        duplicate = int(unique[np.argmax(counts > 1)])
+        raise ValueError(
+            f"dimension {dimension.name!r} holds key {duplicate} more than once in join "
+            f"key column {key_column!r}; a dimension join needs unique keys"
+        )
     return lookup, present
 
 

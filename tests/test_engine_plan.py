@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.engine.expr import evaluate_filter, evaluate_filters, resolve_filter_value
-from repro.engine.plan import execute_query
+from repro.api import Q, Session
+from repro.engine.plan import execute_query, execute_query_monolithic
+from repro.ssb import generate_ssb
 from repro.ssb.queries import QUERIES, FilterSpec
 from repro.storage import Table
 
@@ -142,6 +144,17 @@ class TestExecuteQuery:
             else:
                 assert isinstance(value, float)
             assert profile.fact_rows == tiny_ssb["lineorder"].num_rows
+
+    def test_profile_copy_is_equal_and_private(self, tiny_ssb):
+        _, profile = execute_query(tiny_ssb, QUERIES["q1.1"])
+        copied = profile.copy()
+        assert copied == profile
+        copied.fact_rows = -1
+        copied.column_accesses[0].rows_needed = -1.0
+        copied.filter_stages[0].rows_out = -1.0
+        copied.filter_stages.append(copied.filter_stages[0])
+        copied.joins[0].selectivity = -1.0
+        assert profile == execute_query(tiny_ssb, QUERIES["q1.1"])[1]
 
     def test_aggregates_are_non_negative(self, tiny_ssb):
         for name in ("q1.1", "q2.1", "q3.1", "q4.1"):
@@ -284,3 +297,56 @@ class TestBuildDimensionLookupDtype:
         )
         assert lookup.shape == present.shape == (1,)
         assert not present.any()
+
+
+class TestDuplicateDimensionKeys:
+    """A key the build selects twice is an error on both planes, never a
+    silent last-row-wins join: SQL matches the fact row once per dimension
+    row (here 63 007 rows where the last-row-wins lookup counted 60 000)."""
+
+    PLANES = {
+        "engine": lambda db, query: Session(db).run(query).value,
+        "reference": lambda db, query: execute_query_monolithic(db, query)[0],
+    }
+
+    @staticmethod
+    def _count_by_nation(db, filters=()):
+        return (
+            Q()
+            .join("supplier", on=("lo_suppkey", "s_suppkey"), filters=filters, payload="s_nation")
+            .group_by("s_nation")
+            .agg("count")
+            .build(db)
+        )
+
+    @staticmethod
+    def _append_row0_again(db, *shifted):
+        """Append supplier row 0 -- its key too -- with each ``shifted``
+        column moved to the next dictionary code."""
+        supplier = db.table("supplier")
+        row = {name: supplier[name][:1] for name in supplier.columns}
+        for name in shifted:
+            row[name] = (row[name] + 1) % len(supplier.dictionaries[name].values)
+        supplier.append(row)
+
+    @pytest.mark.parametrize("plane", sorted(PLANES))
+    def test_selected_duplicate_raises(self, plane):
+        db = generate_ssb(scale_factor=0.01, seed=3)
+        query = self._count_by_nation(db)
+        assert sum(self.PLANES[plane](db, query).values()) == db.table("lineorder").num_rows
+        self._append_row0_again(db, "s_nation")
+        with pytest.raises(ValueError, match=r"'supplier' holds key 0 .*'s_suppkey'"):
+            self.PLANES[plane](db, query)
+
+    @pytest.mark.parametrize("plane", sorted(PLANES))
+    def test_unselected_duplicates_still_run(self, plane):
+        db = generate_ssb(scale_factor=0.01, seed=3)
+        supplier = db.table("supplier")
+        regions = supplier.dictionaries["s_region"].values
+        row0 = int(supplier["s_region"][0])
+        # Neither row 0's region nor its copy's (the next code) is selected.
+        other = regions[(row0 + 2) % len(regions)]
+        query = self._count_by_nation(db, filters=[("s_region", "eq", other)])
+        before = self.PLANES[plane](db, query)
+        self._append_row0_again(db, "s_nation", "s_region")
+        assert self.PLANES[plane](db, query) == before

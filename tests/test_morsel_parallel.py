@@ -16,6 +16,7 @@ import pytest
 from repro.api import Session
 from repro.engine.cache import BuildArtifactCache, ExecutionCache
 from repro.engine.physical import lower_query
+from repro.engine.plan import QueryProfile
 from repro.ssb.queries import QUERIES, QUERY_ORDER, FilterSpec
 
 #: A query that prepares fine but blows up at execution time (the column
@@ -225,9 +226,10 @@ class TestExecutionCacheConcurrency:
                     value, profile = cache.fetch(
                         tiny_ssb,
                         QUERIES[name],
-                        lambda db, q: (("value", q.name), ("profile", q.name)),
+                        lambda db, q: (("value", q.name), QueryProfile(q.name, 0, 1.0)),
                     )
                     assert value == ("value", name)
+                    assert profile.query == name
             except Exception as exc:  # pragma: no cover - failure reporting
                 errors.append(exc)
 

@@ -226,7 +226,9 @@ class TestSharedBuilds:
         session.run(QUERIES["q2.1"], engine="cpu")
         assert session.cache_info("builds") == (3, 3, 3, 128)
         supplier = db.table("supplier")
-        session.ingest("supplier", {name: supplier[name][:1] for name in supplier.columns})
+        row = {name: supplier[name][:1] for name in supplier.columns}
+        row["s_suppkey"] = np.array([supplier.num_rows], dtype=supplier["s_suppkey"].dtype)  # a fresh key
+        session.ingest("supplier", row)
         result = session.run(QUERIES["q2.1"], engine="cpu")
         assert session.cache_info("builds") == (5, 4, 4, 128)
         assert result.value == execute_query_monolithic(db, QUERIES["q2.1"])[0]

@@ -8,6 +8,8 @@ logic is additionally property-tested for soundness: a zone classified
 take-all must contain only satisfying rows, a skipped zone none.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.engine.plan import build_dimension_lookup, execute_query, execute_que
 from repro.ssb import generate_lineorder_batch, generate_ssb
 from repro.ssb.queries import QUERIES, FilterSpec, SSBQuery
 from repro.storage import Table
+from repro.storage.compression import PACK_CHUNK_VALUES
 from repro.storage.zonemap import (
     ZONE_EVALUATE,
     ZONE_SKIP,
@@ -294,6 +297,34 @@ class TestZoneStats:
         values = rng.integers(0, 100_000, 5_000).astype(np.int32)
         stats = ColumnZoneStats.build("v", values, 512)
         assert stats.bitsets is None
+
+    @pytest.mark.parametrize("zone_size", [4096, 2 * PACK_CHUNK_VALUES])
+    def test_chunked_bitsets_equal_one_shot(self, rng, zone_size):
+        """Several chunks plus a ragged tail (and zones wider than a chunk)
+        reduce to the bitsets one whole-column pass gives."""
+        n = 3 * PACK_CHUNK_VALUES + 2 * zone_size + 123
+        values = rng.integers(3, 60, n).astype(np.int32)
+        stats = ColumnZoneStats.build("v", values, zone_size)
+        bits = np.uint64(1) << (values.astype(np.int64) - stats.low).astype(np.uint64)
+        one_shot = np.bitwise_or.reduceat(bits, np.arange(0, n, zone_size))
+        assert stats.bitsets.dtype == np.uint64
+        np.testing.assert_array_equal(stats.bitsets, one_shot)
+        grown = ColumnZoneStats.build("v", values[: n // 3], zone_size).extend(values)
+        np.testing.assert_array_equal(grown.bitsets, one_shot)
+
+    def test_bitset_scratch_is_chunk_sized(self, rng):
+        """A 3 M-row small-domain column: whole-column int64 + uint64
+        temporaries alone would be 48 MB."""
+        values = rng.integers(0, 50, 3_000_000).astype(np.int32)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            stats = ColumnZoneStats.build("v", values, 4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.bitsets is not None
+        assert peak < 8 * 2**20
 
     def test_zone_size_must_be_power_of_two(self, tiny_ssb):
         with pytest.raises(ValueError, match="power of two"):
