@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches: their assertions record what each design choice buys.
 
 These go beyond the paper's figures: they isolate the individual mechanisms
 of the tile-based execution model (atomic batching, coalesced output,

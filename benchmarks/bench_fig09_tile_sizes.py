@@ -91,10 +91,9 @@ def test_probe_tile_sweep_measured(monkeypatch):
             for tile in PROBE_TILES:
                 monkeypatch.setattr(physical, "PROBE_TILE_ROWS", tile)
                 start = time.perf_counter()
-                state = physical._run_pipeline(db, plan, 0, None, None, None)  # build (cached) + span-state probe
+                answer = physical.execute_physical(db, plan)  # build (cached) + probe + aggregate
                 probe_ms[tile].append((time.perf_counter() - start) * 1e3)
-                plan.aggregate.run(state)
-                assert (state.value, state.profile) == expected, tile
+                assert answer == expected, tile
             monkeypatch.undo()
             for tile in OPERATOR_TILES:
                 start = time.perf_counter()
@@ -111,7 +110,7 @@ def test_probe_tile_sweep_measured(monkeypatch):
             for tile, ms in samples.items()  # round 0 warms allocator and caches
         ]
 
-    print(f"\nProbe tile sweep -- span-state probe of {EXEC_N} keys, ms over {SWEEP_ROUNDS - 1} interleaved rounds")
+    print(f"\nProbe tile sweep -- probe + aggregate of {EXEC_N} keys, ms over {SWEEP_ROUNDS - 1} interleaved rounds")
     print(format_table(rows(probe_ms), floatfmt=".2f"))
     print("\nWhole-operator tiling -- the same query as partials over tiles (last row: untiled), ms")
     print(format_table(rows(operator_ms), floatfmt=".2f"))

@@ -3,12 +3,12 @@
 Every benchmark regenerates one table or figure of the paper: it executes
 the workload at a reduced data scale, reports simulated runtimes on the
 paper's hardware at the paper's data scale, and prints the regenerated
-rows/series so the output can be compared against the paper (the comparison
-is recorded in EXPERIMENTS.md).
+rows/series so the output can be compared against the paper; each bench's
+assertions are the record of which of the paper's claims hold here.
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only -s
+    python -m pytest benchmarks/bench_*.py -q -s
 """
 
 from __future__ import annotations

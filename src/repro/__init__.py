@@ -92,7 +92,6 @@ from repro.service import (
 )
 from repro.ssb import QUERIES, And, FilterSpec, Not, Or, Pred, SSBQuery, generate_ssb
 from repro.storage import DurabilityConfig, DurabilityManager, RecoveryReport
-from repro.workload import QueryClass, WorkloadDriver, WorkloadReport, WorkloadSpec
 
 __all__ = [
     "And",
@@ -120,7 +119,6 @@ __all__ = [
     "Q",
     "QUERIES",
     "QueryBuilder",
-    "QueryClass",
     "QueryResult",
     "QueryService",
     "QueryTimeoutError",
@@ -133,9 +131,6 @@ __all__ = [
     "ServiceResult",
     "Session",
     "StandingQuery",
-    "WorkloadDriver",
-    "WorkloadReport",
-    "WorkloadSpec",
     "available_engines",
     "col",
     "generate_ssb",

@@ -4,8 +4,8 @@
 experiment (Figure 3, Figure 9, Figure 10, Figure 12, Figure 13, Figure 14,
 Figure 16, Table 2, Table 3, the Section 3.3 Crystal-vs-independent-threads
 comparison, and the Section 5.3 q2.1 case study).  Each returns a plain data
-structure (rows / series) that the benchmark scripts print and that
-EXPERIMENTS.md summarizes against the paper's reported values.
+structure (rows / series) that the ``benchmarks/bench_*.py`` scripts print
+and whose assertions check against the paper's reported values.
 
 :mod:`repro.analysis.scaling` rescales a query profile measured at a small
 scale factor up to the paper's SF 20, and :mod:`repro.analysis.cost`

@@ -3,8 +3,8 @@
 Every function executes the relevant workload functionally at a reduced data
 scale (keeping the reproduction laptop friendly), collects the data-dependent
 statistics, and reports simulated runtimes on the paper's hardware at the
-paper's data scale.  The mapping between experiments, modules, and paper
-numbers is indexed in DESIGN.md and EXPERIMENTS.md.
+paper's data scale.  Each experiment's paper numbers, and the claims that
+must hold against them, sit in the assertions of its ``benchmarks/bench_*.py``.
 
 All functions return plain dictionaries (rows / series of floats) so the
 benchmark scripts can print them and the tests can assert on their shape.

@@ -16,9 +16,6 @@ Failure handling (the degradation ladder) is configured through
 :class:`~repro.faults.ResiliencePolicy` (re-exported here): transient
 failures retry with backoff through re-admission, and repeated shard-plane
 failures trip a breaker that routes to ``shards=1`` until a probe heals.
-
-The workload driver in :mod:`repro.workload` replays mixed query traffic
-against this layer and reports tail latencies.
 """
 
 from repro.faults import ResiliencePolicy

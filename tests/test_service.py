@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.api import Q, Session
+from repro.api.session import DEFAULT_COMPARE_ENGINES
 from repro.engine.cache import CounterSnapshot
 from repro.service import (
     OverloadError,
@@ -93,6 +94,26 @@ class TestDifferential:
             assert answer.simulated_ms == direct.simulated_ms, name
             assert answer.records == direct.records, name
 
+    @pytest.mark.parametrize("engine", DEFAULT_COMPARE_ENGINES)
+    @pytest.mark.parametrize("name", [*QUERY_ORDER, "adhoc"])
+    def test_class_matches_direct_session_run_on_engine(self, session, engine, name):
+        """Per engine and per class: a service built for ``engine`` answers
+        exactly what ``session.run`` does, and its trace names that engine."""
+        query = adhoc_query() if name == "adhoc" else QUERIES[name]
+
+        async def go():
+            async with QueryService(session, engine=engine) as service:
+                return await service.submit(query, class_tag=name), service.stats
+
+        served, stats = run(go())
+        direct = session.run(query, engine=engine)
+        assert served.result.value == direct.value
+        assert served.result.simulated_ms == direct.simulated_ms
+        assert served.result.records == direct.records
+        assert served.result.engine == direct.engine
+        assert served.trace.engine == engine and served.trace.class_tag == name
+        assert stats.completed == stats.submitted == stats.settled == 1
+
     def test_engine_override_per_submit(self, session):
         async def go():
             async with QueryService(session, engine="cpu") as service:
@@ -111,6 +132,24 @@ class TestDifferential:
 
         stats = run(go())
         assert stats.submitted == 0  # refused before it ever counted
+
+    def test_burst_within_limits_is_fully_admitted(self, session):
+        """A burst no larger than max_inflight + max_queue_depth is never refused."""
+        queries = [QUERIES[name] for name in QUERY_ORDER[:9]] + [adhoc_query()]
+
+        async def go():
+            async with QueryService(session, max_inflight=2, max_queue_depth=8) as service:
+                served = await asyncio.gather(*(service.submit(q) for q in queries))
+                return served, service.stats
+
+        served, stats = run(go())
+        assert stats.rejected == stats.shed == stats.failed == 0
+        assert stats.completed == stats.submitted == len(queries) == 10
+        assert stats.peak_inflight <= 2 and stats.peak_queue_depth <= 8
+        for query, answer in zip(queries, served):
+            direct = session.run(query, engine="cpu")
+            assert answer.result.value == direct.value
+            assert answer.result.records == direct.records
 
 
 class TestOverloadReject:
@@ -150,6 +189,38 @@ class TestOverloadReject:
                 await first
 
         run(go())
+
+    @pytest.mark.parametrize(
+        "max_inflight, max_queue_depth", [(1, 1), (1, 0), (2, 1), (1, 3), (2, 2)]
+    )
+    def test_burst_over_limits_is_refused_by_type(self, tiny_ssb, max_inflight, max_queue_depth):
+        """Over the limits, every refusal is a rejected OverloadError and the
+        admitted requests still answer: ``max_inflight`` running plus
+        ``max_queue_depth`` queued, the rest of the burst of 8 refused."""
+        session = SlowSession(tiny_ssb, delay_s=0.1)
+        names = QUERY_ORDER[:8]
+        admitted = max_inflight + max_queue_depth
+
+        async def go():
+            async with QueryService(
+                session, max_inflight=max_inflight, max_queue_depth=max_queue_depth
+            ) as service:
+                outcomes = await asyncio.gather(
+                    *(service.submit(QUERIES[name]) for name in names), return_exceptions=True
+                )
+                return outcomes, service.stats
+
+        outcomes, stats = run(go())
+        errors = [outcome for outcome in outcomes if isinstance(outcome, BaseException)]
+        assert errors and all(isinstance(error, OverloadError) for error in errors)
+        assert all(error.shed is False for error in errors)
+        assert stats.rejected == len(errors) == len(names) - admitted
+        assert stats.completed == admitted and stats.failed == 0
+        assert stats.submitted == stats.settled == len(names)
+        assert stats.peak_inflight == max_inflight
+        # A request bound for a free worker passes through the queue, so the
+        # gauge reads at least 1 even when ``max_queue_depth=0``.
+        assert stats.peak_queue_depth == max(max_queue_depth, 1)
 
 
 class TestOverloadShed:
