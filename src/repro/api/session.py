@@ -451,8 +451,9 @@ class Session:
         ``clear_caches()`` and read fresh counters afterwards.  Note that
         ingest does **not** need this: appends bump the owning table's
         version, and every cache keys (or validates) its entries by
-        ``(table, version)``, so stale entries are simply never consulted
-        again -- ``clear_caches`` is for reclaiming memory or resetting
+        ``(table, version)``, so an entry of an older version is never
+        replayed -- after a fact append it is extended on next read --
+        and ``clear_caches`` is for reclaiming memory or resetting
         counters, not for correctness.
         """
         if self._cache is not None:
@@ -482,8 +483,10 @@ class Session:
         version flip keep the old columns, readers after it see the whole
         batch) and returns the table's new version.  Caches are *not*
         cleared -- they key by ``(table, version)``, so artifacts built
-        against other tables keep hitting and only this table's entries are
-        rebuilt on next use.  Registered standing queries are refreshed
+        against other tables keep hitting, a memoized answer over a grown
+        fact table is extended on next read (only the appended rows are
+        folded in), and one that joins a grown dimension is recomputed.
+        Registered standing queries are refreshed
         incrementally before the call returns: each one runs its pipeline
         over only the appended row range and combines that partial
         aggregate into the one it holds.

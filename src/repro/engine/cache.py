@@ -58,14 +58,19 @@ a session's state becomes ambient).  :func:`activate`,
 :func:`activate_builds` and :func:`activate_zones` replace one field of the
 current context for callers that drive the engine without a session.
 
-All three caches invalidate by **(table, version)** under streaming ingest
-(:meth:`repro.storage.Table.append` bumps a monotonic per-table version):
-execution memo keys fold in :func:`table_versions`, build-artifact keys
-carry the dimension's version (:meth:`repro.engine.physical.BuildLookup.
-fetch_artifact`), and :meth:`ZoneMapCache.maps` *extends* a grown table's
-statistics incrementally instead of rebuilding them.  An append to one
-dimension therefore invalidates exactly that dimension's artifacts; every
-other entry keeps hitting.
+All three caches key by **(table, version)** under streaming ingest
+(:meth:`repro.storage.Table.append` bumps a monotonic per-table version),
+and two of them *extend* what a fact append leaves behind instead of
+rebuilding it.  Execution memo keys fold in :func:`table_versions`, so a
+read after an append misses; the miss finds the entry of the version
+before (same query, same dimension versions, same shard width) and folds
+only the appended rows into the partial aggregates it kept
+(:meth:`ExecutionCache.fetch`), so a read after a batch costs O(batch).
+Build-artifact keys carry the dimension's version
+(:meth:`repro.engine.physical.BuildLookup.fetch_artifact`), and
+:meth:`ZoneMapCache.maps` extends a grown table's statistics incrementally.
+An append to one dimension therefore invalidates exactly that dimension's
+artifacts and the answers that join it; every other entry keeps hitting.
 
 The caches are thread-safe: LRU mutation happens under an
 :class:`threading.RLock`, so one cache instance can back a morsel-parallel
@@ -109,6 +114,9 @@ class CounterSnapshot(NamedTuple):
 
     execution_hits: int = 0
     execution_misses: int = 0
+    #: Misses answered by folding appended fact rows into the entry of the
+    #: previous version (each one is also counted in ``execution_misses``).
+    execution_extensions: int = 0
     build_hits: int = 0
     build_misses: int = 0
     zone_hits: int = 0
@@ -167,6 +175,7 @@ def snapshot_counters(
     return CounterSnapshot(
         execution_hits=exec_info.hits if exec_info else 0,
         execution_misses=exec_info.misses if exec_info else 0,
+        execution_extensions=execution.extensions if execution is not None else 0,
         build_hits=build_info.hits if build_info else 0,
         build_misses=build_info.misses if build_info else 0,
         zone_hits=zone_info.hits if zone_info else 0,
@@ -221,11 +230,15 @@ def private_value(value):
 class _Entry:
     """One memoized query: the functional pass and what was finished from it."""
 
-    __slots__ = ("value", "profile", "decoded", "products")
+    __slots__ = ("value", "profile", "partials", "decoded", "products")
 
-    def __init__(self, value, profile) -> None:
+    def __init__(self, value, profile, partials=()) -> None:
         self.value = value
         self.profile = profile
+        #: The partial aggregates ``value`` was merged from, over fact rows
+        #: ``[0, profile.fact_rows)``; empty when the compute kept none, and
+        #: then the entry cannot be extended.
+        self.partials = partials
         #: Engine-independent decoded output (set by :meth:`record`).
         self.decoded = None
         #: Engine key -> that engine's finished product, replayed on a hit.
@@ -249,6 +262,13 @@ class ExecutionCache:
     uncached execution whenever it is handed a different database (or an
     unhashable hand-built query).
 
+    An entry is **extendable**: it keeps the partial aggregates its answer
+    was merged from, over the fact rows its profile counts.  When the fact
+    table grows, the next read misses (the fact version is in the key), and
+    :meth:`fetch` folds just the appended rows into the previous version's
+    entry instead of recomputing (``extensions`` counts these).  The new
+    entry replaces its predecessor, which no current read could hit again.
+
     Thread safety: every LRU mutation (lookup + recency bump, insert, evict,
     counters) happens under an :class:`threading.RLock`, so concurrent
     ``run_many(workers=N)`` batches share one cache without corrupting the
@@ -265,7 +285,11 @@ class ExecutionCache:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
+        self.extensions = 0
         self._entries: OrderedDict = OrderedDict()
+        #: Lineage index: a key without its fact version -> ``(fact version,
+        #: key)`` of the newest resident entry of that lineage.
+        self._latest: dict = {}
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -301,15 +325,22 @@ class ExecutionCache:
             return (query, versions, ("shards", binding.shards))
         return (query, versions)
 
-    def fetch(self, db, query, compute: Callable):
+    def fetch(self, db, query, compute: Callable, extend: Callable | None = None):
         """``compute(db, query)``, memoized per (query, table versions).
 
-        Stores the computed ``(value, profile)`` itself and hands every
-        caller -- the computing one included -- private copies.
+        ``compute`` returns ``(value, profile)`` or ``(value, profile,
+        partials)``.  On a miss, when the entry of an older fact version of
+        the same lineage (:meth:`_lineage`) is resident and kept its
+        partials, ``extend(db, query, profile, partials)`` carries it
+        forward instead, returning the same triple, or ``None`` to fall back
+        to ``compute``.  An extension that raises leaves its predecessor
+        intact.  Stores the result itself and hands every caller -- the
+        computing one included -- private copies.
         """
         key = self.key(db, query)
         if key is None:
-            return compute(db, query)
+            return compute(db, query)[:2]
+        prior = prior_key = None
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -317,13 +348,52 @@ class ExecutionCache:
                 self._entries.move_to_end(key)
             else:
                 self.misses += 1
+                lineage, version = self._lineage(key)
+                latest = self._latest.get(lineage)
+                if latest is not None and version is not None and latest[0] < version:
+                    prior_key = latest[1]
+                    prior = self._entries.get(prior_key)
         if entry is None:
-            entry = _Entry(*compute(db, query))
+            result = None
+            if prior is not None and prior.partials and extend is not None:
+                result = extend(db, query, prior.profile, prior.partials)
+            extended = result is not None
+            if not extended:
+                result = compute(db, query)
+            entry = _Entry(*result)
             with self._lock:
+                if extended:
+                    self.extensions += 1
+                    # The predecessor answers a version no read sees again.
+                    self._entries.pop(prior_key, None)
                 self._entries[key] = entry
+                newest = self._latest.get(lineage)
+                if version is not None and (newest is None or newest[0] <= version):
+                    self._latest[lineage] = (version, key)
                 while len(self._entries) > self.maxsize:
-                    self._entries.popitem(last=False)
+                    evicted, _ = self._entries.popitem(last=False)
+                    self._forget(evicted)
         return private_value(entry.value), entry.profile.copy()
+
+    @staticmethod
+    def _lineage(key):
+        """``(lineage, fact version)`` of a memo key.
+
+        The lineage is the key with the fact table's version taken out --
+        the query, its dimensions' versions, the shard width -- so every
+        version of one answer over a growing fact table shares it.
+        """
+        query, versions, *width = key
+        fact = getattr(query, "fact", None)
+        dimensions = tuple(pair for pair in versions if pair[0] != fact)
+        return (query, dimensions, *width), dict(versions).get(fact)
+
+    def _forget(self, key) -> None:
+        """Drop the lineage index's pointer to an evicted ``key`` (lock held)."""
+        lineage, _ = self._lineage(key)
+        latest = self._latest.get(lineage)
+        if latest is not None and latest[1] == key:
+            del self._latest[lineage]
 
     def replay(self, key, engine: Hashable):
         """``(value, decoded, product)`` stored for ``engine`` under ``key``.
@@ -361,8 +431,10 @@ class ExecutionCache:
         """Drop every entry and reset the counters."""
         with self._lock:
             self._entries.clear()
+            self._latest.clear()
             self.hits = 0
             self.misses = 0
+            self.extensions = 0
 
     def __len__(self) -> int:
         with self._lock:

@@ -289,6 +289,9 @@ class PipelineState:
     artifacts: dict = field(default_factory=dict)
     #: Payload code arrays by column name, at the width of the alive rows.
     group_columns: dict = field(default_factory=dict)
+    #: The aggregate stage's output: the mergeable partial, and the answer
+    #: finalized from it (set by :meth:`Aggregate.run`).
+    partial: PartialAggregate | None = None
     value: object = None
 
     def rows(self) -> "np.ndarray | slice":
@@ -388,10 +391,16 @@ class PipelineState:
         selections (< 1/:data:`PACKED_GATHER_DENOMINATOR` of the fact
         rows), where the byte saving is also at its largest.  The operator
         models in ``repro.ops`` charge the full packed-scan economics.
+
+        Only a span over the whole table packs a twin on first use: packing
+        reads the whole column, and a ranged execution -- an extended
+        answer's appended rows -- must cost O(range).  A range decodes the
+        twins already packed (a shard worker's are all pre-packed).
         """
         if self.zones is None or width * PACKED_GATHER_DENOMINATOR > self.fact.num_rows:
             return None
-        return self.zones.packed_for(columns) or None
+        whole = self.lo == 0 and self.hi == self.fact.num_rows
+        return self.zones.packed_for(columns, build=whole) or None
 
 
 # ----------------------------------------------------------------------
@@ -764,7 +773,8 @@ class Aggregate:
         self.aggregate = aggregate
 
     def run(self, state: PipelineState) -> None:
-        state.value = finalize_partial(self.run_partial(state))
+        state.partial = self.run_partial(state)
+        state.value = finalize_partial(state.partial)
 
     def run_partial(self, state: PipelineState) -> PartialAggregate:
         """Reduce the span's alive rows to their mergeable partial.
@@ -970,20 +980,34 @@ def execute_physical(db: Database, plan: PhysicalPlan) -> tuple[object, QueryPro
     executor -- byte-identically.  Caches reach the operators through the
     execution context (:func:`repro.context.current`) and no other way.
     """
+    return execute_physical_with_partials(db, plan)[:2]
+
+
+def execute_physical_with_partials(
+    db: Database, plan: PhysicalPlan
+) -> tuple[object, QueryProfile, tuple[PartialAggregate, ...]]:
+    """:func:`execute_physical`, plus the partials its answer was merged from.
+
+    The whole table is one span, so the partials are one partial over
+    ``[0, n)``.  The execution memo keeps them with the answer, so a read
+    after an append folds only the appended rows into them
+    (:meth:`~repro.engine.cache.ExecutionCache.fetch`).
+    """
     state = _run_pipeline(db, plan, 0, None, None)
     plan.aggregate.run(state)
-    return state.value, state.profile
+    return state.value, state.profile, (state.partial,)
 
 
 def execute_physical_partial(
     db: Database,
     plan: PhysicalPlan,
     start: int,
-    stop: int,
+    stop: int | None,
     artifacts: "tuple[BuildArtifact, ...] | None" = None,
 ) -> tuple[PartialAggregate, QueryProfile]:
     """Run a physical plan over fact rows ``[start, stop)``: one shard's
-    range, or the rows a standing query's tick has not folded in yet.
+    range, or the rows a standing query's tick or a cached answer has not
+    folded in yet (``stop=None`` means the end of the table).
 
     The ranged pipeline is the ordinary pipeline with its span set to the
     row range -- :func:`execute_physical` is the same loop over

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.context import current
+from repro.context import activate_context, current
 from repro.engine.expr import evaluate_pred, predicate_leaf_count, predicate_or_branches
 from repro.ssb.queries import AGGREGATE_OPS, AggregateSpec, SSBQuery, conjuncts
 from repro.storage import Database, Table
@@ -366,18 +366,22 @@ def execute_query(db: Database, query: SSBQuery) -> tuple[object, QueryProfile]:
     When it carries an :class:`~repro.engine.cache.ExecutionCache` (a
     :class:`~repro.api.Session` runs the same query on several engines), the
     functional pass happens once and subsequent calls replay the memoized
-    answer and profile.
+    answer and profile; after an append to the fact table, the memoized
+    answer is extended by the appended rows (:func:`_extend_answer`)
+    instead of recomputed.
     """
     cache = current().cache
     if cache is not None:
-        return cache.fetch(db, query, _execute_query_uncached)
-    return _execute_query_uncached(db, query)
+        return cache.fetch(db, query, _execute_query_uncached, _extend_answer)
+    return _execute_query_uncached(db, query)[:2]
 
 
-def _execute_query_uncached(db: Database, query: SSBQuery) -> tuple[object, QueryProfile]:
+def _execute_query_uncached(db: Database, query: SSBQuery):
+    """``(value, profile, partials)``: the answer, its profile, and the
+    partial aggregates the answer was merged from (one per shard)."""
     # Deferred import: physical builds on this module's profile dataclasses
     # and helpers, so a top-level import would be circular.
-    from repro.engine.physical import execute_physical, lower_query
+    from repro.engine.physical import execute_physical_with_partials, lower_query
 
     # With a shard binding active (Session(shards=N) / run(shards=N)), the
     # uncached execution fans out over the worker-process pool and merges
@@ -388,7 +392,37 @@ def _execute_query_uncached(db: Database, query: SSBQuery) -> tuple[object, Quer
         return binding.execute(db, query)
     # Lowering sees the database so the zone-map pruning pass (when a
     # ZoneMapCache is active) can classify zones per filter term.
-    return execute_physical(db, lower_query(query, db))
+    return execute_physical_with_partials(db, lower_query(query, db))
+
+
+def _extend_answer(db: Database, query: SSBQuery, profile: QueryProfile, partials):
+    """A memoized answer carried forward to the fact table's current rows.
+
+    ``profile`` and ``partials`` are an earlier execution's over fact rows
+    ``[0, profile.fact_rows)``; the fact table has grown since, and the
+    dimensions have not.  Runs the pipeline over the appended rows only, in
+    this process (the range is one batch or a few: dispatching it to shard
+    workers would cost more than it runs), and folds that slice in.
+    Returns ``(value, profile, partials)`` like :func:`_execute_query_uncached`,
+    or ``None`` when the table holds fewer rows than the earlier execution
+    read (it was replaced, not appended to).
+    """
+    from repro.engine import physical
+
+    rows = profile.fact_rows
+    if db.table(query.fact).num_rows < rows:
+        return None
+    with activate_context(replace(current(), shards=None)):
+        # Lowered through the module, so a tracer patching
+        # ``physical.lower_query`` sees extensions too.
+        fresh, fresh_profile = physical.execute_physical_partial(
+            db, physical.lower_query(query, db), rows, None
+        )
+    partial = combine_partials([*partials, fresh])
+    value = finalize_partial(partial)
+    # The fresh slice goes first: it read the current snapshot, whose
+    # column sizes are the ones the folded profile must carry.
+    return value, fold_shard_profiles([fresh_profile, profile], value), (partial,)
 
 
 @dataclass(frozen=True)
@@ -491,7 +525,12 @@ def fold_shard_profiles(profiles, value) -> QueryProfile:
     ``probe_rows``, ``rows_needed``, ``result_input_rows``) is the plain
     sum of the shard slices, while every *intensive* or artifact-derived
     quantity (column bytes, hash-table bytes, dimension rows, predicate
-    shape) is identical in every slice and taken from the first.  The two
+    shape) is identical in every slice and taken from the first.  Column
+    bytes are the whole column's size *in the snapshot the slice read*, so
+    when slices come from different snapshots -- an answer extended after
+    an append (:func:`_extend_answer`) -- the first slice must be the one
+    that read the newest snapshot, or the fold charges the column sizes of
+    the table before the append.  The two
     derived ratios are recomputed from the summed exact integers with the
     same single float division the monolithic executor performs --
     ``fact_filter_selectivity`` from the last filter stage's survivors,

@@ -24,7 +24,9 @@ shards a *single query* across worker **processes** instead:
    and folds the profile slices back into the monolithic shape
    (:func:`~repro.engine.plan.fold_shard_profiles`) -- answers *and*
    profiles stay byte-identical to the single-process planes, which is the
-   differential guarantee ``tests/test_sharded.py`` pins.
+   differential guarantee ``tests/test_sharded.py`` pins.  The per-shard
+   partials go back with the answer, so the execution memo can later fold
+   appended rows into them.
 
 The executor owns a persistent :class:`~concurrent.futures.
 ProcessPoolExecutor` (lifecycle tied to ``Session.close()``) and a
@@ -48,8 +50,13 @@ import numpy as np
 
 from repro.context import current
 from repro.faults import SHARD_TASK, FaultAction, TransientFaultError
-from repro.engine.physical import BuildArtifact, execute_physical, execute_physical_partial, lower_query
-from repro.engine.plan import QueryProfile, fold_shard_profiles, merge_partial_aggregates
+from repro.engine.physical import (
+    BuildArtifact,
+    execute_physical_partial,
+    execute_physical_with_partials,
+    lower_query,
+)
+from repro.engine.plan import PartialAggregate, QueryProfile, fold_shard_profiles, merge_partial_aggregates
 from repro.ssb.queries import SSBQuery
 from repro.storage.shm import (
     SharedMemoryRegistry,
@@ -191,7 +198,7 @@ class ShardBinding:
         self.executor = executor
         self.shards = shards
 
-    def execute(self, db, query: SSBQuery) -> tuple[object, QueryProfile]:
+    def execute(self, db, query: SSBQuery) -> tuple[object, QueryProfile, tuple[PartialAggregate, ...]]:
         return self.executor.execute(db, query, self.shards)
 
 
@@ -305,9 +312,14 @@ class ShardExecutor:
         self.close()
 
     # ------------------------------------------------------------------
-    def execute(self, db, query: SSBQuery, shards: int) -> tuple[object, QueryProfile]:
+    def execute(
+        self, db, query: SSBQuery, shards: int
+    ) -> tuple[object, QueryProfile, tuple[PartialAggregate, ...]]:
         """Run ``query`` sharded ``shards`` ways; fall back monolithically
         when there is nothing to shard (off-database, or an empty fact).
+
+        Returns ``(value, profile, partials)``: the merged answer, the
+        folded profile, and the per-shard partials the answer merges.
 
         Must be called under the session's execution context (the normal
         ``Session._execute`` path): zone maps, the cache parent-side builds
@@ -418,7 +430,7 @@ class ShardExecutor:
             if budget <= 0:
                 with self._lock:
                     self.failure_fallbacks += 1
-                return execute_physical(db, plan)
+                return execute_physical_with_partials(db, plan)
             budget -= 1
             with self._lock:
                 self.retries += 1
@@ -437,12 +449,12 @@ class ShardExecutor:
         with self._lock:
             self.queries += 1
             self.tasks += len(ranges)
-        return value, profile
+        return value, profile, tuple(partials)
 
-    def _fallback(self, db, query: SSBQuery) -> tuple[object, QueryProfile]:
+    def _fallback(self, db, query: SSBQuery) -> tuple[object, QueryProfile, tuple[PartialAggregate, ...]]:
         with self._lock:
             self.fallbacks += 1
-        return execute_physical(db, lower_query(query, db))
+        return execute_physical_with_partials(db, lower_query(query, db))
 
     def _discard_pool(self) -> None:
         """Drop the (presumed poisoned) pool; the next round rebuilds it."""

@@ -33,6 +33,14 @@ version, and dictionary encoders -- everything
 :meth:`repro.storage.table.Table.from_published` needs to reconstruct a
 frozen, version-pinned view on the worker side.
 
+Creating a segment starts ``multiprocessing``'s resource tracker, a
+helper process that would otherwise outlive the interpreter by a second
+or more.  The first registry in a process therefore arranges for the
+tracker it started to be stopped at interpreter exit, after every
+registry's atexit close has unlinked its segments
+(:func:`_stop_own_tracker`), so no process outlives one that used the
+shard plane.
+
 Failure handling: segment names embed the owning pid
 (``repro-shm-<pid>-<token>-<n>``), and :func:`reap_stale_segments` -- the
 **shm janitor**, run by every new registry -- sweeps ``/dev/shm`` for
@@ -51,8 +59,9 @@ import itertools
 import os
 import secrets
 import threading
+import time
 from dataclasses import dataclass, field
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import resource_tracker, shared_memory, util
 
 import numpy as np
 
@@ -95,6 +104,59 @@ def _forget_tracked(name: str) -> None:
         resource_tracker.unregister("/" + name.lstrip("/"), "shared_memory")
     except Exception:  # pragma: no cover - tracker already shut down
         pass
+
+
+#: How long the exit hook waits for the stopped resource tracker to exit.
+TRACKER_STOP_S = 2.0
+
+#: The pid whose exit stops the resource tracker (set by the first registry).
+_tracker_stop_pid: int | None = None
+
+
+def _stop_own_tracker(owner: int) -> None:
+    """Stop the resource tracker ``owner`` started, waiting at most
+    :data:`TRACKER_STOP_S` for it to exit.
+
+    Closing the tracker's pipe is what ends it; left alone, the pipe closes
+    only when the interpreter is gone, and the tracker lingers after it.
+    Acts only in ``owner`` (a forked child inherits the tracker, not the
+    right to reap it).
+    """
+    if os.getpid() != owner:
+        return
+    tracker = resource_tracker._resource_tracker
+    fd, pid = getattr(tracker, "_fd", None), getattr(tracker, "_pid", None)
+    if fd is None or pid is None:
+        return
+    tracker._fd = tracker._pid = None
+    try:
+        os.close(fd)
+    except OSError:  # pragma: no cover - already closed
+        return
+    deadline = time.monotonic() + TRACKER_STOP_S
+    while True:
+        try:
+            reaped, _ = os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:  # not our child, or already reaped
+            return
+        if reaped or time.monotonic() >= deadline:
+            return
+        time.sleep(0.002)
+
+
+def _stop_tracker_at_exit() -> None:
+    """Arrange, once per process, for :func:`_stop_own_tracker` to run at exit.
+
+    It runs as a ``multiprocessing`` finalizer of the lowest priority: that
+    exit pass starts after every registry's atexit close (registered later,
+    so run earlier), and runs after the finalizers that may still message
+    the tracker (named semaphores unregister themselves there).
+    """
+    global _tracker_stop_pid
+    pid = os.getpid()
+    if _tracker_stop_pid != pid:
+        _tracker_stop_pid = pid
+        util.Finalize(None, _stop_own_tracker, args=(pid,), exitpriority=-100)
 
 
 def reap_stale_segments(prefix: str = SEGMENT_PREFIX, shm_dir: str = SHM_DIR) -> list[str]:
@@ -177,6 +239,7 @@ class SharedMemoryRegistry:
                 reap_stale_segments()
             except OSError:  # pragma: no cover - unreadable shm dir
                 pass
+        _stop_tracker_at_exit()
         atexit.register(self.close)
 
     # ------------------------------------------------------------------

@@ -331,11 +331,15 @@ class TableZoneMaps:
                     self._packed[column] = BitPackedColumn.pack(self.table.column(column))
             return self._packed[column]
 
-    def packed_for(self, columns) -> dict[str, BitPackedColumn]:
-        """Packed twins for the subset of ``columns`` that have one."""
+    def packed_for(self, columns, *, build: bool = True) -> dict[str, BitPackedColumn]:
+        """Packed twins for the subset of ``columns`` that have one.
+
+        ``build=False`` returns only the twins already packed: packing reads
+        the whole column, which a caller bound to O(rows it reads) must not.
+        """
         out = {}
         for column in columns:
-            twin = self.packed(column)
+            twin = self.packed(column) if build else self._packed.get(column)
             if twin is not None:
                 out[column] = twin
         return out

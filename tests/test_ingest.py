@@ -26,8 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Q, Session
-from repro.engine.plan import execute_query_monolithic
+from repro.engine.plan import execute_query_monolithic, fold_shard_profiles
 from repro.engine.physical import lower_query
+from repro.engine.shard import partial_for_range
 from repro.ingest import IngestBuffer
 from repro.service import IngestResult, QueryService
 from repro.ssb import QUERIES, QUERY_ORDER, generate_lineorder_batch, generate_ssb, schema
@@ -437,14 +438,18 @@ class TestDifferentialIngest:
 
 
 class TestVersionedInvalidation:
-    def test_execution_memo_keeps_old_version_entries(self, ssb):
+    def test_execution_memo_extends_the_previous_version_entry(self, ssb):
         session = Session(ssb)
         old = session.run(QUERIES["q1.1"]).value
         session.ingest("lineorder", generate_lineorder_batch(ssb, 2000, seed=80))
         new = session.run(QUERIES["q1.1"]).value  # miss: version changed
         assert new != old
+        assert new == execute_query_monolithic(ssb, QUERIES["q1.1"])[0]
         info = session.cache_info()
-        assert info.misses == 2 and info.size == 2  # both versions resident
+        # The miss folded the 2000 appended rows into the old entry, which
+        # the extended one replaced: no read can hit the old version again.
+        assert info.misses == 2 and info.size == 1
+        assert session.counters().execution_extensions == 1
         session.run(QUERIES["q1.1"])
         assert session.cache_info().hits == 1  # current version replays
 
@@ -472,6 +477,116 @@ class TestVersionedInvalidation:
         session.ingest("lineorder", generate_lineorder_batch(ssb, 100, seed=81))
         session.run(date_count)  # lineorder's version is irrelevant to this key
         assert session.cache_info().hits == 1
+
+
+# ----------------------------------------------------------------------
+# Extended answers: a cached read after an append folds only the new rows
+# ----------------------------------------------------------------------
+
+
+def op_queries(db) -> dict:
+    """One builder query per aggregate op, grouped and scalar, some selective."""
+    by_year = Q("lineorder", db=db).join("date", on=("lo_orderdate", "d_datekey"), payload="d_year").group_by("d_year")
+    return {
+        "count": Q("lineorder", db=db).filter("lo_discount", "ge", 9).agg("count").build(db),
+        "sum": by_year.agg("sum", "lo_revenue").build(db),
+        "min": by_year.agg("min", "lo_revenue").build(db),
+        "max": Q("lineorder", db=db).filter("lo_quantity", "lt", 3).agg("max", "lo_revenue").build(db),
+        "avg": by_year.agg("avg", "lo_quantity").build(db),
+    }
+
+
+class TestExtendedAnswers:
+    @pytest.mark.parametrize("name", ["q1.2", "q2.2", "q3.1", "q4.2"])
+    def test_fold_takes_column_sizes_from_the_newest_slice(self, ssb, name):
+        query = QUERIES[name]
+        _, old = execute_query_monolithic(ssb, query)
+        ssb.table("lineorder").append(generate_lineorder_batch(ssb, 2 * DEFAULT_ZONE_SIZE, seed=95))
+        _, fresh = partial_for_range(ssb, query, old.fact_rows, ssb.table("lineorder").num_rows)
+        value, expected = execute_query_monolithic(ssb, query)
+        assert fold_shard_profiles([fresh, old], value) == expected
+        # The other order charges the columns as they were before the append.
+        assert fold_shard_profiles([old, fresh], value) != expected
+
+    def test_extending_read_is_proportional_to_the_batch_not_the_table(self):
+        """Clock-free: an extending read may allocate O(batch), never O(table)
+        (no rescan, no packed twin packed for the whole column)."""
+        db = generate_ssb(scale_factor=0.05, seed=21)
+        fact = db.table("lineorder")
+        session = Session(db)
+        names = ("q1.2", "q2.2", "q3.1", "q4.2")
+        for name in names:
+            session.run(QUERIES[name])
+        batch = DEFAULT_ZONE_SIZE
+        session.ingest("lineorder", generate_lineorder_batch(db, batch, seed=98))
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for name in names:
+                session.run(QUERIES[name])
+            peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            tracemalloc.stop()
+        assert session.counters().execution_extensions == len(names)
+        assert peak < 128 * batch < 2 * fact.num_rows
+
+    def test_dimension_append_recomputes_instead(self, ssb):
+        session = Session(ssb)
+        session.run(QUERIES["q2.1"])
+        ssb.table("supplier").append(supplier_batch(ssb))
+        session.ingest("lineorder", generate_lineorder_batch(ssb, 500, seed=96))
+        assert session.run(QUERIES["q2.1"]).value == execute_query_monolithic(ssb, QUERIES["q2.1"])[0]
+        assert session.counters().execution_extensions == 0
+
+    def test_failed_extension_keeps_its_predecessor(self, ssb, monkeypatch):
+        from repro.engine import physical
+
+        session = Session(ssb)
+        session.run(QUERIES["q1.1"])
+        session.ingest("lineorder", generate_lineorder_batch(ssb, 500, seed=97))
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("slice failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(physical, "execute_physical_partial", broken)
+            with pytest.raises(RuntimeError, match="slice failed"):
+                session.run(QUERIES["q1.1"])
+        assert session.cache_info().size == 1  # the predecessor, still extendable
+        assert session.run(QUERIES["q1.1"]).value == execute_query_monolithic(ssb, QUERIES["q1.1"])[0]
+        assert session.counters().execution_extensions == 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_generated_appends_and_cached_reads_match_uncached_runs(self, data):
+        """Each cached read -- a hit, or an extension -- equals a
+        ``cache=False`` run in value, stats and simulated time."""
+        db = generate_ssb(scale_factor=0.005, seed=23)
+        queries = {**{name: QUERIES[name] for name in QUERY_ORDER}, **op_queries(db)}
+        shards = data.draw(st.sampled_from([1, 2]), label="shards")
+        engine = data.draw(st.sampled_from(["cpu", "gpu", "hyper"]), label="engine")
+        names = data.draw(st.lists(st.sampled_from(sorted(queries)), min_size=1, max_size=3, unique=True))
+        read = st.sampled_from(names)
+        append = st.integers(0, 2 * DEFAULT_ZONE_SIZE)
+        steps = data.draw(st.lists(st.one_of(read, append), min_size=2, max_size=8), label="steps")
+        extensions = 0
+        stale: dict = {}  # query -> whether rows were appended since its last read
+        with Session(db, shards=shards) as session:
+            for i, step in enumerate(steps):
+                if isinstance(step, int):
+                    session.ingest("lineorder", generate_lineorder_batch(db, step, seed=200 + i))
+                    if step:  # a 0-row append publishes no new version
+                        stale = dict.fromkeys(stale, True)
+                    continue
+                extensions += stale.get(step, False)
+                stale[step] = False
+                cached = session.run(queries[step], engine=engine)
+                fresh = session.run(queries[step], engine=engine, cache=False)
+                assert cached.value == fresh.value, (step, steps[: i + 1])
+                assert cached.stats == fresh.stats, (step, steps[: i + 1])
+                assert cached.simulated_ms == fresh.simulated_ms, (step, steps[: i + 1])
+            assert session.counters().execution_extensions == extensions
 
 
 class TestClearCaches:
@@ -509,11 +624,16 @@ class TestPartialTailPruneCounters:
         session.run(nothing)
         session.ingest("lineorder", generate_lineorder_batch(ssb, 100, seed=90))
         before = session.cache_info("zones").rows_pruned
-        session.run(nothing)
+        session.run(nothing, cache=False)
         grown = ssb.table("lineorder").num_rows
         assert session.cache_info("zones").rows_pruned - before == grown
         delta = session.counters()
         assert delta.zone_extensions == 1  # maps extended, not rebuilt
+        # A cached read extends its answer: it prunes the appended rows only.
+        before = session.cache_info("zones").rows_pruned
+        assert session.run(nothing).value == 0.0
+        assert session.cache_info("zones").rows_pruned - before == 100
+        assert session.counters().execution_extensions == 1
 
 
 # ----------------------------------------------------------------------

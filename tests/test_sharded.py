@@ -26,6 +26,10 @@ Beyond the differential guarantee:
 
 import asyncio
 import glob
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import pytest
@@ -320,16 +324,19 @@ class TestPooledDifferential:
         query = QUERIES[name]
         expected_value, expected_profile = execute_query_monolithic(tiny_ssb, query)
         with activate_zones(pooled._zone_cache):
-            value, profile = pooled.shard_executor().execute(tiny_ssb, query, shards)
+            value, profile, partials = pooled.shard_executor().execute(tiny_ssb, query, shards)
         assert value == expected_value
         assert profile == expected_profile
+        # The partials handed back with the answer merge into it.
+        assert len(partials) == shards
+        assert merge_partial_aggregates(partials) == expected_value
 
     @pytest.mark.parametrize("index", range(len(OR_TREE_QUERIES)))
     def test_or_trees(self, tiny_ssb, pooled, index):
         query = OR_TREE_QUERIES[index](tiny_ssb)
         expected_value, expected_profile = execute_query_monolithic(tiny_ssb, query)
         with activate_zones(pooled._zone_cache):
-            value, profile = pooled.shard_executor().execute(tiny_ssb, query, 3)
+            value, profile, _ = pooled.shard_executor().execute(tiny_ssb, query, 3)
         assert value == expected_value
         assert profile == expected_profile
 
@@ -359,7 +366,7 @@ class TestPooledDifferential:
         from repro.ssb import generate_ssb
 
         foreign = generate_ssb(scale_factor=0.005, seed=3)
-        value, _ = executor.execute(foreign, QUERIES["q1.1"], 2)
+        value, _, _ = executor.execute(foreign, QUERIES["q1.1"], 2)
         expected, _ = execute_query_monolithic(foreign, QUERIES["q1.1"])
         assert value == expected
         assert executor.stats().fallbacks >= 1
@@ -517,6 +524,29 @@ class TestLeakSafety:
                 assert session.run(QUERIES["q2.1"]).value == execute_query_monolithic(tiny_ssb, QUERIES["q2.1"])[0]
                 assert footprint() == settled
         assert not any(prefix in path for path in _shm_segments())
+
+    def test_no_process_outlives_an_interpreter_that_sharded(self):
+        """``multiprocessing``'s resource tracker used to outlive a process
+        that had used the shard plane by about a second."""
+        script = textwrap.dedent(
+            """
+            from multiprocessing import resource_tracker
+            from repro import QUERIES, Session, generate_ssb
+
+            with Session(generate_ssb(scale_factor=0.005, seed=7), shards=2) as session:
+                session.run(QUERIES["q1.1"])
+            print(resource_tracker._resource_tracker._pid)
+            """
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60, check=True
+        )
+        tracker = int(child.stdout.split()[-1])
+        with pytest.raises(ProcessLookupError):  # no grace period: gone when the child is
+            os.kill(tracker, 0)
+        assert "leaked" not in child.stderr
 
     def test_registry_refuses_new_segments_after_close(self, tiny_ssb):
         import numpy as np
