@@ -561,6 +561,29 @@ class Session:
             faults=self.faults,
         )
 
+    def _replay(
+        self,
+        engine_name: str,
+        prepared: SSBQuery,
+        cache: bool | None,
+        shards: int | None = None,
+    ) -> ResultSet | None:
+        """The product ``engine_name`` stored for ``prepared``, as a fresh
+        ResultSet; ``None`` when nothing is stored or the memo's lock is
+        busy.  Never runs an engine and never waits for the memo's lock, so
+        the serving layer calls it on its event loop before handing a
+        request to a worker.
+        """
+        engine_key = self.registry.resolve(engine_name)
+        with activate_context(self.context(cache=cache, shards=shards)) as context:
+            memo = context.cache
+            key = memo.key(self.db, prepared) if memo is not None else None
+            stored = memo.replay(key, engine_key) if key is not None else None
+        if stored is None:
+            return None
+        value, (columns, records), product = stored
+        return ResultSet(_private_result(product, value), prepared, columns, records)
+
     def _execute(
         self,
         engine_name: str,
@@ -568,19 +591,17 @@ class Session:
         cache: bool | None,
         shards: int | None = None,
     ) -> ResultSet:
+        replayed = self._replay(engine_name, prepared, cache, shards)
+        if replayed is not None:
+            return replayed
         engine_key = self.registry.resolve(engine_name)
         chosen = self.engine(engine_key)
-        # Installed here, on the executing thread: pool threads and
-        # ``loop.run_in_executor`` do not inherit the submitter's context,
-        # and this is the one place every execution path flows through.
+        # Installed here (and in ``_replay``), on the executing thread: pool
+        # threads and ``loop.run_in_executor`` do not inherit the
+        # submitter's context, and every execution path flows through here.
         with activate_context(self.context(cache=cache, shards=shards)) as context:
             memo = context.cache
             key = memo.key(self.db, prepared) if memo is not None else None
-            if key is not None:
-                stored = memo.replay(key, engine_key)
-                if stored is not None:
-                    value, (columns, records), product = stored
-                    return ResultSet(_private_result(product, value), prepared, columns, records)
             raw = chosen.run(prepared)
             result = ResultSet.from_result(self.db, prepared, raw)
             # Appends only grow versions, so an unchanged key proves the run

@@ -403,14 +403,24 @@ class ExecutionCache:
         ``None`` (nothing counted) when the entry or this engine's product
         is absent: the caller then runs the engine, whose :meth:`fetch`
         counts instead.
+
+        Never blocks: the lock is tried without waiting, and a lock held by
+        another thread reads as an absent product.  An event-loop caller
+        can therefore replay in place, and a worker that finds the lock
+        contended runs the engine, whose :meth:`fetch` still counts the
+        hit -- the lock guards microsecond sections, so this is rare.
         """
-        with self._lock:
+        if not self._lock.acquire(blocking=False):
+            return None
+        try:
             entry = self._entries.get(key)
             if entry is None or engine not in entry.products:
                 return None
             self.hits += 1
             self._entries.move_to_end(key)
             return entry.value, entry.decoded, entry.products[engine]
+        finally:
+            self._lock.release()
 
     def record(self, key, engine: Hashable, decoded, product) -> None:
         """Store ``engine``'s finished product (and the decoded output) under

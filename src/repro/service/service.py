@@ -2,11 +2,14 @@
 
 :class:`QueryService` turns the batch-oriented Session into something that
 can *serve*: any number of concurrent asyncio tasks ``await submit(...)``
-queries, the service admits them through a bounded queue onto the session's
-shared worker pool (:attr:`repro.api.Session.executor`), and at most
-``max_inflight`` queries execute at once.  The session's caches are already
-``ContextVar``-scoped and lock-guarded, so concurrent executions share the
-execution memo, build artifacts, and zone maps safely.
+queries, and the service admits them through a bounded queue.  A query
+whose engine product the execution memo already stores completes on the
+event-loop thread (a replay moves no table data, so the hop to a worker
+would cost more than the answer); everything else goes to the session's
+shared worker pool (:attr:`repro.api.Session.executor`), where at most
+``max_inflight`` requests execute at once.  The session's caches are
+already ``ContextVar``-scoped and lock-guarded, so concurrent executions
+share the execution memo, build artifacts, and zone maps safely.
 
 Overload is a first-class state, not a crash: when the queue is full the
 service either **rejects** the new request with a typed
@@ -35,8 +38,9 @@ Every trace records ``attempts``, the ``faults`` absorbed, and the
 ``plane`` that finally answered.
 
 All service state mutates on the event-loop thread only (``submit``,
-dispatch, completion callbacks, timeouts, retries); worker threads touch
-nothing but the session, so the service itself needs no locks.
+dispatch, loop-thread replays, completion callbacks, timeouts, retries);
+worker threads touch nothing but the session, so the service itself needs
+no locks.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from typing import Optional
 from repro.api.builder import QueryBuilder
 from repro.api.resultset import ResultSet
 from repro.api.session import Session
+from repro.engine.cache import CounterSnapshot
 from repro.faults import SERVICE_EXECUTE, ResiliencePolicy
 from repro.service.trace import RequestTrace
 from repro.ssb.queries import SSBQuery
@@ -155,6 +160,8 @@ class ServiceStats:
     queued: int = 0
     inflight: int = 0
     peak_queue_depth: int = 0
+    #: Worker dispatches running at once, at most: a request answered by a
+    #: loop-thread replay never holds an inflight slot.
     peak_inflight: int = 0
     #: Transient failures absorbed by the retry rung (attempts beyond each
     #: request's first), and times the shard breaker tripped open.
@@ -209,6 +216,9 @@ class QueryService:
 
     ``max_inflight`` bounds concurrent executions on the session's worker
     pool; ``max_queue_depth`` bounds how many admitted requests may wait.
+    A dispatched query whose engine product is already stored completes on
+    the event loop without taking a worker or an inflight slot; everything
+    else goes to :attr:`Session.executor <repro.api.Session.executor>`.
     ``overload`` picks what happens when both are full (see
     :data:`OVERLOAD_POLICIES`); ``timeout_s`` is the default per-request
     timeout (``submit(timeout=...)`` overrides per call).  Answers are
@@ -434,12 +444,34 @@ class QueryService:
         self._notify_idle()
 
     def _dispatch(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Move queued requests onto the worker pool up to ``max_inflight``."""
+        """Move queued requests onto the worker pool up to ``max_inflight``.
+
+        A query whose engine product is already stored completes right
+        here, on the loop thread, without taking an inflight slot: the
+        replay moves no table data and costs less than the hop to a
+        worker.  Anything else -- a miss, a busy memo lock, an error, or an
+        active fault plan (whose :data:`~repro.faults.SERVICE_EXECUTE` site
+        fires on the worker) -- takes the worker path, which raises any
+        error itself.
+        """
         while self._queue and self._inflight < self.max_inflight:
             request = self._queue.popleft()
             request.trace.status = "running"
             request.trace.dequeued_at = time.perf_counter()
             request.shards_used, request.probe = self._route(request)
+            if request.kind == "query" and self.session.faults is None:
+                try:
+                    versions = self.session.table_versions()
+                    replayed = self.session._replay(
+                        request.engine, request.query, None, request.shards_used
+                    )
+                except Exception:  # the worker path raises it again, and reports it
+                    replayed = None
+                if replayed is not None:
+                    # What a worker-path hit records on a quiet session.
+                    self._succeed(request, replayed, CounterSnapshot(execution_hits=1), versions)
+                    self._notify_idle()
+                    continue
             self._inflight += 1
             self._stats["peak_inflight"] = max(self._stats["peak_inflight"], self._inflight)
             pool_future = loop.run_in_executor(self.session.executor, self._execute, request)
@@ -526,31 +558,41 @@ class QueryService:
                 trace.error = f"{type(exc).__name__}: {exc}"
                 self._stats["failed"] += 1
                 request.future.set_exception(exc)
+            self.traces.append(trace)
         else:
-            trace.finished_at = time.perf_counter()
-            if request.timeout_handle is not None:
-                request.timeout_handle.cancel()
-            trace.counters = delta
-            trace.table_versions = dict(versions)
-            if request.kind == "query":
-                trace.plane = self._plane_of(request, delta)
+            self._succeed(request, result, delta, versions)
+        self._dispatch(asyncio.get_running_loop())
+        self._notify_idle()
+
+    def _succeed(self, request: _Request, result, delta, versions) -> None:
+        """Settle a request that produced ``result``: the success tail of
+        both the worker path (:meth:`_finish`) and a loop-thread replay."""
+        trace = request.trace
+        trace.finished_at = time.perf_counter()
+        if request.timeout_handle is not None:
+            request.timeout_handle.cancel()
+        trace.counters = delta
+        trace.table_versions = dict(versions)
+        if request.kind == "query":
+            trace.plane = self._plane_of(request, delta)
+            # Only shard work says anything about the shard plane's health:
+            # a replayed answer ran no shard task.
+            if delta.shard_queries or delta.failure_fallbacks or delta.pool_rebuilds:
                 self._note_shard_health(
                     request, failed=delta.failure_fallbacks > 0 or delta.pool_rebuilds > 0
                 )
-            if not request.future.done():
-                trace.status = "ok"
-                self._stats["completed"] += 1
-                if request.kind == "ingest":
-                    table, _arrays, rows = request.payload
-                    request.future.set_result(
-                        IngestResult(table=table, version=result, rows=rows, trace=trace)
-                    )
-                else:
-                    request.future.set_result(ServiceResult(result, trace))
-            # else: timed out while running; the computed answer is discarded.
+        if not request.future.done():
+            trace.status = "ok"
+            self._stats["completed"] += 1
+            if request.kind == "ingest":
+                table, _arrays, rows = request.payload
+                request.future.set_result(
+                    IngestResult(table=table, version=result, rows=rows, trace=trace)
+                )
+            else:
+                request.future.set_result(ServiceResult(result, trace))
+        # else: timed out while running; the computed answer is discarded.
         self.traces.append(trace)
-        self._dispatch(asyncio.get_running_loop())
-        self._notify_idle()
 
     # ------------------------------------------------------------------
     # The degradation ladder (loop-thread only, like all service state)
@@ -561,6 +603,8 @@ class QueryService:
             return "monolithic-fallback"
         if delta.shard_queries > 0:
             return "sharded"
+        if delta.execution_hits > 0 and delta.execution_misses == 0:
+            return "cache"
         if (
             self.shards is not None
             and self.shards > 1

@@ -54,9 +54,9 @@ class RequestTrace:
     error: Optional[str] = None
     timeout_s: Optional[float] = field(default=None, repr=False)
     #: The per-table data versions the request ran against: for a query,
-    #: the versions read at dispatch onto the worker (a concurrent append
-    #: may publish a *fresher fully-sealed* version mid-run, never a torn
-    #: one); for an ingest, the versions after its batch published.
+    #: the versions read at dispatch (a concurrent append may publish a
+    #: *fresher fully-sealed* version mid-run, never a torn one); for an
+    #: ingest, the versions after its batch published.
     table_versions: Optional[dict] = None
     #: Execution attempts this request consumed (1 = no retries).  A trace
     #: in ``backoff`` is between attempts, waiting to re-enter admission.
@@ -65,7 +65,8 @@ class RequestTrace:
     #: entry per failed attempt (``"attempt 1: TransientFaultError: ..."``).
     faults: list = field(default_factory=list)
     #: Which execution plane finally answered: ``"sharded"``,
-    #: ``"monolithic"`` (service configured shardless),
+    #: ``"cache"`` (the answer replayed from the execution memo; no plane
+    #: ran), ``"monolithic"`` (service configured shardless),
     #: ``"monolithic-fallback"`` (the shard plane exhausted its retry
     #: budget mid-query), or ``"monolithic-breaker"`` (the service's
     #: breaker routed this request to ``shards=1`` up front).
@@ -89,7 +90,8 @@ class RequestTrace:
 
     @property
     def execute_ms(self) -> Optional[float]:
-        """Milliseconds between dispatch and completion on the worker pool."""
+        """Milliseconds between dispatch and completion (on the worker
+        pool, or on the event loop for a replayed answer)."""
         if self.dequeued_at is None or self.finished_at is None:
             return None
         return (self.finished_at - self.dequeued_at) * 1e3

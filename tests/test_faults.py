@@ -445,6 +445,41 @@ class TestBreaker:
         assert stats.breaker_trips == 1
         assert stats.completed == 5 and stats.failed == 0
 
+    def test_a_cache_hit_neither_fails_nor_heals_the_breaker(self, tiny_ssb):
+        # Cache on: the second q1.1 replays the first one's fallback answer.
+        # It ran no shard task, so it must not reset the failure count --
+        # the next faulted query still reaches the threshold-2 trip.
+        plan = FaultPlan([FaultPoint(site=SHARD_TASK, mode="raise", times=4)])
+        policy = ResiliencePolicy(
+            shard_retry_budget=0, breaker_threshold=2, breaker_probe_every=2
+        )
+        names = ("q1.1", "q1.1", "q1.2", "q1.3", "q2.1")
+
+        async def go():
+            with Session(
+                tiny_ssb, shard_start_method="fork", faults=plan, resilience=policy
+            ) as session:
+                async with QueryService(session, shards=2, max_inflight=1) as service:
+                    outcomes, opens = [], []
+                    for name in names:
+                        outcomes.append(await service.submit(QUERIES[name]))
+                        opens.append(service.breaker_open)
+                    return outcomes, opens, service.stats
+
+        outcomes, opens, stats = run(go())
+        assert [outcome.trace.plane for outcome in outcomes] == [
+            "monolithic-fallback",   # shard plane fails, ladder answers anyway
+            "cache",                 # replayed: says nothing about the plane
+            "monolithic-fallback",   # second failure reaches the threshold
+            "monolithic-breaker",    # breaker now routes to shards=1 up front
+            "sharded",               # probe dispatch at full width heals it
+        ]
+        assert opens == [False, False, True, True, False]
+        assert stats.breaker_trips == 1 and stats.completed == 5
+        for name, outcome in zip(names, outcomes):
+            expected, _ = execute_query_monolithic(tiny_ssb, QUERIES[name])
+            assert outcome.result.value == expected, name
+
     def test_breaker_answers_stay_correct_throughout(self, tiny_ssb):
         plan = FaultPlan([FaultPoint(site=SHARD_TASK, mode="raise", times=4)])
         policy = ResiliencePolicy(

@@ -10,6 +10,9 @@ hang guard: nothing in this file may block forever on a broken pump.
 
 import asyncio
 import dataclasses
+import random
+import sys
+import threading
 import time
 
 import pytest
@@ -397,6 +400,173 @@ class TestTraces:
         first, again = run(go())
         assert not first.execution_cached  # cold: this request executed
         assert again.execution_cached  # warm: answered from the memo
+
+
+class TestLoopReplay:
+    """A stored product completes its request on the event loop; everything
+    else takes the worker path, with identical answers, traces and stats."""
+
+    def test_a_hit_never_reaches_the_worker_pool(self, tiny_ssb, monkeypatch):
+        def worker_path(*args, **kwargs):
+            raise RuntimeError("worker path taken")
+
+        async def go():
+            with Session(tiny_ssb) as fresh:
+                async with QueryService(fresh, max_inflight=1) as service:
+                    warm = await service.submit(QUERIES["q2.1"])
+                    monkeypatch.setattr(Session, "_execute", worker_path)
+                    hit = await service.submit(QUERIES["q2.1"])
+                    with pytest.raises(RuntimeError, match="worker path taken"):
+                        await service.submit(QUERIES["q3.1"])
+                    return warm, hit, service.stats
+
+        warm, hit, stats = run(go())
+        assert hit.result.value == warm.result.value
+        assert hit.result.records == warm.result.records
+        assert hit.result.simulated_ms == warm.result.simulated_ms
+        assert hit.trace.plane == "cache" and hit.trace.execution_cached
+        assert hit.trace.execute_ms is not None and hit.trace.execute_ms >= 0
+        assert stats.completed == 2 and stats.failed == 1
+
+    def test_loop_path_matches_the_worker_path(self, monkeypatch):
+        """One seeded sequence of hits, misses and an append, served with and
+        without the loop path: equal answers, traces (minus timestamps) and
+        stats; only ``peak_inflight`` differs, as loop hits hold no slot."""
+        from repro.ssb import generate_lineorder_batch, generate_ssb
+
+        rng = random.Random(55)
+        pool = [QUERIES[name] for name in ("q1.1", "q2.1", "q3.2", "q4.1")] + [adhoc_query()]
+        steps = [rng.choice(pool) for _ in range(24)]
+        steps.insert(12, "append")
+        timestamps = ("enqueued_wall", "wait_ms", "execute_ms", "total_ms")
+
+        def serve():
+            db = generate_ssb(scale_factor=0.005, seed=55)
+            batch = generate_lineorder_batch(db, 64, seed=5)
+
+            async def go():
+                with Session(db) as fresh:
+                    async with QueryService(fresh, max_inflight=2) as service:
+                        outcomes = []
+                        for step in steps:
+                            if step == "append":
+                                outcomes.append(await service.ingest("lineorder", batch))
+                            else:
+                                outcomes.append(await service.submit(step))
+                        return outcomes, service.stats
+
+            outcomes, stats = run(go())
+            answers = [
+                (outcome.result.value, outcome.result.records, outcome.result.simulated_ms)
+                for outcome in outcomes
+                if isinstance(outcome, ServiceResult)
+            ]
+            traces = [
+                (
+                    {k: v for k, v in outcome.trace.as_dict().items() if k not in timestamps},
+                    outcome.trace.counters,
+                )
+                for outcome in outcomes
+            ]
+            return answers, traces, stats
+
+        on_loop = serve()
+        monkeypatch.setattr(Session, "_replay", lambda *args: None)  # never a stored product
+        on_workers = serve()
+        assert on_loop[0] == on_workers[0]
+        assert on_loop[1] == on_workers[1]
+        planes = [record["plane"] for record, _ in on_loop[1]]
+        assert "cache" in planes and "monolithic" in planes
+        loop_stats, worker_stats = on_loop[2], on_workers[2]
+        assert dataclasses.replace(loop_stats, peak_inflight=0) == dataclasses.replace(
+            worker_stats, peak_inflight=0
+        )
+        # Requests are awaited one at a time: each worker dispatch runs
+        # alone, and the loop path dispatched no worker for its hits.
+        assert loop_stats.peak_inflight == worker_stats.peak_inflight == 1
+
+    def test_a_busy_memo_lock_sends_a_hit_to_the_worker(self, tiny_ssb):
+        async def go():
+            with Session(tiny_ssb) as fresh:
+                async with QueryService(fresh, max_inflight=1) as service:
+                    warm = await service.submit(QUERIES["q4.1"])
+                    hits = fresh.cache_info().hits
+                    held, release = threading.Event(), threading.Event()
+
+                    def hold_the_lock():
+                        with fresh._cache._lock:
+                            held.set()
+                            release.wait(GUARD_S)
+
+                    holder = threading.Thread(target=hold_the_lock)
+                    holder.start()
+                    try:
+                        assert held.wait(GUARD_S)
+                        pending = asyncio.create_task(service.submit(QUERIES["q4.1"]))
+                        await asyncio.sleep(0.05)
+                        # Not replayed on the loop: a worker waits for the lock.
+                        waiting = (pending.done(), service.inflight)
+                    finally:
+                        release.set()
+                        holder.join(GUARD_S)
+                    assert not holder.is_alive()
+                    hit = await pending
+                    return warm, hit, waiting, fresh.cache_info().hits - hits
+
+        warm, hit, waiting, counted = run(go())
+        assert waiting == (False, 1)
+        assert counted == 1
+        assert hit.result.value == warm.result.value
+        assert hit.result.records == warm.result.records
+        assert hit.result.simulated_ms == warm.result.simulated_ms
+        assert hit.trace.counters == CounterSnapshot(execution_hits=1)
+        assert hit.trace.plane == "cache"
+
+    def test_concurrent_hits_and_misses_count_once_each(self, tiny_ssb):
+        """Stress: 8 clients over 4 workers with a short switch interval.
+        Every request counts exactly one hit or one miss, wherever it was
+        answered, and every answer equals an uncached run."""
+        names = ("q1.1", "q2.1", "q3.2", "q4.1", "q1.3", "q2.3")
+        expected = {}
+        with Session(tiny_ssb) as reference:
+            for name in names:
+                expected[name] = reference.run(QUERIES[name], cache=False).value
+
+        async def client(service, seed):
+            rng = random.Random(seed)
+            served = []
+            for _ in range(40):
+                name = rng.choice(names)
+                served.append((name, (await service.submit(QUERIES[name])).result.value))
+            return served
+
+        async def go():
+            with Session(tiny_ssb) as fresh:
+                async with QueryService(fresh, max_inflight=4, max_queue_depth=16) as service:
+                    served = await asyncio.gather(*(client(service, seed) for seed in range(8)))
+                    return served, service.stats, fresh.cache_info()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            served, stats, info = run(go())
+        finally:
+            sys.setswitchinterval(interval)
+        assert stats.completed == stats.submitted == 8 * 40
+        assert info.hits + info.misses == stats.completed
+        assert all(value == expected[name] for outcome in served for name, value in outcome)
+
+    def test_a_hit_after_close_is_refused(self, session):
+        async def go():
+            service = QueryService(session)
+            await service.submit(QUERIES["q1.1"])
+            await service.close()
+            with pytest.raises(ServiceClosedError):
+                await service.submit(QUERIES["q1.1"])
+            return service.stats
+
+        stats = run(go())
+        assert stats.submitted == stats.completed == 1
 
 
 class SlowIngestSession(Session):
