@@ -431,7 +431,8 @@ class TestLoopReplay:
     def test_loop_path_matches_the_worker_path(self, monkeypatch):
         """One seeded sequence of hits, misses and an append, served with and
         without the loop path: equal answers, traces (minus timestamps) and
-        stats; only ``peak_inflight`` differs, as loop hits hold no slot."""
+        stats.  ``peak_inflight`` may differ, as loop hits hold no slot, so
+        it is asserted on its own."""
         from repro.ssb import generate_lineorder_batch, generate_ssb
 
         rng = random.Random(55)
