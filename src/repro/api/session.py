@@ -561,28 +561,17 @@ class Session:
             faults=self.faults,
         )
 
-    def _replay(
-        self,
-        engine_name: str,
-        prepared: SSBQuery,
-        cache: bool | None,
-        shards: int | None = None,
-    ) -> ResultSet | None:
-        """The product ``engine_name`` stored for ``prepared``, as a fresh
-        ResultSet; ``None`` when nothing is stored or the memo's lock is
-        busy.  Never runs an engine and never waits for the memo's lock, so
-        the serving layer calls it on its event loop before handing a
-        request to a worker.
+    def _stored(self, engine_name: str, prepared: SSBQuery, shards: int | None = None) -> bool:
+        """Whether :meth:`run` would replay ``engine_name``'s stored product
+        for ``prepared`` instead of running an engine.  Counts nothing and
+        never waits for the memo's lock (a busy lock reads as not stored),
+        so the serving layer can ask on its event loop.
         """
         engine_key = self.registry.resolve(engine_name)
-        with activate_context(self.context(cache=cache, shards=shards)) as context:
+        with activate_context(self.context(shards=shards)) as context:
             memo = context.cache
             key = memo.key(self.db, prepared) if memo is not None else None
-            stored = memo.replay(key, engine_key) if key is not None else None
-        if stored is None:
-            return None
-        value, (columns, records), product = stored
-        return ResultSet(_private_result(product, value), prepared, columns, records)
+            return key is not None and memo.stores(key, engine_key)
 
     def _execute(
         self,
@@ -591,17 +580,19 @@ class Session:
         cache: bool | None,
         shards: int | None = None,
     ) -> ResultSet:
-        replayed = self._replay(engine_name, prepared, cache, shards)
-        if replayed is not None:
-            return replayed
         engine_key = self.registry.resolve(engine_name)
         chosen = self.engine(engine_key)
-        # Installed here (and in ``_replay``), on the executing thread: pool
-        # threads and ``loop.run_in_executor`` do not inherit the
-        # submitter's context, and every execution path flows through here.
+        # Installed here, on the executing thread: pool threads and
+        # ``loop.run_in_executor`` do not inherit the submitter's context,
+        # and this is the one place every execution path flows through.
         with activate_context(self.context(cache=cache, shards=shards)) as context:
             memo = context.cache
             key = memo.key(self.db, prepared) if memo is not None else None
+            if key is not None:
+                stored = memo.replay(key, engine_key)
+                if stored is not None:
+                    value, (columns, records), product = stored
+                    return ResultSet(_private_result(product, value), prepared, columns, records)
             raw = chosen.run(prepared)
             result = ResultSet.from_result(self.db, prepared, raw)
             # Appends only grow versions, so an unchanged key proves the run

@@ -395,6 +395,20 @@ class ExecutionCache:
         if latest is not None and latest[1] == key:
             del self._latest[lineage]
 
+    def stores(self, key, engine: Hashable) -> bool:
+        """Whether :meth:`replay` would find ``engine``'s product under
+        ``key``.  Counts nothing and never blocks: the lock is tried without
+        waiting, and a lock held by another thread reads as ``False``, so an
+        event-loop caller can ask without stalling its loop.
+        """
+        if not self._lock.acquire(blocking=False):
+            return False
+        try:
+            entry = self._entries.get(key)
+            return entry is not None and engine in entry.products
+        finally:
+            self._lock.release()
+
     def replay(self, key, engine: Hashable):
         """``(value, decoded, product)`` stored for ``engine`` under ``key``.
 
@@ -403,24 +417,14 @@ class ExecutionCache:
         ``None`` (nothing counted) when the entry or this engine's product
         is absent: the caller then runs the engine, whose :meth:`fetch`
         counts instead.
-
-        Never blocks: the lock is tried without waiting, and a lock held by
-        another thread reads as an absent product.  An event-loop caller
-        can therefore replay in place, and a worker that finds the lock
-        contended runs the engine, whose :meth:`fetch` still counts the
-        hit -- the lock guards microsecond sections, so this is rare.
         """
-        if not self._lock.acquire(blocking=False):
-            return None
-        try:
+        with self._lock:
             entry = self._entries.get(key)
             if entry is None or engine not in entry.products:
                 return None
             self.hits += 1
             self._entries.move_to_end(key)
             return entry.value, entry.decoded, entry.products[engine]
-        finally:
-            self._lock.release()
 
     def record(self, key, engine: Hashable, decoded, product) -> None:
         """Store ``engine``'s finished product (and the decoded output) under

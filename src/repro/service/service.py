@@ -46,6 +46,7 @@ no locks.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import itertools
 import time
 from collections import Counter, deque
@@ -446,38 +447,53 @@ class QueryService:
     def _dispatch(self, loop: asyncio.AbstractEventLoop) -> None:
         """Move queued requests onto the worker pool up to ``max_inflight``.
 
-        A query whose engine product is already stored completes right
-        here, on the loop thread, without taking an inflight slot: the
-        replay moves no table data and costs less than the hop to a
-        worker.  Anything else -- a miss, a busy memo lock, an error, or an
-        active fault plan (whose :data:`~repro.faults.SERVICE_EXECUTE` site
-        fires on the worker) -- takes the worker path, which raises any
-        error itself.
+        A query whose engine product is already stored runs right here, on
+        the loop thread, without taking an inflight slot: the replay moves
+        no table data and costs less than the hop to a worker.  It calls
+        :meth:`Session.run <repro.api.Session.run>` in an empty context, as
+        a worker thread would, not in the context of whichever task or
+        completion callback dispatched it, and records the delta a
+        worker-path hit records on a quiet session.  Anything else -- a
+        miss, a busy memo lock, an error while looking, or an active fault
+        plan (whose :data:`~repro.faults.SERVICE_EXECUTE` site fires on the
+        worker) -- takes the worker path, which raises any error itself.
+        Looking and replaying are two steps: a product evicted, or outdated
+        by an append, in between is computed on the loop -- correctly, and
+        counted so by the session, but slower and traced as a hit.
         """
         while self._queue and self._inflight < self.max_inflight:
             request = self._queue.popleft()
             request.trace.status = "running"
             request.trace.dequeued_at = time.perf_counter()
             request.shards_used, request.probe = self._route(request)
-            if request.kind == "query" and self.session.faults is None:
+            if self._stored(request):
                 try:
                     versions = self.session.table_versions()
-                    replayed = self.session._replay(
-                        request.engine, request.query, None, request.shards_used
+                    result = contextvars.Context().run(
+                        self.session.run, request.query,
+                        engine=request.engine, shards=request.shards_used,
                     )
-                except Exception:  # the worker path raises it again, and reports it
-                    replayed = None
-                if replayed is not None:
-                    # What a worker-path hit records on a quiet session.
-                    self._succeed(request, replayed, CounterSnapshot(execution_hits=1), versions)
-                    self._notify_idle()
-                    continue
+                except Exception as exc:
+                    self._fail(request, exc)
+                else:
+                    self._succeed(request, result, CounterSnapshot(execution_hits=1), versions)
+                self._notify_idle()
+                continue
             self._inflight += 1
             self._stats["peak_inflight"] = max(self._stats["peak_inflight"], self._inflight)
             pool_future = loop.run_in_executor(self.session.executor, self._execute, request)
             pool_future.add_done_callback(
                 lambda done, request=request: self._finish(request, done)
             )
+
+    def _stored(self, request: _Request) -> bool:
+        """Whether a dispatched query can be replayed on the loop thread."""
+        if request.kind != "query" or self.session.faults is not None:
+            return False
+        try:
+            return self.session._stored(request.engine, request.query, request.shards_used)
+        except Exception:  # the worker path raises it again, and reports it
+            return False
 
     def _route(self, request: _Request) -> "tuple[Optional[int], bool]":
         """The breaker's routing decision: ``(shard width, is_probe)``.
@@ -537,32 +553,35 @@ class QueryService:
     def _finish(self, request: _Request, done: asyncio.Future) -> None:
         """Loop-thread completion: settle, retry, or fall down the ladder."""
         self._inflight -= 1
-        trace = request.trace
         try:
             result, delta, versions = done.result()
         except Exception as exc:
-            trace.faults.append(f"attempt {request.attempt}: {type(exc).__name__}: {exc}")
-            if isinstance(exc, BrokenExecutor):
-                # Only unambiguously shard-shaped escapes feed the breaker:
-                # a bad-column TypeError says nothing about the shard plane.
-                self._note_shard_health(request, failed=True)
-            if self._should_retry(request, exc):
-                self._schedule_retry(request)
-                self._dispatch(asyncio.get_running_loop())
-                return
-            trace.finished_at = time.perf_counter()
-            if request.timeout_handle is not None:
-                request.timeout_handle.cancel()
-            if not request.future.done():  # not already timed out
-                trace.status = "error"
-                trace.error = f"{type(exc).__name__}: {exc}"
-                self._stats["failed"] += 1
-                request.future.set_exception(exc)
-            self.traces.append(trace)
+            self._fail(request, exc)
         else:
             self._succeed(request, result, delta, versions)
         self._dispatch(asyncio.get_running_loop())
         self._notify_idle()
+
+    def _fail(self, request: _Request, exc: Exception) -> None:
+        """Settle or retry a request whose execution raised ``exc``."""
+        trace = request.trace
+        trace.faults.append(f"attempt {request.attempt}: {type(exc).__name__}: {exc}")
+        if isinstance(exc, BrokenExecutor):
+            # Only unambiguously shard-shaped escapes feed the breaker:
+            # a bad-column TypeError says nothing about the shard plane.
+            self._note_shard_health(request, failed=True)
+        if self._should_retry(request, exc):
+            self._schedule_retry(request)
+            return
+        trace.finished_at = time.perf_counter()
+        if request.timeout_handle is not None:
+            request.timeout_handle.cancel()
+        if not request.future.done():  # not already timed out
+            trace.status = "error"
+            trace.error = f"{type(exc).__name__}: {exc}"
+            self._stats["failed"] += 1
+            request.future.set_exception(exc)
+        self.traces.append(trace)
 
     def _succeed(self, request: _Request, result, delta, versions) -> None:
         """Settle a request that produced ``result``: the success tail of
@@ -581,6 +600,10 @@ class QueryService:
                 self._note_shard_health(
                     request, failed=delta.failure_fallbacks > 0 or delta.pool_rebuilds > 0
                 )
+            elif request.probe and self._breaker_open:
+                # A probe answered without a shard task tested nothing: the
+                # next dispatch probes instead.
+                self._breaker_dispatches = self.resilience.breaker_probe_every - 1
         if not request.future.done():
             trace.status = "ok"
             self._stats["completed"] += 1

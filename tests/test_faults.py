@@ -480,6 +480,46 @@ class TestBreaker:
             expected, _ = execute_query_monolithic(tiny_ssb, QUERIES[name])
             assert outcome.result.value == expected, name
 
+    @pytest.mark.parametrize("path", ["worker", "loop"])
+    def test_a_probe_answered_from_the_cache_probes_again(self, tiny_ssb, path):
+        # The probe (2nd dispatch with the breaker open) repeats q1.1, whose
+        # full-width answer is stored: it runs no shard task, so it tests
+        # nothing, and the very next dispatch must probe in its place.
+        # "loop": the spent plan is dropped after the trip, so the stored
+        # probe is replayed on the event loop instead of on a worker.
+        plan = FaultPlan([FaultPoint(site=SHARD_TASK, mode="raise", times=4)])
+        policy = ResiliencePolicy(
+            shard_retry_budget=0, breaker_threshold=2, breaker_probe_every=2
+        )
+        names = ("q1.1", "q1.2", "q1.3", "q1.1", "q2.1")
+
+        async def go():
+            with Session(
+                tiny_ssb, shard_start_method="fork", faults=plan, resilience=policy
+            ) as session:
+                async with QueryService(session, shards=2, max_inflight=1) as service:
+                    outcomes, opens = [], []
+                    for name in names:
+                        outcomes.append(await service.submit(QUERIES[name]))
+                        opens.append(service.breaker_open)
+                        if path == "loop" and service.breaker_open:
+                            session.faults = None
+                    return outcomes, opens, service.stats
+
+        outcomes, opens, stats = run(go())
+        assert [outcome.trace.plane for outcome in outcomes] == [
+            "monolithic-fallback",   # shard plane fails, ladder answers anyway
+            "monolithic-fallback",   # second failure trips the breaker
+            "monolithic-breaker",    # 1st dispatch while open: shards=1
+            "cache",                 # 2nd: the probe, answered from the memo
+            "sharded",               # 3rd probes again at full width and heals
+        ]
+        assert opens == [False, True, True, True, False]
+        assert stats.breaker_trips == 1 and stats.completed == 5
+        for name, outcome in zip(names, outcomes):
+            expected, _ = execute_query_monolithic(tiny_ssb, QUERIES[name])
+            assert outcome.result.value == expected, name
+
     def test_breaker_answers_stay_correct_throughout(self, tiny_ssb):
         plan = FaultPlan([FaultPoint(site=SHARD_TASK, mode="raise", times=4)])
         policy = ResiliencePolicy(

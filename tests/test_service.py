@@ -407,26 +407,58 @@ class TestLoopReplay:
     else takes the worker path, with identical answers, traces and stats."""
 
     def test_a_hit_never_reaches_the_worker_pool(self, tiny_ssb, monkeypatch):
-        def worker_path(*args, **kwargs):
-            raise RuntimeError("worker path taken")
+        served_on = []
+        session_run = Session.run
+
+        def run_off_the_pool(self, *args, **kwargs):
+            served_on.append(threading.current_thread())
+            if threading.current_thread().name.startswith("repro-session"):
+                raise RuntimeError("worker path taken")
+            return session_run(self, *args, **kwargs)
 
         async def go():
             with Session(tiny_ssb) as fresh:
                 async with QueryService(fresh, max_inflight=1) as service:
                     warm = await service.submit(QUERIES["q2.1"])
-                    monkeypatch.setattr(Session, "_execute", worker_path)
+                    monkeypatch.setattr(Session, "run", run_off_the_pool)
                     hit = await service.submit(QUERIES["q2.1"])
                     with pytest.raises(RuntimeError, match="worker path taken"):
                         await service.submit(QUERIES["q3.1"])
-                    return warm, hit, service.stats
+                    return warm, hit, service.stats, threading.current_thread()
 
-        warm, hit, stats = run(go())
+        warm, hit, stats, loop_thread = run(go())
+        assert served_on[0] is loop_thread and served_on[1] is not loop_thread
         assert hit.result.value == warm.result.value
         assert hit.result.records == warm.result.records
         assert hit.result.simulated_ms == warm.result.simulated_ms
         assert hit.trace.plane == "cache" and hit.trace.execution_cached
         assert hit.trace.execute_ms is not None and hit.trace.execute_ms >= 0
         assert stats.completed == 2 and stats.failed == 1
+
+    def test_a_hit_that_raises_on_the_loop_fails_like_a_worker_run(self, tiny_ssb, monkeypatch):
+        raised_on = []
+
+        def broken_run(self, *args, **kwargs):
+            raised_on.append(threading.current_thread())
+            raise ValueError("replay broke")
+
+        async def go():
+            with Session(tiny_ssb) as fresh:
+                async with QueryService(fresh, max_inflight=1) as service:
+                    warm = await service.submit(QUERIES["q1.2"])
+                    with monkeypatch.context() as patch:
+                        patch.setattr(Session, "run", broken_run)
+                        with pytest.raises(ValueError, match="replay broke"):
+                            await service.submit(QUERIES["q1.2"])
+                    again = await service.submit(QUERIES["q1.2"])  # still serving
+                    return warm, again, service.stats, list(service.traces), threading.current_thread()
+
+        warm, again, stats, traces, loop_thread = run(go())
+        assert raised_on == [loop_thread]
+        assert again.result.value == warm.result.value
+        failed = traces[1]
+        assert failed.status == "error" and failed.error == "ValueError: replay broke"
+        assert stats.completed == 2 and stats.failed == 1 and stats.peak_inflight == 1
 
     def test_loop_path_matches_the_worker_path(self, monkeypatch):
         """One seeded sequence of hits, misses and an append, served with and
@@ -472,7 +504,7 @@ class TestLoopReplay:
             return answers, traces, stats
 
         on_loop = serve()
-        monkeypatch.setattr(Session, "_replay", lambda *args: None)  # never a stored product
+        monkeypatch.setattr(Session, "_stored", lambda *args: False)  # never a stored product
         on_workers = serve()
         assert on_loop[0] == on_workers[0]
         assert on_loop[1] == on_workers[1]
@@ -557,17 +589,25 @@ class TestLoopReplay:
         assert info.hits + info.misses == stats.completed
         assert all(value == expected[name] for outcome in served for name, value in outcome)
 
-    def test_a_hit_after_close_is_refused(self, session):
-        async def go():
-            service = QueryService(session)
-            await service.submit(QUERIES["q1.1"])
-            await service.close()
-            with pytest.raises(ServiceClosedError):
-                await service.submit(QUERIES["q1.1"])
-            return service.stats
+    def test_an_error_while_looking_is_raised_by_the_worker(self, tiny_ssb):
+        # A closed session refuses its shard pool: looking for a stored
+        # sharded product raises on the loop, which hands the request to a
+        # worker, and the worker's run raises and reports the same error.
+        closed = Session(tiny_ssb, shard_start_method="fork")
+        closed.close()
 
-        stats = run(go())
-        assert stats.submitted == stats.completed == 1
+        async def go():
+            async with QueryService(closed, shards=2, max_inflight=1) as service:
+                with pytest.raises(RuntimeError, match="session is closed"):
+                    await service.submit(QUERIES["q1.1"])
+                return service.stats, list(service.traces)
+
+        try:
+            stats, traces = run(go())
+        finally:
+            closed.close()  # the worker pool the service used
+        assert stats.failed == 1 and stats.peak_inflight == 1
+        assert traces[0].status == "error" and "session is closed" in traces[0].error
 
 
 class SlowIngestSession(Session):
