@@ -256,6 +256,9 @@ class Session:
         self._closed = False
         self._executor: ThreadPoolExecutor | None = None
         self._executor_lock = threading.Lock()
+        #: ``cache is not False`` -> the unsharded context last built for it;
+        #: rebuilt when :attr:`faults` is reassigned (see :meth:`context`).
+        self._contexts: "dict[bool, ExecutionContext]" = {}
         self._standing: "dict[str, StandingQuery]" = {}
         self._standing_lock = threading.Lock()
         # Crash-consistent durability (``durability=DurabilityConfig(...)``):
@@ -406,9 +409,13 @@ class Session:
         async :class:`~repro.service.QueryService` dispatches admitted
         queries onto it -- so one session serves any number of concurrent
         submitters without spawning a pool per request.  Sized to the
-        hardware, torn down by :meth:`close`.
+        hardware, torn down by :meth:`close`; a closed session refuses, as
+        :meth:`shard_executor` does, since a pool built after :meth:`close`
+        would have nothing to shut it down.
         """
         with self._executor_lock:
+            if self._closed:
+                raise RuntimeError("session is closed")
             if self._executor is None:
                 self._executor = ThreadPoolExecutor(
                     max_workers=os.cpu_count() or 1, thread_name_prefix="repro-session"
@@ -420,15 +427,15 @@ class Session:
         caches stay intact, so unsharded runs keep working).  Closing the
         shard executor unlinks every shared-memory segment the session
         published, so a closed session leaves ``/dev/shm`` exactly as it
-        found it -- and sharded runs raise from then on.
+        found it -- and sharded runs and :attr:`executor` raise from then on.
         """
         with self._executor_lock:
             executor, self._executor = self._executor, None
+            self._closed = True
         if executor is not None:
             executor.shutdown(wait=True)
         with self._shard_lock:
             shards, self._shards = self._shards, None
-            self._closed = True
         if shards is not None:
             shards.close()
         if self._durability is not None:
@@ -549,17 +556,28 @@ class Session:
         the session-level default, and a count of 1 (or none) deliberately
         leaves the binding out so the execution shares cache entries -- and
         the cache key -- with the single-process and morsel-threaded paths.
+
+        The context is frozen, so an unsharded one is built once per
+        ``cache`` setting and handed out again until :attr:`faults` is
+        reassigned: a served hit asks twice (the look on the event loop,
+        then :meth:`run`).  A sharded one is built per call, so a closed
+        session's :meth:`shard_executor` refusal is met on every call.
         """
         effective = shards if shards is not None else self._default_shards
         if effective is not None and effective < 1:
             raise ValueError(f"shards must be >= 1, got {effective}")
-        return ExecutionContext(
-            cache=self._cache if cache is not False else None,
-            builds=self._build_cache,
-            zones=self._zone_cache,
-            shards=self.shard_executor().bind(effective) if effective is not None and effective > 1 else None,
-            faults=self.faults,
-        )
+        memo = cache is not False
+        context = self._contexts.get(memo)
+        if context is None or context.faults is not self.faults:
+            context = self._contexts[memo] = ExecutionContext(
+                cache=self._cache if memo else None,
+                builds=self._build_cache,
+                zones=self._zone_cache,
+                faults=self.faults,
+            )
+        if effective is not None and effective > 1:
+            return replace(context, shards=self.shard_executor().bind(effective))
+        return context
 
     def _stored(self, engine_name: str, prepared: SSBQuery, shards: int | None = None) -> bool:
         """Whether :meth:`run` would replay ``engine_name``'s stored product

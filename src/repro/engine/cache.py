@@ -303,7 +303,10 @@ class ExecutionCache:
         other tables -- and for the *old* version, while it stays resident
         -- keep replaying.  Stale versions age out of the LRU naturally.
         ``None`` means "don't cache" (another database, or an unhashable or
-        uninspectable spec).
+        uninspectable spec).  The key is rebuilt on every call -- versions
+        move -- but hashing it is cheap: an
+        :class:`~repro.ssb.queries.SSBQuery` keeps its hash after the first
+        use, so every later dict operation on the key reuses it.
         """
         if db is not self.db:
             return None

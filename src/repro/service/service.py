@@ -456,10 +456,12 @@ class QueryService:
         worker-path hit records on a quiet session.  Anything else -- a
         miss, a busy memo lock, an error while looking, or an active fault
         plan (whose :data:`~repro.faults.SERVICE_EXECUTE` site fires on the
-        worker) -- takes the worker path, which raises any error itself.
-        Looking and replaying are two steps: a product evicted, or outdated
-        by an append, in between is computed on the loop -- correctly, and
-        counted so by the session, but slower and traced as a hit.
+        worker) -- takes the worker path, which raises any error itself;
+        over a closed session, whose pool refuses to start, the request
+        fails here without taking an inflight slot.  Looking and replaying
+        are two steps: a product evicted, or outdated by an append, in
+        between is computed on the loop -- correctly, and counted so by the
+        session, but slower and traced as a hit.
         """
         while self._queue and self._inflight < self.max_inflight:
             request = self._queue.popleft()
@@ -479,9 +481,15 @@ class QueryService:
                     self._succeed(request, result, CounterSnapshot(execution_hits=1), versions)
                 self._notify_idle()
                 continue
+            try:
+                executor = self.session.executor
+            except RuntimeError as exc:  # a closed session starts no pool
+                self._fail(request, exc)
+                self._notify_idle()
+                continue
             self._inflight += 1
             self._stats["peak_inflight"] = max(self._stats["peak_inflight"], self._inflight)
-            pool_future = loop.run_in_executor(self.session.executor, self._execute, request)
+            pool_future = loop.run_in_executor(executor, self._execute, request)
             pool_future.add_done_callback(
                 lambda done, request=request: self._finish(request, done)
             )

@@ -17,7 +17,7 @@ encoded columns (q2.2's brand range) translate directly to code ranges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterator, Union
 
 #: Predicate operators understood by :mod:`repro.engine.expr`.
@@ -313,6 +313,28 @@ class SSBQuery:
     description: str = ""
     fact: str = "lineorder"
 
+    def __hash__(self) -> int:
+        """The hash of the field tuple, computed on first use and kept.
+
+        A spec is a memo key on every served request, and hashing its
+        nested filters and joins costs microseconds each time.  Computed
+        lazily, not at construction: a hand-built spec holding a list
+        constant still constructs, and only hashing it raises
+        ``TypeError`` (the execution memo then leaves it uncached).
+        Equality and repr are the dataclass's.
+        """
+        value = self.__dict__.get("_hash")
+        if value is None:
+            value = self.__dict__["_hash"] = _field_hash(self)
+        return value
+
+    def __getstate__(self) -> dict:
+        # The kept hash is salted by this process's string-hash seed; a
+        # copy unpickled elsewhere (a spawn-started shard worker) rehashes.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     @property
     def has_group_by(self) -> bool:
         return bool(self.group_by)
@@ -332,6 +354,14 @@ class SSBQuery:
             if column not in columns:
                 columns.append(column)
         return columns
+
+
+_HASHED_FIELDS = tuple(f.name for f in fields(SSBQuery) if f.compare)
+
+
+def _field_hash(query: SSBQuery) -> int:
+    """What the dataclass's own ``__hash__`` would return for ``query``."""
+    return hash(tuple(getattr(query, name) for name in _HASHED_FIELDS))
 
 
 def _q1(name: str, date_filters: tuple[FilterSpec, ...], discount, quantity) -> SSBQuery:

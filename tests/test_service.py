@@ -351,6 +351,33 @@ class TestLifecycle:
         assert stats.cancelled == 3 and stats.completed == 1
         assert stats.submitted == stats.settled
 
+    def test_a_closed_session_starts_no_worker_pool(self, tiny_ssb):
+        # A closed session still runs unsharded queries itself, but a pool
+        # started after close would have nothing to shut it down: a request
+        # that needs a worker fails, and a stored answer is still served.
+        def pool_threads():
+            return {t for t in threading.enumerate() if t.name.startswith("repro-session")}
+
+        before = pool_threads()
+        closed = Session(tiny_ssb)
+        closed.close()
+        with pytest.raises(RuntimeError, match="session is closed"):
+            closed.executor
+        stored = closed.run(QUERIES["q1.1"])
+
+        async def go():
+            async with QueryService(closed) as service:
+                with pytest.raises(RuntimeError, match="session is closed"):
+                    await service.submit(QUERIES["q2.1"])
+                hit = await service.submit(QUERIES["q1.1"])
+                return hit, service.stats
+
+        hit, stats = run(go())
+        assert hit.result.value == stored.value and hit.trace.plane == "cache"
+        assert stats.failed == 1 and stats.completed == 1
+        assert stats.inflight == 0 and stats.peak_inflight == 0
+        assert pool_threads() <= before
+
     def test_failed_execution_propagates_and_counts(self, session):
         # Prepares fine, blows up in the worker: the column only goes
         # missing once the scan touches the fact table.
@@ -591,8 +618,9 @@ class TestLoopReplay:
 
     def test_an_error_while_looking_is_raised_by_the_worker(self, tiny_ssb):
         # A closed session refuses its shard pool: looking for a stored
-        # sharded product raises on the loop, which hands the request to a
-        # worker, and the worker's run raises and reports the same error.
+        # sharded product raises on the loop, which hands the request to the
+        # worker path.  The closed session refuses its worker pool too, with
+        # the same error, so the request fails without taking a slot.
         closed = Session(tiny_ssb, shard_start_method="fork")
         closed.close()
 
@@ -602,11 +630,8 @@ class TestLoopReplay:
                     await service.submit(QUERIES["q1.1"])
                 return service.stats, list(service.traces)
 
-        try:
-            stats, traces = run(go())
-        finally:
-            closed.close()  # the worker pool the service used
-        assert stats.failed == 1 and stats.peak_inflight == 1
+        stats, traces = run(go())
+        assert stats.failed == 1 and stats.peak_inflight == 0 and stats.inflight == 0
         assert traces[0].status == "error" and "session is closed" in traces[0].error
 
 

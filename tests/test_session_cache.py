@@ -1,6 +1,7 @@
 """Tests for the Session's functional-execution memo and tolerant agreement."""
 
 import asyncio
+import dataclasses
 import sys
 import threading
 import time
@@ -371,3 +372,69 @@ class TestReplayRace:
         info = session.cache_info()
         assert info.hits + info.misses == 4 * rounds * len(engines)
         assert info.size == 1
+
+
+class TestServedHitCounts:
+    """What a served request does besides replaying, counted without a
+    clock: memo-key builds, spec hashes and execution contexts built."""
+
+    @staticmethod
+    def serve(session, query, times):
+        from repro.service.service import QueryService
+
+        async def go():
+            async with QueryService(session) as service:
+                return [await service.submit(query) for _ in range(times)]
+
+        return asyncio.run(go())
+
+    def test_key_builds_per_served_miss_and_hit(self, tiny_ssb, monkeypatch):
+        built = []
+        key = ExecutionCache.key
+
+        def counting(self, db, query):
+            built.append(query)
+            return key(self, db, query)
+
+        monkeypatch.setattr(ExecutionCache, "key", counting)
+        with Session(tiny_ssb) as session:
+            counts = []
+            for _ in range(3):
+                before = len(built)
+                (outcome,) = self.serve(session, QUERIES["q2.1"], 1)
+                counts.append((outcome.trace.plane, len(built) - before))
+        # A miss: the look on the loop, the worker's replay attempt, the
+        # engine's fetch, and the version guard before storing the product.
+        # A hit: the look, then the replay inside Session.run.
+        assert counts == [("monolithic", 4), ("cache", 2), ("cache", 2)]
+
+    def test_a_query_is_field_hashed_once_across_hits(self, tiny_ssb, monkeypatch):
+        from repro.ssb import queries
+
+        hashed = []
+        field_hash = queries._field_hash
+        monkeypatch.setattr(
+            queries, "_field_hash", lambda query: hashed.append(query) or field_hash(query)
+        )
+        query = dataclasses.replace(QUERIES["q3.1"], name="fresh")
+        with Session(tiny_ssb) as session:
+            outcomes = self.serve(session, query, 4)
+        assert [outcome.trace.plane for outcome in outcomes] == ["monolithic"] + ["cache"] * 3
+        assert sum(1 for seen in hashed if seen is query) == 1
+
+    def test_the_unsharded_context_is_built_once_per_fault_plan(self, tiny_ssb):
+        from repro.faults import FaultPlan
+
+        session = Session(tiny_ssb)
+        first = session.context()
+        assert session.context() is first and session.context(shards=1) is first
+        uncached = session.context(cache=False)
+        assert uncached is not first and uncached.cache is None
+        assert session.context(cache=False) is uncached
+        session.faults = FaultPlan([])
+        rebuilt = session.context()
+        assert rebuilt is not first and rebuilt.faults is session.faults
+        assert session.context() is rebuilt
+        session.close()
+        with pytest.raises(RuntimeError, match="session is closed"):
+            session.context(shards=2)  # sharded contexts are built per call

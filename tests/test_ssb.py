@@ -1,5 +1,13 @@
 """Tests for the SSB schema, generator, and query definitions."""
 
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -146,3 +154,55 @@ class TestQueryDefinitions:
             payloads = {j.payload for j in query.joins if j.payload}
             for group_column in query.group_by:
                 assert group_column in payloads
+
+
+class TestQueryHash:
+    """A spec keeps its hash after first use; no copy carries it elsewhere."""
+
+    def test_the_kept_hash_is_the_field_tuple_hash(self):
+        query = dataclasses.replace(QUERIES["q2.1"], name="fresh")
+        fields = tuple(getattr(query, f.name) for f in dataclasses.fields(query))
+        assert hash(query) == hash(fields) == hash(query)
+
+    def test_an_unhashable_spec_constructs_and_refuses_to_hash(self):
+        query = dataclasses.replace(
+            QUERIES["q1.1"], fact_filters=(FilterSpec("lo_quantity", "in", [1, 2]),)
+        )
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                hash(query)
+
+    def test_a_copy_of_a_hashed_query_is_equal_and_hashes_equal(self):
+        query = QUERIES["q3.1"]
+        hash(query)
+        for twin in (copy.copy(query), copy.deepcopy(query)):
+            assert twin == query and hash(twin) == hash(query)
+
+    def test_a_pickled_hashed_query_rehashes_under_another_hash_seed(self):
+        query = QUERIES["q2.1"]
+        hash(query)
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        script = textwrap.dedent(
+            """
+            import dataclasses, pickle, sys
+            from repro.ssb.queries import QUERIES
+
+            loaded = pickle.loads(sys.stdin.buffer.read())
+            fresh = dataclasses.replace(QUERIES["q2.1"])
+            memo = {fresh: "found"}
+            print(hash(loaded) == hash(fresh), memo.get(loaded), hash(fresh))
+            """
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": seed,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        child = subprocess.run(
+            [sys.executable, "-c", script], input=pickle.dumps(query),
+            capture_output=True, env=env, timeout=60, check=True,
+        )
+        same, found, child_hash = child.stdout.decode().split()
+        assert int(child_hash) != hash(query)  # the seeds differ, so this tests something
+        assert (same, found) == ("True", "found")
