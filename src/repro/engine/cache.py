@@ -706,16 +706,6 @@ class ZoneMapCache:
 # ----------------------------------------------------------------------
 
 
-def active_cache() -> ExecutionCache | None:
-    """The execution cache of the current context, or ``None``."""
-    return current().cache
-
-
-def active_build_cache() -> BuildArtifactCache | None:
-    """The build-artifact cache of the current context, or ``None``."""
-    return current().builds
-
-
 @contextmanager
 def activate(cache: ExecutionCache):
     """Route ``execute_query`` calls through ``cache`` for the duration."""

@@ -73,48 +73,38 @@ def _check_filter_types(values: np.ndarray, spec: FilterSpec, constant) -> None:
             )
 
 
-def evaluate_filter(table: Table, spec: FilterSpec, packed=None) -> np.ndarray:
-    """Evaluate one filter against a table, returning a boolean mask.
-
-    With ``packed`` (a mapping of column name to
-    :class:`~repro.storage.compression.BitPackedColumn`) the comparison
-    reads the packed twin -- decoded exactly, so the mask is identical;
-    only the bytes touched differ.
-    """
-    if packed and spec.column in packed:
-        values = packed[spec.column].unpack()
-    else:
-        values = table[spec.column]
+def evaluate_filter(table: Table, spec: FilterSpec) -> np.ndarray:
+    """Evaluate one filter against a table, returning a boolean mask."""
+    values = table[spec.column]
     constant = resolve_filter_value(table, spec)
     _check_filter_types(values, spec, constant)
     return compare_values(values, spec, constant)
 
 
-def evaluate_pred(table: Table, pred, packed=None) -> np.ndarray:
+def evaluate_pred(table: Table, pred) -> np.ndarray:
     """Evaluate a predicate tree against ``table``, returning a boolean mask.
 
     ``pred`` may be a :class:`~repro.ssb.queries.Pred`, a bare
     :class:`~repro.ssb.queries.FilterSpec`, or a tuple of specs (the legacy
     conjunction shape).  An empty :class:`~repro.ssb.queries.And` selects
     every row; an empty :class:`~repro.ssb.queries.Or` selects none (the
-    identities of the respective operators).  ``packed`` optionally maps
-    column names to packed twins the comparisons should read instead.
+    identities of the respective operators).
     """
     pred = as_pred(pred)
     if isinstance(pred, Leaf):
-        return evaluate_filter(table, pred.spec, packed)
+        return evaluate_filter(table, pred.spec)
     if isinstance(pred, And):
         mask = np.ones(table.num_rows, dtype=bool)
         for child in pred.children:
-            mask &= evaluate_pred(table, child, packed)
+            mask &= evaluate_pred(table, child)
         return mask
     if isinstance(pred, Or):
         mask = np.zeros(table.num_rows, dtype=bool)
         for child in pred.children:
-            mask |= evaluate_pred(table, child, packed)
+            mask |= evaluate_pred(table, child)
         return mask
     if isinstance(pred, Not):
-        return ~evaluate_pred(table, pred.child, packed)
+        return ~evaluate_pred(table, pred.child)
     raise TypeError(f"unsupported predicate node {type(pred).__name__}")
 
 
@@ -182,11 +172,6 @@ def _walk_at(table: Table, node, gather, width: int) -> np.ndarray:
     raise TypeError(f"unsupported predicate node {type(node).__name__}")
 
 
-def evaluate_filters(table: Table, specs) -> np.ndarray:
-    """AND a sequence of filters together (all-true for an empty sequence)."""
-    return evaluate_pred(table, And(*specs))
-
-
 # ----------------------------------------------------------------------
 # Predicate shape: how a tree maps onto selection hardware.
 #
@@ -196,8 +181,9 @@ def evaluate_filters(table: Table, specs) -> np.ndarray:
 # extra predicated pass on SIMD CPUs, a short-circuit branch on compiled
 # scalar code, and a whole extra operator (select + union of selection
 # vectors) on operator-at-a-time engines.  These helpers measure that shape
-# so the selection operators and the engine cost models can charge branchy
-# disjunctions differently from fused band predicates.
+# so the filter stages of the physical plan record it and the engine cost
+# models can charge branchy disjunctions differently from fused band
+# predicates.
 # ----------------------------------------------------------------------
 
 def predicate_leaf_count(pred) -> int:

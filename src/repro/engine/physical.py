@@ -389,8 +389,9 @@ class PipelineState:
         machine buys back in bandwidth but a NumPy reproduction pays in
         wall clock, so the compressed gather path is reserved for sparse
         selections (< 1/:data:`PACKED_GATHER_DENOMINATOR` of the fact
-        rows), where the byte saving is also at its largest.  The operator
-        models in ``repro.ops`` charge the full packed-scan economics.
+        rows), where the byte saving is also at its largest.  The twins
+        change only how values are read, never what is charged: the
+        profile records every fact column at its plain width.
 
         Only a span over the whole table packs a twin on first use: packing
         reads the whole column, and a ranged execution -- an extended

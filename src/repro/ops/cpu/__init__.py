@@ -9,27 +9,23 @@ Each operator comes in the variants the paper evaluates:
 * Hash join (Q4): ``scalar``, ``simd`` (vertical vectorization), and
   ``prefetch`` (group prefetching), all over the shared linear-probing hash
   table.
-* Radix partitioning / LSB radix sort following Polychroniou & Ross.
-* A hash group-by aggregate used by the SSB engines.
+* Radix partitioning / LSB radix sort following Polychroniou & Ross, and
+  the partitioned radix join built on them.
 """
 
-from repro.ops.cpu.aggregate import cpu_group_by_aggregate
 from repro.ops.cpu.hash_join import cpu_hash_join_build, cpu_hash_join_probe
 from repro.ops.cpu.project import cpu_project
 from repro.ops.cpu.radix_join import cpu_radix_join
 from repro.ops.cpu.radix_partition import cpu_radix_partition
 from repro.ops.cpu.radix_sort import cpu_radix_sort
-from repro.ops.cpu.select import cpu_gather_packed, cpu_select, cpu_select_pred
+from repro.ops.cpu.select import cpu_select
 
 __all__ = [
-    "cpu_group_by_aggregate",
     "cpu_hash_join_build",
     "cpu_hash_join_probe",
     "cpu_project",
     "cpu_radix_join",
     "cpu_radix_partition",
     "cpu_radix_sort",
-    "cpu_gather_packed",
     "cpu_select",
-    "cpu_select_pred",
 ]

@@ -19,23 +19,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.expr import (
-    evaluate_pred,
-    evaluate_pred_at,
-    predicate_leaf_count,
-    predicate_or_branches,
-)
 from repro.hardware.counters import TrafficCounter
 from repro.ops.base import OperatorResult
 from repro.sim.cpu import CPUSimulator
-from repro.ssb.queries import as_pred
-from repro.storage import BitPackedColumn, Table
 
 #: Entries per L1-resident vector a core processes between cursor updates.
 VECTOR_SIZE = 1024
-
-#: Cache-line granularity of a selection-vector gather on the CPU.
-LINE_BYTES = 64
 
 _VARIANTS = ("if", "pred", "simd_pred")
 
@@ -122,191 +111,4 @@ def cpu_select(
         device="cpu",
         variant=variant,
         stats={"rows": float(n), "selectivity": selectivity, "matched": float(matched.shape[0])},
-    )
-
-
-def packed_scan_bytes(packed: BitPackedColumn, rows: float) -> float:
-    """Bytes a scan of ``rows`` values moves from a packed column.
-
-    The compressed scan path charges ``ceil(rows x bit_width / 8)`` --
-    the bits actually needed -- instead of 4-byte values or whole cache
-    lines, which is the Section 5.5 argument for bit packing: the scan is
-    bandwidth bound, so bytes saved are time saved.
-    """
-    return float(np.ceil(rows * packed.bit_width / 8.0))
-
-
-def cpu_gather_packed(
-    packed: BitPackedColumn,
-    sel: np.ndarray,
-    simulator: CPUSimulator | None = None,
-) -> OperatorResult:
-    """Gather ``sel``'s values from a bit-packed column (one fused kernel).
-
-    The vectorized unpack kernel of the compressed scan path: locate each
-    selected value's 64-bit word (word-aligned gather), shift its low part
-    down, OR in the spill from the next word for values straddling a word
-    boundary, and mask to ``bit_width`` bits.  Decoding is exact -- the
-    values equal a plain gather from the unpacked column -- while the
-    memory system moves ``ceil(k x bit_width / 8)`` packed bytes instead
-    of a cache line per selected row.
-    """
-    simulator = simulator or CPUSimulator()
-    sel = np.asarray(sel)
-    values = packed.unpack_at(sel)
-    k = float(sel.size)
-    read_bytes = min(packed_scan_bytes(packed, k), float(packed.packed_bytes))
-    traffic = TrafficCounter(
-        sequential_read_bytes=read_bytes + float(sel.nbytes),
-        sequential_write_bytes=float(values.nbytes),
-        shared_bytes=read_bytes,
-        # Shift, OR, and mask per value (plus the position arithmetic).
-        compute_ops=k * 4.0,
-    )
-    execution = simulator.run(traffic, use_simd=True, label="cpu-gather-packed")
-    return OperatorResult(
-        value=values,
-        time=execution.time,
-        traffic=traffic,
-        device="cpu",
-        variant="packed-gather",
-        stats={
-            "rows": k,
-            "bit_width": float(packed.bit_width),
-            "packed_bytes": float(packed.packed_bytes),
-            "compression_ratio": packed.compression_ratio,
-        },
-    )
-
-
-def cpu_select_pred(
-    table: Table,
-    pred,
-    variant: str = "simd_pred",
-    simulator: CPUSimulator | None = None,
-    sel: np.ndarray | None = None,
-    packed: dict | None = None,
-) -> OperatorResult:
-    """Run ``SELECT row ids FROM table WHERE <pred>`` for a predicate tree.
-
-    Pushdown of arbitrary boolean predicates (:class:`~repro.ssb.queries.Pred`
-    trees, bare specs, or legacy tuples) into the Section 4.2 selection scan.
-    The value is the selection vector (matching row ids, in row order) --
-    what the operator hands the rest of the pipeline.
-
-    With ``sel`` (an incoming selection vector of row ids) the scan runs
-    late-materialized: the predicate evaluates only at the surviving rows,
-    and each referenced column is charged ``min(full column, survivors x
-    cache line)`` bytes -- a refinement over a 1% survivor set touches ~1%
-    of the lines a fresh scan would, which is how chained selection-vector
-    filters stay cheap.  The returned value is the refined selection vector
-    (``sel`` rows also satisfying ``pred``).
-
-    Cost shape: each referenced column is read once no matter how many
-    leaves mention it (a single scan feeds every comparison), but the
-    predicate's *shape* changes the work per row:
-
-    * A fused band predicate -- any pure conjunction, e.g. ``between`` --
-      evaluates branch-free in one pass, exactly like :func:`cpu_select`.
-    * Each extra OR alternative costs one more predicated pass over the
-      L1-resident vector (``pred`` / ``simd_pred``) to merge its lane into
-      the selection mask, or one more data-dependent short-circuit branch
-      per row (``if``), which is why branchy disjunctions are charged more
-      than band predicates of equal selectivity.
-
-    ``packed`` maps column names to their
-    :class:`~repro.storage.compression.BitPackedColumn` twins: those
-    columns are read through the compressed scan path -- the comparisons
-    decode packed words (exact, so the selection vector is unchanged) and
-    the column is charged ``ceil(rows x bit_width / 8)`` bytes instead of
-    4-byte values (full scans) or whole cache lines (gathers), plus the
-    per-value shift/mask decode ops.
-    """
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown CPU select variant {variant!r}; expected one of {_VARIANTS}")
-    pred = as_pred(pred)
-    simulator = simulator or CPUSimulator()
-    packed = packed or {}
-
-    def column_scan_bytes(column: str, rows: int, line_bytes: int | None) -> float:
-        twin = packed.get(column)
-        if twin is not None:
-            return min(packed_scan_bytes(twin, float(rows)), float(twin.packed_bytes))
-        full = float(table.column(column).nbytes)
-        if line_bytes is None:
-            return full
-        return float(min(full, rows * line_bytes))
-
-    if sel is None:
-        mask = evaluate_pred(table, pred, packed=packed)
-        matched = np.flatnonzero(mask)
-        n = table.num_rows
-        column_bytes = float(sum(column_scan_bytes(c, n, None) for c in pred.columns()))
-        sel_read_bytes = 0.0
-    else:
-        keep = evaluate_pred_at(table, pred, sel, packed=packed)
-        matched = sel[keep]
-        n = int(sel.size)
-        # Gathers touch whole cache lines (packed columns: just the needed
-        # bits); a near-full selection degenerates to the streaming column
-        # scan (the min rule the engines also use).
-        column_bytes = float(sum(column_scan_bytes(c, n, LINE_BYTES) for c in pred.columns()))
-        sel_read_bytes = float(sel.nbytes)
-    selectivity = (matched.size / n) if n else 0.0
-    num_vectors = -(-n // VECTOR_SIZE) if n else 0
-
-    leaves = predicate_leaf_count(pred)
-    or_branches = predicate_or_branches(pred)
-    #: Decode work for the packed columns: shift + OR + mask per value read.
-    decode_ops = float(n) * 3.0 * sum(1 for c in pred.columns() if c in packed)
-
-    traffic = TrafficCounter(
-        sequential_read_bytes=column_bytes + sel_read_bytes,
-        sequential_write_bytes=float(matched.nbytes),
-        # Second pass over each vector is served from L1 (charged as shared).
-        shared_bytes=column_bytes,
-        atomic_updates=float(num_vectors),
-        atomic_targets=8.0,
-        compute_ops=float(n) * 2.0 * max(leaves, 1) + decode_ops,
-    )
-
-    use_simd = False
-    non_temporal = False
-    if variant == "if":
-        # Short-circuit evaluation: one data-dependent branch per leaf.
-        traffic.data_dependent_branches = float(n) * max(leaves, 1)
-        traffic.branch_miss_rate = _branch_miss_rate(selectivity)
-        if selectivity == 0.0:
-            traffic.sequential_write_bytes = 0.0
-    elif variant == "pred":
-        traffic.compute_ops = float(n) * (3.0 * max(leaves, 1) + or_branches) + decode_ops
-    else:  # simd_pred
-        use_simd = True
-        non_temporal = True
-        # Each extra OR alternative merges its lane with one more predicated
-        # pass over the L1-resident vector.
-        traffic.compute_ops = float(n) * (2.0 * max(leaves, 1) + or_branches) + decode_ops
-        traffic.shared_bytes += float(n) * 4.0 * or_branches
-
-    execution = simulator.run(
-        traffic,
-        use_simd=use_simd,
-        non_temporal_writes=non_temporal,
-        label=f"cpu-select-pred-{variant}",
-    )
-    return OperatorResult(
-        value=matched,
-        time=execution.time,
-        traffic=traffic,
-        device="cpu",
-        variant=variant,
-        stats={
-            "rows": float(n),
-            "selectivity": selectivity,
-            "matched": float(matched.shape[0]),
-            "leaves": float(leaves),
-            "or_branches": float(or_branches),
-            "packed_columns": float(sum(1 for c in pred.columns() if c in packed)),
-            "scan_bytes": column_bytes,
-        },
     )

@@ -8,32 +8,20 @@
 * Hash join (Q4): ``block_load`` + ``block_lookup`` + ``block_aggregate``.
 * Radix partitioning / sort: the stable (LSB, 7 bits per pass) and unstable
   (MSB, 8 bits per pass) GPU variants.
-* A hash group-by aggregate used by the SSB engines.
 """
 
-from repro.ops.gpu.aggregate import gpu_group_by_aggregate
 from repro.ops.gpu.hash_join import gpu_hash_join_build, gpu_hash_join_probe
 from repro.ops.gpu.project import gpu_project
-from repro.ops.gpu.radix_join import gpu_radix_join
 from repro.ops.gpu.radix_partition import gpu_radix_partition
 from repro.ops.gpu.radix_sort import gpu_radix_sort
-from repro.ops.gpu.select import (
-    gpu_gather_packed,
-    gpu_select,
-    gpu_select_independent_threads,
-    gpu_select_pred,
-)
+from repro.ops.gpu.select import gpu_select, gpu_select_independent_threads
 
 __all__ = [
-    "gpu_group_by_aggregate",
     "gpu_hash_join_build",
     "gpu_hash_join_probe",
     "gpu_project",
-    "gpu_radix_join",
     "gpu_radix_partition",
     "gpu_radix_sort",
-    "gpu_gather_packed",
     "gpu_select",
     "gpu_select_independent_threads",
-    "gpu_select_pred",
 ]

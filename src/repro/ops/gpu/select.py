@@ -29,18 +29,9 @@ from repro.crystal import (
     block_shuffle,
     block_store,
 )
-from repro.engine.expr import (
-    evaluate_pred,
-    evaluate_pred_at,
-    predicate_leaf_count,
-    predicate_or_branches,
-)
 from repro.hardware.counters import TrafficCounter
 from repro.ops.base import OperatorResult
-from repro.ops.cpu.select import packed_scan_bytes
 from repro.sim.gpu import GPUSimulator, KernelLaunch
-from repro.ssb.queries import as_pred
-from repro.storage import BitPackedColumn, Table
 
 _VARIANTS = ("if", "pred")
 
@@ -89,163 +80,6 @@ def gpu_select(
             "matched": float(matched),
             "selectivity": matched / n if n else 0.0,
             "occupancy": result.execution.occupancy,
-        },
-    )
-
-
-#: Memory-transaction granularity of a selection-vector gather on the GPU.
-TRANSACTION_BYTES = 32
-
-
-def gpu_gather_packed(
-    packed: BitPackedColumn,
-    sel: np.ndarray,
-    threads_per_block: int = 128,
-    items_per_thread: int = 4,
-    simulator: GPUSimulator | None = None,
-) -> OperatorResult:
-    """Gather ``sel``'s values from a bit-packed column as one tile kernel.
-
-    The GPU flavour of the vectorized unpack kernel: each thread locates
-    its value's 64-bit word, gathers it (plus the next word for straddling
-    values -- packing always leaves a guard word), and shifts/masks the
-    value out in registers.  The paper's Section 5.5 point is that the
-    GPU's compute-to-bandwidth ratio makes this decode essentially free
-    while the read traffic drops to ``ceil(k x bit_width / 8)`` bytes.
-    """
-    simulator = simulator or GPUSimulator()
-    sel = np.asarray(sel)
-    values = packed.unpack_at(sel)
-    k = float(sel.size)
-    read_bytes = min(packed_scan_bytes(packed, k), float(packed.packed_bytes))
-    launch = KernelLaunch(
-        threads_per_block=threads_per_block,
-        items_per_thread=items_per_thread,
-        label="gpu-gather-packed",
-    )
-    traffic = TrafficCounter(
-        sequential_read_bytes=read_bytes + float(sel.nbytes),
-        sequential_write_bytes=float(values.nbytes),
-        shared_bytes=read_bytes,
-        compute_ops=k * 4.0,
-    )
-    execution = simulator.run_kernel(traffic, launch)
-    return OperatorResult(
-        value=values,
-        time=execution.time,
-        traffic=traffic,
-        device="gpu",
-        variant="packed-gather",
-        stats={
-            "rows": k,
-            "bit_width": float(packed.bit_width),
-            "packed_bytes": float(packed.packed_bytes),
-            "compression_ratio": packed.compression_ratio,
-            "occupancy": execution.occupancy,
-        },
-    )
-
-
-def gpu_select_pred(
-    table: Table,
-    pred,
-    threads_per_block: int = 128,
-    items_per_thread: int = 4,
-    simulator: GPUSimulator | None = None,
-    sel: np.ndarray | None = None,
-    packed: dict | None = None,
-) -> OperatorResult:
-    """Run ``SELECT row ids FROM table WHERE <pred>`` as one fused tile kernel.
-
-    Pushdown of arbitrary boolean predicate trees into the Figure 4(b)/
-    Figure 8 selection kernel: each thread block loads a tile of every
-    referenced column, evaluates all leaves into predicate lanes, merges
-    them in registers, prefix-sums, claims output space with one atomic per
-    block, and stores the matching row ids coalesced.
-
-    SIMT has no branch predictor and every lane is evaluated predicated, so
-    -- unlike the CPU variants -- a branchy OR costs only the extra
-    per-leaf compute, never a branch penalty or an extra memory pass.  That
-    asymmetry (tile kernels shrug at disjunctions, operator-at-a-time
-    engines materialize one intermediate per leaf) is exactly the Section
-    3.3 comparison, and why the OmniSci-like baseline is charged extra for
-    OR terms while this kernel is not.
-
-    With ``sel`` (an incoming selection vector of row ids) the kernel runs
-    late-materialized: threads gather only the surviving rows of each
-    referenced column (charged at memory-transaction granularity, capped at
-    the full column) and the value is the refined selection vector.
-
-    ``packed`` maps column names to bit-packed twins: those columns read
-    packed words (decoded in registers, exact) and are charged
-    ``ceil(rows x bit_width / 8)`` bytes instead of 4-byte values or
-    32-byte transactions -- with the V100's compute-to-bandwidth ratio the
-    extra shift/mask ops vanish under the saved traffic, the paper's
-    Section 5.5 case for compression on GPUs.
-    """
-    pred = as_pred(pred)
-    simulator = simulator or GPUSimulator()
-    packed = packed or {}
-
-    def column_scan_bytes(column: str, rows: int, gathered: bool) -> float:
-        twin = packed.get(column)
-        if twin is not None:
-            return min(packed_scan_bytes(twin, float(rows)), float(twin.packed_bytes))
-        full = float(table.column(column).nbytes)
-        if not gathered:
-            return full
-        return float(min(full, rows * TRANSACTION_BYTES))
-
-    if sel is None:
-        mask = evaluate_pred(table, pred, packed=packed)
-        matched = np.flatnonzero(mask)
-        n = table.num_rows
-        column_bytes = float(sum(column_scan_bytes(c, n, False) for c in pred.columns()))
-        sel_read_bytes = 0.0
-    else:
-        keep = evaluate_pred_at(table, pred, sel, packed=packed)
-        matched = sel[keep]
-        n = int(sel.size)
-        column_bytes = float(sum(column_scan_bytes(c, n, True) for c in pred.columns()))
-        sel_read_bytes = float(sel.nbytes)
-    selectivity = (matched.size / n) if n else 0.0
-
-    leaves = predicate_leaf_count(pred)
-    or_branches = predicate_or_branches(pred)
-    decode_ops = float(n) * 3.0 * sum(1 for c in pred.columns() if c in packed)
-
-    launch = KernelLaunch(
-        threads_per_block=threads_per_block,
-        items_per_thread=items_per_thread,
-        label="gpu-select-pred",
-    )
-    num_tiles = -(-n // launch.tile_size) if n else 0
-    traffic = TrafficCounter(
-        sequential_read_bytes=column_bytes + sel_read_bytes,
-        sequential_write_bytes=float(matched.nbytes),
-        # Tiles staged through shared memory for the block-wide shuffle.
-        shared_bytes=column_bytes,
-        # One output-cursor claim per thread block, all on the same counter.
-        atomic_updates=float(num_tiles),
-        atomic_targets=1.0,
-        compute_ops=float(n) * (max(leaves, 1) + or_branches) + decode_ops,
-    )
-    execution = simulator.run_kernel(traffic, launch)
-    return OperatorResult(
-        value=matched,
-        time=execution.time,
-        traffic=traffic,
-        device="gpu",
-        variant="fused-pred",
-        stats={
-            "rows": float(n),
-            "selectivity": selectivity,
-            "matched": float(matched.shape[0]),
-            "leaves": float(leaves),
-            "or_branches": float(or_branches),
-            "packed_columns": float(sum(1 for c in pred.columns() if c in packed)),
-            "scan_bytes": column_bytes,
-            "occupancy": execution.occupancy,
         },
     )
 

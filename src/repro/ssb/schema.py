@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 #: The five regions of the TPC-H / SSB geography.
 REGIONS = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"]
@@ -125,17 +124,3 @@ def generate_date_attributes() -> list[dict]:
                     }
                 )
     return rows
-
-
-@dataclass(frozen=True)
-class FactColumns:
-    """Names of the lineorder columns the benchmark queries touch."""
-
-    keys: tuple = ("lo_orderdate", "lo_custkey", "lo_partkey", "lo_suppkey")
-    measures: tuple = (
-        "lo_quantity",
-        "lo_discount",
-        "lo_extendedprice",
-        "lo_revenue",
-        "lo_supplycost",
-    )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine.expr import evaluate_filter, evaluate_filters, resolve_filter_value
+from repro.engine.expr import evaluate_filter, evaluate_pred, resolve_filter_value
 from repro.api import Q, Session
 from repro.engine.plan import execute_query, execute_query_monolithic
 from repro.ssb import generate_ssb
@@ -95,11 +95,11 @@ class TestFilterEvaluation:
         with pytest.raises(TypeError, match="encoded"):
             evaluate_filter(table, FilterSpec("x", "in", {"a", "b"}))
 
-    def test_evaluate_filters_conjunction(self):
+    def test_tuple_conjunction(self):
         table = Table.from_arrays("t", {"x": np.arange(10)})
-        mask = evaluate_filters(table, [FilterSpec("x", "ge", 3), FilterSpec("x", "lt", 7)])
+        mask = evaluate_pred(table, (FilterSpec("x", "ge", 3), FilterSpec("x", "lt", 7)))
         assert mask.sum() == 4
-        assert evaluate_filters(table, []).all()
+        assert evaluate_pred(table, ()).all()
 
 
 class TestExecuteQuery:

@@ -10,7 +10,6 @@ from repro.analysis.capacity import MultiGPUConfig, PlacementAdvice, gpus_needed
 from repro.engine.planner import JoinOrderPlanner
 from repro.hardware.presets import NVIDIA_V100, bandwidth_ratio
 from repro.ops.cpu import cpu_hash_join_build, cpu_hash_join_probe, cpu_radix_join
-from repro.ops.gpu import gpu_radix_join
 from repro.ssb.queries import QUERIES
 from repro.storage.compression import BitPackedColumn, bits_needed, pack_table_columns
 
@@ -33,11 +32,6 @@ class TestRadixJoin:
         result = cpu_radix_join(build_keys, build_values, probe_keys, probe_values)
         assert result.value == pytest.approx(expected)
         assert result.stat("radix_bits") >= 0
-
-    def test_gpu_radix_join_checksum(self, join_inputs):
-        build_keys, build_values, probe_keys, probe_values, expected = join_inputs
-        result = gpu_radix_join(build_keys, build_values, probe_keys, probe_values)
-        assert result.value == pytest.approx(expected)
 
     def test_radix_join_matches_no_partitioning_join(self, join_inputs):
         build_keys, build_values, probe_keys, probe_values, _ = join_inputs

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.ops.cpu import (
-    cpu_group_by_aggregate,
     cpu_hash_join_build,
     cpu_hash_join_probe,
     cpu_radix_partition,
@@ -15,7 +14,6 @@ from repro.ops.cpu import (
 )
 from repro.ops.cpu.radix_partition import radix_of
 from repro.ops.gpu import (
-    gpu_group_by_aggregate,
     gpu_hash_join_build,
     gpu_hash_join_probe,
     gpu_radix_partition,
@@ -86,33 +84,6 @@ class TestHashJoin:
         small = gpu_hash_join_probe(probe_keys, probe_values, small_table)
         big = gpu_hash_join_probe(probe_keys, probe_values, big_table)
         assert big.traffic.random_working_set_bytes > small.traffic.random_working_set_bytes
-
-
-class TestGroupByAggregate:
-    def test_cpu_and_gpu_agree(self):
-        rng = np.random.default_rng(31)
-        keys = rng.integers(0, 10, 10_000)
-        values = rng.integers(0, 100, 10_000)
-        cpu = cpu_group_by_aggregate(keys, values)
-        gpu = gpu_group_by_aggregate(keys, values)
-        assert cpu.value == gpu.value
-        expected = {int(k): float(values[keys == k].sum()) for k in np.unique(keys)}
-        assert cpu.value == expected
-
-    def test_composite_keys(self):
-        keys_a = np.array([1, 1, 2, 2])
-        keys_b = np.array([0, 1, 0, 0])
-        values = np.array([10, 20, 30, 40])
-        result = cpu_group_by_aggregate((keys_a, keys_b), values)
-        assert result.value == {(1, 0): 10.0, (1, 1): 20.0, (2, 0): 70.0}
-
-    def test_empty_input(self):
-        result = cpu_group_by_aggregate(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
-        assert result.value == {}
-
-    def test_misaligned_keys(self):
-        with pytest.raises(ValueError):
-            gpu_group_by_aggregate(np.arange(3), np.arange(4))
 
 
 class TestRadixPartition:

@@ -21,8 +21,6 @@ from repro.engine.cache import (
     activate,
     activate_builds,
     activate_zones,
-    active_build_cache,
-    active_cache,
 )
 from repro.engine.physical import (
     PipelineState,
@@ -290,22 +288,22 @@ class TestContextScopes:
     def test_nested_activation_restores_previous(self, tiny_ssb):
         outer = ExecutionCache(tiny_ssb)
         inner = ExecutionCache(tiny_ssb)
-        assert active_cache() is None
+        assert current().cache is None
         with activate(outer):
-            assert active_cache() is outer
+            assert current().cache is outer
             with activate(inner):
-                assert active_cache() is inner
-            assert active_cache() is outer
-        assert active_cache() is None
+                assert current().cache is inner
+            assert current().cache is outer
+        assert current().cache is None
 
     def test_nested_build_scopes(self, tiny_ssb):
         outer = BuildArtifactCache(tiny_ssb)
         inner = BuildArtifactCache(tiny_ssb)
         with activate_builds(outer):
             with activate_builds(inner):
-                assert active_build_cache() is inner
-            assert active_build_cache() is outer
-        assert active_build_cache() is None
+                assert current().builds is inner
+            assert current().builds is outer
+        assert current().builds is None
 
     def test_threads_do_not_clobber_each_other(self, tiny_ssb):
         import threading
@@ -317,7 +315,7 @@ class TestContextScopes:
             cache = ExecutionCache(tiny_ssb)
             with activate(cache):
                 ready.wait(timeout=5)
-                observed[name] = active_cache() is cache
+                observed[name] = current().cache is cache
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
         for t in threads:

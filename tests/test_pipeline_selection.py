@@ -38,7 +38,7 @@ from repro.engine.plan import (
 from repro.engine.shard import partial_for_range
 from repro.ssb.queries import QUERIES, And, FilterSpec, JoinSpec, Leaf, Not, Or, SSBQuery
 from repro.storage.compression import PACK_CHUNK_VALUES, BitPackedColumn
-from repro.storage.zonemap import cluster_by
+from repro.storage.zonemap import TableZoneMaps, cluster_by
 
 # ----------------------------------------------------------------------
 # Differential: selection vectors vs the full-width mask reference
@@ -134,14 +134,18 @@ class TestEvaluatePredAt:
         at = evaluate_pred_at(fact, spec, sel)
         np.testing.assert_array_equal(at, full[sel])
 
-    def test_trees_match_full_width(self, tiny_ssb, rng):
+    @pytest.mark.parametrize("twins", [None, ("lo_discount", "lo_quantity")], ids=["plain", "packed"])
+    def test_trees_match_full_width(self, tiny_ssb, rng, twins):
+        """Packed twins decode exactly: a gather through them selects the same rows."""
         fact = tiny_ssb.table("lineorder")
+        packed = None if twins is None else TableZoneMaps(fact).packed_for(twins)
+        assert packed is None or set(packed) == set(twins)
         pred = (col("lo_discount").between(1, 3) | ~(col("lo_quantity") < 30)) & (
             col("lo_orderdate") > 19920601
         )
         sel = np.flatnonzero(rng.random(fact.num_rows) < 0.1)
         full = evaluate_pred(fact, pred)
-        at = evaluate_pred_at(fact, pred, sel)
+        at = evaluate_pred_at(fact, pred, sel, packed=packed)
         np.testing.assert_array_equal(at, full[sel])
 
     def test_empty_selection_vector(self, tiny_ssb):
@@ -183,8 +187,6 @@ class TestEvaluatePredAt:
 
     def test_slice_ignores_packed_twins(self, tiny_ssb):
         """Twins serve row-id gathers; a contiguous scan streams the plain column."""
-        from repro.storage.zonemap import TableZoneMaps
-
         fact = tiny_ssb.table("lineorder")
         packed = TableZoneMaps(fact).packed_for(("lo_quantity",))
         assert packed  # the twin exists, so ignoring it is a choice, not an accident

@@ -3,7 +3,8 @@
 Covers the tree nodes themselves, the builder DSL (``col`` comparisons
 composed with ``&``/``|``/``~``), property-style checks of
 ``evaluate_pred`` against brute-force NumPy masks on generated data, the
-end-to-end path through every engine, and the profile rule that each
+tree-shape counts the cost models read, the end-to-end path through every
+engine, and the profile rule that each
 referenced filter column is charged exactly once per query.
 """
 
@@ -11,7 +12,12 @@ import numpy as np
 import pytest
 
 from repro.api import Q, QueryValidationError, Session, available_engines, col
-from repro.engine.expr import evaluate_filter, evaluate_pred
+from repro.engine.expr import (
+    evaluate_filter,
+    evaluate_pred,
+    predicate_leaf_count,
+    predicate_or_branches,
+)
 from repro.engine.plan import execute_query
 from repro.ssb.queries import (
     QUERIES,
@@ -246,6 +252,25 @@ class TestEvaluatePredProperties:
         np.testing.assert_array_equal(
             evaluate_pred(table, Leaf(spec)), evaluate_filter(table, spec)
         )
+
+
+class TestPredicateShape:
+    """The tree shape the filter stages record for the engine cost models."""
+
+    def test_counts(self):
+        band = col("x").between(10, 30)
+        branchy = (col("x") == 10) | (col("x") == 20) | (col("x") == 30)
+        mixed = ((col("x") < 10) | (col("y") > 40)) & (col("x") >= 2)
+        assert predicate_leaf_count(band) == 1
+        assert predicate_or_branches(band) == 0
+        assert predicate_leaf_count(branchy) == 3
+        assert predicate_or_branches(branchy) == 2
+        assert predicate_leaf_count(mixed) == 3
+        assert predicate_or_branches(mixed) == 1
+        assert predicate_or_branches(~branchy) == 2
+        # Legacy tuple conjunctions normalize too.
+        assert predicate_leaf_count((FilterSpec("x", "lt", 5), FilterSpec("y", "gt", 1))) == 2
+        assert predicate_or_branches(()) == 0
 
 
 class TestEnginesOnTrees:
