@@ -118,6 +118,34 @@ class TestGroupedAggregates:
         assert comparison.consistent
 
 
+class TestCompositeGroupKeys:
+    """Two group keys from two dimensions, on every engine, against Python."""
+
+    @pytest.fixture(scope="class")
+    def by_year_and_region(self, tiny_ssb):
+        lo, date, supplier = tiny_ssb["lineorder"], tiny_ssb["date"], tiny_ssb["supplier"]
+        year_of = dict(zip(date["d_datekey"].tolist(), date["d_year"].tolist()))
+        region_of = dict(zip(supplier["s_suppkey"].tolist(), supplier["s_region"].tolist()))
+        sums: dict[tuple, float] = {}
+        for orderdate, suppkey, revenue in zip(
+            lo["lo_orderdate"].tolist(), lo["lo_suppkey"].tolist(), lo["lo_revenue"].tolist()
+        ):
+            key = (year_of[orderdate], region_of[suppkey])
+            sums[key] = sums.get(key, 0.0) + float(revenue)
+        return sums
+
+    @pytest.mark.parametrize("engine", ["coprocessor", "cpu", "gpu", "hyper", "monetdb", "omnisci"])
+    def test_engine_matches_python_reference(self, tiny_ssb, by_year_and_region, engine):
+        query = (
+            Q("lineorder")
+            .join("date", on=("lo_orderdate", "d_datekey"), payload="d_year")
+            .join("supplier", on=("lo_suppkey", "s_suppkey"), payload="s_region")
+            .group_by("d_year", "s_region")
+            .agg("sum", "lo_revenue")
+        )
+        assert Session(tiny_ssb).run(query, engine=engine).value == by_year_and_region
+
+
 class TestArbitraryStarSchemas:
     """The builder's 'any star schema' promise: non-SSB tables and value domains."""
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.engine.expr import evaluate_filter, evaluate_pred, resolve_filter_value
 from repro.api import Q, Session
-from repro.engine.plan import execute_query, execute_query_monolithic
+from repro.engine.plan import ColumnAccess, QueryProfile, execute_query, execute_query_monolithic
 from repro.ssb import generate_ssb
 from repro.ssb.queries import QUERIES, FilterSpec
 from repro.storage import Table
@@ -130,6 +130,19 @@ class TestExecuteQuery:
         # The first join key is always a full-column scan.
         first_key = next(a for a in profile.column_accesses if a.role == "join_key")
         assert first_key.rows_needed == profile.fact_rows
+
+    @pytest.mark.parametrize(
+        "rows_needed,charged",
+        [(0, 0.0), (10, 640.0), (63, 4000.0), (1000, 4000.0)],
+        ids=["no-survivors", "sparse", "just-past-full", "full-width"],
+    )
+    def test_selective_bytes_cap_at_the_column(self, rows_needed, charged):
+        """Survivors cost a 64-byte line each until that exceeds the full
+        4000-byte column, which then is the charge: a refinement over few
+        survivors is cheaper than a rescan and never dearer."""
+        access = ColumnAccess("x", column_bytes=4000.0, rows_needed=rows_needed, role="filter")
+        profile = QueryProfile("t", 1000, 1.0, column_accesses=[access])
+        assert profile.selective_column_bytes(64) == charged
 
     def test_group_keys_decode_to_plausible_values(self, tiny_ssb):
         value, _ = execute_query(tiny_ssb, QUERIES["q2.1"])

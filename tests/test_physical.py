@@ -23,6 +23,7 @@ from repro.engine.cache import (
     activate_zones,
 )
 from repro.engine.physical import (
+    PACKED_GATHER_DENOMINATOR,
     PipelineState,
     execute_physical,
     execute_physical_partial,
@@ -545,3 +546,56 @@ class TestSpanPlane:
         for start, stop in ((-1, 10), (10, 5), (0, n + 1)):
             with pytest.raises(ValueError, match="row range"):
                 execute_physical_partial(tiny_ssb, plan, start, stop)
+
+
+# ----------------------------------------------------------------------
+# Packed twins serve sparse gathers only
+# ----------------------------------------------------------------------
+
+
+class TestPackedGatherChoice:
+    """:meth:`PipelineState.packed_for`: when a gather reads packed words."""
+
+    COLUMNS = ("lo_quantity", "lo_discount")
+
+    @staticmethod
+    def _state(fact, lo, hi, zones):
+        return PipelineState(
+            db=None, fact=fact, query_name="t", profile=QueryProfile("t", hi - lo, 1.0),
+            rows_alive=float(hi - lo), lo=lo, hi=hi, zones=zones,
+        )
+
+    @pytest.mark.parametrize(
+        "width,served",
+        [(lambda n: 1, True), (lambda n: n // PACKED_GATHER_DENOMINATOR, True),
+         (lambda n: n // PACKED_GATHER_DENOMINATOR + 1, False), (lambda n: n, False)],
+        ids=["one-row", "at-threshold", "past-threshold", "full-width"],
+    )
+    def test_width_threshold(self, tiny_ssb, width, served):
+        fact = tiny_ssb.table("lineorder")
+        assert fact.num_rows % PACKED_GATHER_DENOMINATOR == 0  # the threshold is exact
+        state = self._state(fact, 0, fact.num_rows, TableZoneMaps(fact))
+        twins = state.packed_for(self.COLUMNS, width(fact.num_rows))
+        assert (twins is not None) == served
+        if served:
+            assert set(twins) == set(self.COLUMNS)
+
+    def test_no_zone_plane_reads_plain_columns(self, tiny_ssb):
+        fact = tiny_ssb.table("lineorder")
+        assert self._state(fact, 0, fact.num_rows, None).packed_for(self.COLUMNS, 1) is None
+
+    def test_wide_domains_have_no_twin(self, tiny_ssb):
+        fact = tiny_ssb.table("lineorder")
+        state = self._state(fact, 0, fact.num_rows, TableZoneMaps(fact))
+        assert state.packed_for(("lo_orderdate",), 1) is None
+        assert set(state.packed_for(("lo_orderdate", "lo_quantity"), 1)) == {"lo_quantity"}
+
+    def test_ranged_state_decodes_only_twins_already_packed(self, tiny_ssb):
+        """Packing reads the whole column, so only a whole-table span packs."""
+        fact = tiny_ssb.table("lineorder")
+        zones = TableZoneMaps(fact)
+        ranged = self._state(fact, 100, fact.num_rows, zones)
+        assert ranged.packed_for(self.COLUMNS, 1) is None
+        whole = self._state(fact, 0, fact.num_rows, zones)
+        assert set(whole.packed_for(("lo_quantity",), 1)) == {"lo_quantity"}
+        assert set(ranged.packed_for(self.COLUMNS, 1)) == {"lo_quantity"}

@@ -163,6 +163,27 @@ class TestEvaluatePredAt:
         both = np.flatnonzero(evaluate_pred(fact, first) & evaluate_pred(fact, second))
         np.testing.assert_array_equal(refined, both)
 
+    @pytest.mark.parametrize("twins", [None, ("lo_discount", "lo_quantity")], ids=["plain", "packed"])
+    @pytest.mark.parametrize(
+        "second",
+        [
+            col("lo_quantity").between(10, 30),
+            (col("lo_quantity") == 10) | (col("lo_quantity") == 20) | (col("lo_quantity") == 30),
+            ((col("lo_quantity") < 10) | (col("lo_discount") > 8)) & (col("lo_quantity") >= 2),
+        ],
+        ids=["band", "branchy", "mixed"],
+    )
+    def test_refinement_matches_conjunction(self, tiny_ssb, second, twins):
+        """A late conjunct refines survivors to exactly the conjunction's rows,
+        whether its columns are gathered plain or through packed twins."""
+        fact = tiny_ssb.table("lineorder")
+        packed = None if twins is None else TableZoneMaps(fact).packed_for(twins)
+        first = col("lo_orderdate") > 19940101
+        sel = np.flatnonzero(evaluate_pred(fact, first))
+        refined = sel[evaluate_pred_at(fact, second, sel, packed=packed)]
+        both = np.flatnonzero(evaluate_pred(fact, first) & evaluate_pred(fact, second))
+        np.testing.assert_array_equal(refined, both)
+
     # A ``slice`` names contiguous rows: the span plane's sequential scan.
     SLICE_PREDS = [
         Leaf(FilterSpec("lo_discount", "between", (2, 5))),
@@ -290,6 +311,21 @@ class TestAggregateValueHelpers:
         values = None if op == "count" else measure[selected]
         gathered = grouped_aggregate_values(op, values, inverse, 6)
         np.testing.assert_array_equal(gathered, full)
+
+
+    @pytest.mark.parametrize("op", ["sum", "count", "min", "max", "avg"])
+    def test_grouped_composite_keys_match_python_reference(self, rng, op):
+        years = rng.integers(1992, 1999, size=600)
+        brands = rng.integers(0, 40, size=600)
+        measure = rng.integers(0, 1000, size=600).astype(np.float64)
+        unique, inverse = factorize_group_keys([years, brands])
+        out = grouped_aggregate_values(op, None if op == "count" else measure, inverse, len(unique))
+        groups: dict[tuple, list] = {}
+        for year, brand, value in zip(years.tolist(), brands.tolist(), measure.tolist()):
+            groups.setdefault((year, brand), []).append(value)
+        reduce = {"sum": sum, "count": len, "min": min, "max": max}.get(op, lambda v: sum(v) / len(v))
+        expected = {key: float(reduce(values)) for key, values in groups.items()}
+        assert dict(zip(map(tuple, unique.tolist()), out.tolist())) == pytest.approx(expected)
 
 
 # ----------------------------------------------------------------------

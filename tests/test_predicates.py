@@ -273,6 +273,52 @@ class TestPredicateShape:
         assert predicate_or_branches(()) == 0
 
 
+#: The three selection shapes of Section 4.2 over ``lineorder``, each with a
+#: brute-force NumPy mask over (quantity, discount) and its expected
+#: (leaf count, OR alternatives): a fused band, a branchy disjunction over
+#: one column, and a mixed tree whose top-level AND splits into two stages.
+SELECTION_SHAPES = {
+    "band": (
+        col("lo_quantity").between(10, 30),
+        lambda q, d: (q >= 10) & (q <= 30),
+        (1, 0),
+    ),
+    "branchy": (
+        (col("lo_quantity") == 10) | (col("lo_quantity") == 20) | (col("lo_quantity") == 30),
+        lambda q, d: (q == 10) | (q == 20) | (q == 30),
+        (3, 2),
+    ),
+    "mixed": (
+        ((col("lo_quantity") < 10) | (col("lo_discount") > 8)) & (col("lo_quantity") >= 2),
+        lambda q, d: ((q < 10) | (d > 8)) & (q >= 2),
+        (3, 1),
+    ),
+}
+
+
+class TestSelectionShapes:
+    """Each selection shape through every engine and into the profile."""
+
+    @pytest.mark.parametrize("engine", ["coprocessor", "cpu", "gpu", "hyper", "monetdb", "omnisci"])
+    @pytest.mark.parametrize("shape", sorted(SELECTION_SHAPES))
+    def test_engine_matches_numpy_reference(self, tiny_ssb, shape, engine):
+        pred, reference, _ = SELECTION_SHAPES[shape]
+        lo = tiny_ssb["lineorder"]
+        mask = reference(lo["lo_quantity"], lo["lo_discount"])
+        expected = float(lo["lo_revenue"][mask].astype(np.float64).sum())
+        result = Session(tiny_ssb).run(Q().where(pred).agg("sum", "lo_revenue"), engine=engine)
+        assert result.value == expected
+
+    @pytest.mark.parametrize("shape", sorted(SELECTION_SHAPES))
+    def test_profile_records_shape_and_reads_each_column_once(self, tiny_ssb, shape):
+        pred, _, (leaves, or_branches) = SELECTION_SHAPES[shape]
+        _, profile = execute_query(tiny_ssb, Q().where(pred).agg("sum", "lo_revenue").build(tiny_ssb))
+        assert profile.filter_leaf_count() == leaves
+        assert profile.filter_or_branches() == or_branches
+        filter_columns = [a.column for a in profile.column_accesses if a.role == "filter"]
+        assert sorted(filter_columns) == sorted(as_pred(pred).columns())
+
+
 class TestEnginesOnTrees:
     """The acceptance query: a disjunctive q1.1 variant on every engine."""
 
