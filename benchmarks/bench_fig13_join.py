@@ -8,7 +8,7 @@ CPU-L3 regime, and ~10.5x when neither caches the table -- always below the
 16.2x bandwidth ratio.
 """
 
-from repro.analysis.experiments import JOIN_HASH_TABLE_SIZES, run_figure13
+from repro.analysis.experiments import run_figure13
 from repro.analysis.report import format_series
 from repro.hardware.presets import bandwidth_ratio
 

@@ -6,8 +6,8 @@ Fundamental Performance Characteristics of GPUs and CPUs for Database
 Analytics*:
 
 * :mod:`repro.api` -- the unified query API: the fluent :func:`Q` builder
-  for arbitrary star-schema queries, the engine registry, and the
-  :class:`Session` facade that dispatches to any engine by name.
+  for arbitrary star-schema queries and the :class:`Session` facade that
+  runs them on any engine by name.
 * :mod:`repro.crystal` -- the Crystal library of block-wide functions and
   the tile-based execution model (the paper's primary contribution).
 * :mod:`repro.ops` -- CPU and GPU implementations of project, select, hash
@@ -65,7 +65,6 @@ from repro.api import (
     Session,
     available_engines,
     col,
-    register_engine,
 )
 from repro.engine import (
     BuildArtifactCache,
@@ -135,6 +134,5 @@ __all__ = [
     "col",
     "generate_ssb",
     "lower_query",
-    "register_engine",
     "__version__",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hardware.presets import DEFAULT_PCIE, INTEL_I7_6900, NVIDIA_V100, bandwidth_ratio
+from repro.hardware.presets import DEFAULT_PCIE, INTEL_I7_6900, NVIDIA_V100
 from repro.hardware.specs import CPUSpec, GPUSpec
 
 

@@ -1,4 +1,4 @@
-"""Unified query API: fluent builder, engine registry, and Session facade.
+"""Unified query API: fluent builder, decoded results, and Session facade.
 
 This package is the one entry point for composing and executing arbitrary
 star-schema queries:
@@ -8,41 +8,26 @@ star-schema queries:
   :class:`~repro.ssb.queries.SSBQuery` specs every engine understands, and
   the :func:`col` predicate DSL whose comparisons compose into boolean
   AND/OR/NOT trees with ``&``, ``|``, and ``~``.
-* :mod:`repro.api.registry` -- the :class:`Engine` protocol, the
-  string-keyed :class:`EngineRegistry`, and the :func:`register_engine`
-  decorator the six built-in engines (and user engines) plug into.
 * :mod:`repro.api.resultset` -- :class:`ResultSet`, the decoded tabular
   result (named columns, dictionary codes translated back to labels) every
   Session execution returns.
 * :mod:`repro.api.session` -- :class:`Session`, which binds a database to
-  the registry: ``run``, ``run_many``, and ``compare`` across engines, with
-  an ``optimize=True`` path through the join-order planner and a per-query
-  memo of the functional execution pass shared across engines.
+  the engines of :data:`repro.engine.ENGINES`: ``run``, ``run_many``, and
+  ``compare`` across engines, with an ``optimize=True`` path through the
+  join-order planner.  The session runs the functional execution pass once
+  per query (memoized across engines) and each engine only prices it.
 """
 
 from repro.api.builder import ColumnRef, Q, QueryBuilder, QueryValidationError, col
-from repro.api.registry import (
-    DEFAULT_REGISTRY,
-    Engine,
-    EngineRegistry,
-    available_engines,
-    register_engine,
-)
 from repro.api.resultset import ResultSet
 from repro.api.session import Comparison, ComparisonRow, Session, values_agree
+from repro.engine import available_engines
 from repro.faults import FaultPlan, FaultPoint, ResiliencePolicy
-
-# Importing the engine package registers the six built-in engines with
-# DEFAULT_REGISTRY (each engine class carries a @register_engine decorator).
-import repro.engine  # noqa: E402,F401
 
 __all__ = [
     "ColumnRef",
     "Comparison",
     "ComparisonRow",
-    "DEFAULT_REGISTRY",
-    "Engine",
-    "EngineRegistry",
     "FaultPlan",
     "FaultPoint",
     "Q",
@@ -53,6 +38,5 @@ __all__ = [
     "Session",
     "available_engines",
     "col",
-    "register_engine",
     "values_agree",
 ]

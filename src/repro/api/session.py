@@ -1,7 +1,7 @@
 """The Session facade: one entry point for running queries on any engine.
 
-A :class:`Session` binds a :class:`~repro.storage.Database` to the engine
-registry and exposes a uniform execution surface::
+A :class:`Session` binds a :class:`~repro.storage.Database` to the engines
+of :data:`repro.engine.ENGINES` and exposes a uniform execution surface::
 
     session = Session(db)
     result = session.run(QUERIES["q2.1"], engine="gpu")
@@ -16,11 +16,14 @@ Queries can be :class:`~repro.ssb.queries.SSBQuery` specs or (unbuilt)
 ``optimize=True`` the query's joins are rearranged into the cheapest order
 by :class:`~repro.engine.planner.JoinOrderPlanner` before execution.
 
-Results come back as :class:`~repro.api.resultset.ResultSet`: the raw
-engine answer plus named, dictionary-decoded output columns.
+The session runs the functional pass
+(:func:`~repro.engine.plan.execute_query`) and the chosen engine only
+prices it (:func:`~repro.engine.result.bill`): an engine is a hardware
+model, and every engine answers with the same value.  Results come back as
+:class:`~repro.api.resultset.ResultSet`: that answer plus named,
+dictionary-decoded output columns.
 
-Sessions memoize the shared functional execution pass (the answer and
-profile of :func:`~repro.engine.plan.execute_query`) per query, so
+Sessions memoize the functional pass (its answer and profile) per query, so
 ``compare`` across N engines executes the answer once and replays it N-1
 times.  The same cache entry keeps the decoded rows and each engine's
 costed result, so a query repeated on an engine is a replay: no execution,
@@ -52,9 +55,9 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.api.builder import QueryBuilder
-from repro.api.registry import DEFAULT_REGISTRY, Engine, EngineRegistry
 from repro.api.resultset import ResultSet
 from repro.context import ExecutionContext, activate_context
+from repro.engine import ENGINES, available_engines, resolve_engine
 from repro.engine.cache import (
     BuildArtifactCache,
     CacheInfo,
@@ -66,7 +69,8 @@ from repro.engine.cache import (
     snapshot_counters,
 )
 from repro.engine.planner import JoinOrderPlanner
-from repro.engine.result import QueryResult
+from repro.engine.plan import execute_query
+from repro.engine.result import QueryResult, bill
 from repro.faults import FaultPlan, ResiliencePolicy
 from repro.sim.timing import TimeBreakdown
 from repro.ssb.queries import SSBQuery
@@ -142,7 +146,7 @@ class Comparison:
 
     @property
     def fastest(self) -> str:
-        """Registry key of the engine with the lowest simulated time."""
+        """Key of the engine with the lowest simulated time."""
         return min(self.results, key=lambda key: self.results[key].simulated_ms)
 
     @property
@@ -202,13 +206,12 @@ class Comparison:
 
 
 class Session:
-    """A database bound to the engine registry and the join-order planner."""
+    """A database bound to the engines and the join-order planner."""
 
     def __init__(
         self,
         db: Database,
         *,
-        registry: EngineRegistry | None = None,
         cache: bool = True,
         cache_size: int = 64,
         build_cache_size: int = 128,
@@ -233,9 +236,8 @@ class Session:
         #: (shard tasks, shm attach/export) fire on schedule.  ``None`` --
         #: the production default -- keeps every site a no-op.
         self.faults = faults
-        self.registry = registry if registry is not None else DEFAULT_REGISTRY
         self._planner: JoinOrderPlanner | None = None
-        self._engines: dict[str, Engine] = {}
+        self._engines: dict[str, object] = {}
         self._cache = ExecutionCache(db, maxsize=cache_size) if cache else None
         self._build_cache = BuildArtifactCache(db, maxsize=build_cache_size)
         # The pruned, compression-aware scan plane (zone-map data skipping +
@@ -317,11 +319,11 @@ class Session:
             self._planner = JoinOrderPlanner(self.db)
         return self._planner
 
-    def engine(self, name: str) -> Engine:
-        """The engine registered under ``name``, instantiated once per session."""
-        key = self.registry.resolve(name)
+    def engine(self, name: str):
+        """The engine called ``name``, instantiated once per session."""
+        key = resolve_engine(name)
         if key not in self._engines:
-            self._engines[key] = self.registry.create(key, self.db)
+            self._engines[key] = ENGINES[key](self.db)
         return self._engines[key]
 
     def prepare(self, query: SSBQuery | QueryBuilder, *, optimize: bool = False) -> SSBQuery:
@@ -585,7 +587,7 @@ class Session:
         never waits for the memo's lock (a busy lock reads as not stored),
         so the serving layer can ask on its event loop.
         """
-        engine_key = self.registry.resolve(engine_name)
+        engine_key = resolve_engine(engine_name)
         with activate_context(self.context(shards=shards)) as context:
             memo = context.cache
             key = memo.key(self.db, prepared) if memo is not None else None
@@ -598,7 +600,7 @@ class Session:
         cache: bool | None,
         shards: int | None = None,
     ) -> ResultSet:
-        engine_key = self.registry.resolve(engine_name)
+        engine_key = resolve_engine(engine_name)
         chosen = self.engine(engine_key)
         # Installed here, on the executing thread: pool threads and
         # ``loop.run_in_executor`` do not inherit the submitter's context,
@@ -611,7 +613,7 @@ class Session:
                 if stored is not None:
                     value, (columns, records), product = stored
                     return ResultSet(_private_result(product, value), prepared, columns, records)
-            raw = chosen.run(prepared)
+            raw = bill(chosen, prepared, *execute_query(self.db, prepared))
             result = ResultSet.from_result(self.db, prepared, raw)
             # Appends only grow versions, so an unchanged key proves the run
             # read exactly the versions the product is stored under.
@@ -716,7 +718,7 @@ class Session:
         names = tuple(engines) if engines is not None else DEFAULT_COMPARE_ENGINES
         if not names:
             raise ValueError("compare needs at least one engine")
-        resolved = [self.registry.resolve(name) for name in names]
+        resolved = [resolve_engine(name) for name in names]
         duplicates = sorted({key for key in resolved if resolved.count(key) > 1})
         if duplicates:
             raise ValueError(f"engine(s) listed more than once in compare: {duplicates}")
@@ -725,4 +727,4 @@ class Session:
         return Comparison(prepared, results)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Session(db={self.db.name!r}, engines={self.registry.names()})"
+        return f"Session(db={self.db.name!r}, engines={available_engines()})"

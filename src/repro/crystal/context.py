@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.hardware.counters import TrafficCounter
 from repro.sim.gpu import KernelLaunch
 

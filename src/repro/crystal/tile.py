@@ -15,7 +15,7 @@ accounting, not for correctness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

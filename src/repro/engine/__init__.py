@@ -1,9 +1,14 @@
-"""Full-query execution engines.
+"""Full-query engines: one functional pass, six hardware models that price it.
 
-All engines execute the declarative SSB queries of :mod:`repro.ssb.queries`
-against a :class:`repro.storage.Database` and return a
-:class:`~repro.engine.result.QueryResult` containing both the (exact) query
-answer and the simulated runtime on the paper's hardware.
+Every query runs through one functional execution pass: it is lowered to
+the staged physical pipeline of :mod:`repro.engine.physical` (ScanFilter /
+BuildLookup / ProbeJoin / Aggregate operators whose dimension builds are
+shared across queries), which returns the exact answer and the
+:class:`QueryProfile` of the work done.  An engine does not execute
+anything: it is a hardware model that prices that profile, with
+``simulate(query, profile)`` for the time and ``traffic(profile)`` for the
+bytes moved.  :func:`~repro.engine.result.bill` turns one pass into an
+engine's :class:`~repro.engine.result.QueryResult`.
 
 Engines:
 
@@ -17,20 +22,12 @@ Engines:
   Section 3.1: data lives in CPU memory and the needed columns cross PCIe
   for every query.
 * :mod:`repro.engine.baselines` -- calibrated models of the comparison
-  systems (Hyper, MonetDB, OmniSci) that execute the same queries with those
+  systems (Hyper, MonetDB, OmniSci) that price the same pass with those
   systems' documented execution strategies.
 
-Every engine conforms to the :class:`repro.api.Engine` protocol (a ``name``
-attribute plus ``run(query) -> QueryResult``) and registers itself with the
-default engine registry under a short key (``"cpu"``, ``"gpu"``,
-``"coprocessor"``, ``"hyper"``, ``"monetdb"``, ``"omnisci"``), so
-:class:`repro.api.Session` can dispatch to any of them by name.
-
-All engines share one functional execution pass: queries are lowered to the
-staged physical pipeline of :mod:`repro.engine.physical` (ScanFilter /
-BuildLookup / ProbeJoin / Aggregate operators whose dimension builds are
-shared across queries), which emits the :class:`QueryProfile` each engine
-then costs under its own hardware model.
+:data:`ENGINES` maps each short key (``"cpu"``, ``"gpu"``,
+``"coprocessor"``, ``"hyper"``, ``"monetdb"``, ``"omnisci"``) to its class;
+:func:`resolve_engine` also accepts a class's ``name`` (``"standalone-cpu"``).
 """
 
 from repro.engine.baselines import HyperLikeEngine, MonetDBLikeEngine, OmnisciLikeEngine
@@ -56,7 +53,31 @@ from repro.engine.physical import (
 )
 from repro.engine.plan import QueryProfile, execute_query, execute_query_monolithic
 from repro.engine.planner import JoinOrderPlanner, PlanChoice
-from repro.engine.result import QueryResult
+from repro.engine.result import QueryResult, bill
+
+#: The engines by key; each class's ``name`` is an alias for its key.
+ENGINES = {
+    "cpu": CPUStandaloneEngine,
+    "gpu": GPUStandaloneEngine,
+    "coprocessor": CoprocessorEngine,
+    "hyper": HyperLikeEngine,
+    "monetdb": MonetDBLikeEngine,
+    "omnisci": OmnisciLikeEngine,
+}
+_KEYS = {**{cls.name: key for key, cls in ENGINES.items()}, **{key: key for key in ENGINES}}
+
+
+def available_engines() -> list[str]:
+    """The sorted engine keys."""
+    return sorted(ENGINES)
+
+
+def resolve_engine(name: str) -> str:
+    """The :data:`ENGINES` key of ``name``, a key or an engine's ``name``."""
+    try:
+        return _KEYS[name]
+    except KeyError:
+        raise KeyError(f"unknown engine {name!r}; engines: {available_engines()}") from None
 
 __all__ = [
     "BuildArtifact",
@@ -64,10 +85,13 @@ __all__ = [
     "CPUStandaloneEngine",
     "CacheInfo",
     "CoprocessorEngine",
+    "ENGINES",
     "ExecutionCache",
     "ZoneInfo",
     "ZoneMapCache",
     "activate_zones",
+    "available_engines",
+    "bill",
     "GPUStandaloneEngine",
     "HyperLikeEngine",
     "JoinOrderPlanner",
@@ -84,4 +108,5 @@ __all__ = [
     "execute_query_monolithic",
     "lower",
     "lower_query",
+    "resolve_engine",
 ]

@@ -25,9 +25,7 @@ strategy* on the same simulated hardware:
 
 from __future__ import annotations
 
-from repro.api.registry import register_engine
-from repro.engine.plan import QueryProfile, execute_query
-from repro.engine.result import QueryResult
+from repro.engine.plan import QueryProfile
 from repro.hardware.counters import TrafficCounter
 from repro.sim.cpu import CPUSimulator
 from repro.sim.gpu import GPUSimulator, KernelLaunch
@@ -39,7 +37,6 @@ from repro.storage import Database
 _UNCOALESCED_SECTOR_BYTES = 32
 
 
-@register_engine("hyper")
 class HyperLikeEngine:
     """A compiled, pipelined CPU OLAP engine without hand-tuned SIMD."""
 
@@ -100,14 +97,11 @@ class HyperLikeEngine:
         time.merge(self.simulator.run(aggregate, label="aggregate").time, prefix="aggregate.")
         return time
 
-    def run(self, query: SSBQuery) -> QueryResult:
-        value, profile = execute_query(self.db, query)
-        time = self.simulate(query, profile)
-        return QueryResult(query=query.name, engine=self.name, value=value, time=time,
-                           stats={"groups": float(profile.num_groups)})
+    def traffic(self, profile: QueryProfile) -> TrafficCounter:
+        """A baseline is priced by its runtime alone: it reports no traffic."""
+        return TrafficCounter()
 
 
-@register_engine("monetdb")
 class MonetDBLikeEngine:
     """An operator-at-a-time column engine with full intermediate materialization.
 
@@ -212,14 +206,11 @@ class MonetDBLikeEngine:
         time.merge(self.simulator.run(aggregate, cores=self.effective_cores, label="aggregate").time, prefix="aggregate.")
         return time
 
-    def run(self, query: SSBQuery) -> QueryResult:
-        value, profile = execute_query(self.db, query)
-        time = self.simulate(query, profile)
-        return QueryResult(query=query.name, engine=self.name, value=value, time=time,
-                           stats={"groups": float(profile.num_groups)})
+    def traffic(self, profile: QueryProfile) -> TrafficCounter:
+        """A baseline is priced by its runtime alone: it reports no traffic."""
+        return TrafficCounter()
 
 
-@register_engine("omnisci")
 class OmnisciLikeEngine:
     """A thread-per-row GPU engine without tile staging or coalesced output."""
 
@@ -297,8 +288,6 @@ class OmnisciLikeEngine:
         time.merge(self.simulator.run_kernel(aggregate, launch).time, prefix="aggregate.")
         return time
 
-    def run(self, query: SSBQuery) -> QueryResult:
-        value, profile = execute_query(self.db, query)
-        time = self.simulate(query, profile)
-        return QueryResult(query=query.name, engine=self.name, value=value, time=time,
-                           stats={"groups": float(profile.num_groups)})
+    def traffic(self, profile: QueryProfile) -> TrafficCounter:
+        """A baseline is priced by its runtime alone: it reports no traffic."""
+        return TrafficCounter()

@@ -11,10 +11,8 @@ a good CPU implementation on every SSB query (Figure 3).
 
 from __future__ import annotations
 
-from repro.api.registry import register_engine
 from repro.engine.gpu_engine import GPUStandaloneEngine
-from repro.engine.plan import QueryProfile, execute_query
-from repro.engine.result import QueryResult
+from repro.engine.plan import QueryProfile
 from repro.hardware.counters import TrafficCounter
 from repro.hardware.interconnect import PCIeLink
 from repro.hardware.presets import DEFAULT_PCIE
@@ -24,7 +22,6 @@ from repro.ssb.queries import SSBQuery
 from repro.storage import Database
 
 
-@register_engine("coprocessor", aliases=("gpu-coprocessor",))
 class CoprocessorEngine:
     """GPU coprocessor: ship columns over PCIe for every query."""
 
@@ -77,23 +74,7 @@ class CoprocessorEngine:
         time.add("result_transfer", result_s)
         return time
 
-    def run(self, query: SSBQuery) -> QueryResult:
-        """Execute a query in coprocessor mode."""
-        value, profile = execute_query(self.db, query)
-        time = self.simulate(query, profile)
-
-        input_bytes = self.transfer_bytes(profile)
+    def traffic(self, profile: QueryProfile) -> TrafficCounter:
+        """Bytes over PCIe: the input columns to the device, the result back."""
         result_bytes = float(profile.num_groups) * profile.output_row_bytes
-        kernel_seconds = (
-            self._gpu.build_time(profile).total_seconds + self._gpu.probe_time(profile).total_seconds
-        )
-        traffic = TrafficCounter(pcie_bytes=input_bytes + result_bytes)
-        stats = {
-            "pcie_input_bytes": input_bytes,
-            "kernel_seconds": kernel_seconds,
-            "pcie_bound": float(time.total_seconds > kernel_seconds),
-            "groups": float(profile.num_groups),
-        }
-        return QueryResult(
-            query=query.name, engine=self.name, value=value, time=time, traffic=traffic, stats=stats
-        )
+        return TrafficCounter(pcie_bytes=self.transfer_bytes(profile) + result_bytes)

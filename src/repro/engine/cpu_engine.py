@@ -14,9 +14,7 @@ Execution strategy (Section 5.2, "Standalone CPU"):
 
 from __future__ import annotations
 
-from repro.api.registry import register_engine
-from repro.engine.plan import QueryProfile, execute_query
-from repro.engine.result import QueryResult
+from repro.engine.plan import QueryProfile
 from repro.hardware.counters import TrafficCounter
 from repro.sim.cpu import CPUSimulator
 from repro.sim.timing import TimeBreakdown
@@ -24,7 +22,6 @@ from repro.ssb.queries import SSBQuery
 from repro.storage import Database
 
 
-@register_engine("cpu", aliases=("standalone-cpu",))
 class CPUStandaloneEngine:
     """Pipelined, vectorized, SIMD CPU query engine."""
 
@@ -98,31 +95,16 @@ class CPUStandaloneEngine:
 
     # ------------------------------------------------------------------
     def simulate(self, query: SSBQuery, profile: QueryProfile) -> TimeBreakdown:
-        """Simulated runtime of ``query`` for an already-collected profile.
-
-        Separated from :meth:`run` so the experiment harness can cost a
-        profile that was rescaled to the paper's SF 20 data sizes.
-        """
+        """Simulated runtime of ``query`` for an already-collected profile
+        (or one rescaled to the paper's SF 20 data sizes)."""
         time = TimeBreakdown()
         time.merge(self.build_time(profile))
         time.merge(self.probe_time(profile))
         return time
 
-    def run(self, query: SSBQuery) -> QueryResult:
-        """Execute a query and simulate its runtime on the paper's CPU."""
-        value, profile = execute_query(self.db, query)
-        time = self.simulate(query, profile)
-
-        traffic = TrafficCounter(
+    def traffic(self, profile: QueryProfile) -> TrafficCounter:
+        """Bytes the fact pass streams: the selected columns in, the groups out."""
+        return TrafficCounter(
             sequential_read_bytes=profile.selective_column_bytes(self.simulator.spec.cache_line_bytes),
             sequential_write_bytes=float(profile.num_groups) * profile.output_row_bytes,
-        )
-        stats = {
-            "fact_rows": float(profile.fact_rows),
-            "result_rows": profile.result_input_rows,
-            "groups": float(profile.num_groups),
-            "fact_filter_selectivity": profile.fact_filter_selectivity,
-        }
-        return QueryResult(
-            query=query.name, engine=self.name, value=value, time=time, traffic=traffic, stats=stats
         )

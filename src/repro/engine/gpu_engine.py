@@ -16,9 +16,7 @@ Execution strategy (Sections 3.3 and 5.2, "Standalone GPU"):
 
 from __future__ import annotations
 
-from repro.api.registry import register_engine
-from repro.engine.plan import QueryProfile, execute_query
-from repro.engine.result import QueryResult
+from repro.engine.plan import QueryProfile
 from repro.hardware.counters import TrafficCounter
 from repro.sim.gpu import GPUSimulator, KernelLaunch
 from repro.sim.timing import TimeBreakdown
@@ -30,7 +28,6 @@ from repro.storage import Database
 SSB_LAUNCH = KernelLaunch(threads_per_block=256, items_per_thread=8, label="ssb-fused-probe")
 
 
-@register_engine("gpu", aliases=("standalone-gpu",))
 class GPUStandaloneEngine:
     """Tile-based GPU query engine with the working set resident in HBM."""
 
@@ -102,23 +99,11 @@ class GPUStandaloneEngine:
         time.merge(self.probe_time(profile))
         return time
 
-    def run(self, query: SSBQuery) -> QueryResult:
-        """Execute a query and simulate its runtime on the paper's GPU."""
-        value, profile = execute_query(self.db, query)
-        time = self.simulate(query, profile)
-
-        traffic = TrafficCounter(
+    def traffic(self, profile: QueryProfile) -> TrafficCounter:
+        """Bytes the fused probe kernel streams: the selected columns in, the groups out."""
+        return TrafficCounter(
             sequential_read_bytes=profile.selective_column_bytes(
                 self.simulator.spec.global_access_granularity_bytes
             ),
             sequential_write_bytes=float(profile.num_groups) * profile.output_row_bytes,
-        )
-        stats = {
-            "fact_rows": float(profile.fact_rows),
-            "result_rows": profile.result_input_rows,
-            "groups": float(profile.num_groups),
-            "fact_filter_selectivity": profile.fact_filter_selectivity,
-        }
-        return QueryResult(
-            query=query.name, engine=self.name, value=value, time=time, traffic=traffic, stats=stats
         )

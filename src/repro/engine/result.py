@@ -1,11 +1,13 @@
-"""Query result type shared by all engines."""
+"""Query result type shared by all engines, and the one way to make one."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.engine.plan import QueryProfile
 from repro.hardware.counters import TrafficCounter
 from repro.sim.timing import TimeBreakdown
+from repro.ssb.queries import SSBQuery
 
 
 @dataclass
@@ -37,3 +39,26 @@ class QueryResult:
             f"QueryResult({self.query!r}, engine={self.engine!r}, rows={self.rows}, "
             f"simulated={self.simulated_ms:.2f}ms)"
         )
+
+
+def bill(engine, query: SSBQuery, value, profile: QueryProfile) -> QueryResult:
+    """``engine``'s price for one functional pass (``value`` and ``profile``
+    of :func:`~repro.engine.plan.execute_query`).
+
+    An engine is a hardware model: its ``simulate`` gives the time and its
+    ``traffic`` the bytes it moves.  The stats are the profile's facts, the
+    same on every engine.
+    """
+    return QueryResult(
+        query=query.name,
+        engine=engine.name,
+        value=value,
+        time=engine.simulate(query, profile),
+        traffic=engine.traffic(profile),
+        stats={
+            "fact_rows": float(profile.fact_rows),
+            "result_rows": profile.result_input_rows,
+            "groups": float(profile.num_groups),
+            "fact_filter_selectivity": profile.fact_filter_selectivity,
+        },
+    )

@@ -17,7 +17,7 @@ Two complementary models are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.hardware.specs import CacheLevelSpec
 

@@ -12,7 +12,7 @@ Helper constructors accept the more natural GB/s / KB / MB / GB units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 KB = 1024
 MB = 1024 * KB

@@ -17,8 +17,8 @@ CPU implementation.
 from __future__ import annotations
 
 from repro.hardware.interconnect import PCIeLink
-from repro.hardware.presets import DEFAULT_PCIE, INTEL_I7_6900, NVIDIA_V100
-from repro.hardware.specs import CPUSpec, GPUSpec
+from repro.hardware.presets import DEFAULT_PCIE, INTEL_I7_6900
+from repro.hardware.specs import CPUSpec
 from repro.models.base import ModelPrediction
 
 

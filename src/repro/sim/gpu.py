@@ -25,7 +25,7 @@ identifies as the ones that matter for analytic workloads:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.hardware.cache import AnalyticCacheModel
 from repro.hardware.counters import TrafficCounter

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis import cost_comparison, format_series, format_table, scale_profile
-from repro.analysis import experiments as experiments_module
 from repro.analysis.experiments import (
     run_figure3,
     run_figure9,

@@ -1,18 +1,10 @@
-"""Tests for the Session facade and the engine registry."""
+"""Tests for the Session facade and engine name resolution."""
 
 import numpy as np
 import pytest
 
-from repro.api import (
-    DEFAULT_REGISTRY,
-    Engine,
-    EngineRegistry,
-    Q,
-    Session,
-    available_engines,
-    register_engine,
-)
-from repro.engine import CPUStandaloneEngine, GPUStandaloneEngine, execute_query
+from repro.api import Q, Session, available_engines
+from repro.engine import ENGINES, CPUStandaloneEngine, bill, execute_query, resolve_engine
 from repro.ssb.queries import QUERIES
 
 #: An ad-hoc two-dimension count query that is NOT one of the 13 SSB queries.
@@ -28,70 +20,22 @@ CUSTOM_COUNT = (
 )
 
 
-class TestRegistry:
-    def test_builtin_engines_registered(self):
+class TestEngineNames:
+    def test_builtin_engine_keys(self):
         assert available_engines() == ["coprocessor", "cpu", "gpu", "hyper", "monetdb", "omnisci"]
+        assert available_engines() == sorted(ENGINES)
 
-    def test_aliases_resolve_to_descriptive_names(self):
-        assert DEFAULT_REGISTRY.resolve("standalone-cpu") == "cpu"
-        assert DEFAULT_REGISTRY.resolve("standalone-gpu") == "gpu"
-        assert DEFAULT_REGISTRY.resolve("gpu-coprocessor") == "coprocessor"
+    def test_keys_and_engine_names_resolve_to_keys(self):
+        assert resolve_engine("standalone-cpu") == "cpu"
+        assert resolve_engine("standalone-gpu") == "gpu"
+        assert resolve_engine("gpu-coprocessor") == "coprocessor"
+        for key, cls in ENGINES.items():
+            assert resolve_engine(key) == key
+            assert resolve_engine(cls.name) == key
 
-    def test_unknown_engine_lists_available(self):
-        with pytest.raises(KeyError, match="registered engines"):
-            DEFAULT_REGISTRY.resolve("tpu")
-
-    def test_duplicate_registration_of_different_factory_rejected(self):
-        registry = EngineRegistry()
-        registry.register("cpu", CPUStandaloneEngine)
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register("cpu", GPUStandaloneEngine)
-
-    def test_re_registration_of_same_factory_is_idempotent(self):
-        """Module reloads re-fire the decorators; same identity must not raise."""
-        registry = EngineRegistry()
-        registry.register("cpu", CPUStandaloneEngine, aliases=("standalone-cpu",))
-        registry.register("cpu", CPUStandaloneEngine, aliases=("standalone-cpu",))
-        assert registry.resolve("standalone-cpu") == "cpu"
-
-    def test_distinct_lambda_factories_do_not_alias(self):
-        """Two different lambdas share a qualname; only the same object re-binds."""
-        registry = EngineRegistry()
-        factory = lambda db: CPUStandaloneEngine(db)  # noqa: E731
-        registry.register("a", factory)
-        registry.register("a", factory)  # identical object: fine
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register("a", lambda db: CPUStandaloneEngine(db))
-
-    def test_builtin_engines_conform_to_protocol(self, tiny_ssb):
-        for key in available_engines():
-            engine = DEFAULT_REGISTRY.create(key, tiny_ssb)
-            assert isinstance(engine, Engine)
-            assert isinstance(engine.name, str)
-
-    def test_custom_engine_via_decorator(self, tiny_ssb):
-        registry = EngineRegistry()
-
-        @register_engine("echo", registry=registry)
-        class EchoEngine:
-            name = "echo"
-
-            def __init__(self, db):
-                self.db = db
-
-            def run(self, query):
-                return CPUStandaloneEngine(self.db).run(query)
-
-        session = Session(tiny_ssb, registry=registry)
-        result = session.run(QUERIES["q1.1"], engine="echo")
-        reference = CPUStandaloneEngine(tiny_ssb).run(QUERIES["q1.1"])
-        assert result.value == reference.value
-
-    def test_non_conforming_factory_rejected(self, tiny_ssb):
-        registry = EngineRegistry()
-        registry.register("broken", lambda db: object())
-        with pytest.raises(TypeError, match="Engine protocol"):
-            registry.create("broken", tiny_ssb)
+    def test_unknown_engine_lists_the_keys(self):
+        with pytest.raises(KeyError, match=r"unknown engine 'tpu'; engines: \['coprocessor', 'cpu'"):
+            resolve_engine("tpu")
 
 
 class TestSessionRun:
@@ -100,8 +44,9 @@ class TestSessionRun:
         return Session(tiny_ssb)
 
     def test_run_matches_direct_engine(self, session, tiny_ssb):
-        via_session = session.run(QUERIES["q2.1"], engine="cpu")
-        direct = CPUStandaloneEngine(tiny_ssb).run(QUERIES["q2.1"])
+        query = QUERIES["q2.1"]
+        via_session = session.run(query, engine="cpu")
+        direct = bill(CPUStandaloneEngine(tiny_ssb), query, *execute_query(tiny_ssb, query))
         assert via_session.value == direct.value
         assert via_session.simulated_ms == direct.simulated_ms
 

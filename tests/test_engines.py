@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import Session
 from repro.engine import (
     CoprocessorEngine,
     CPUStandaloneEngine,
@@ -9,9 +10,11 @@ from repro.engine import (
     HyperLikeEngine,
     MonetDBLikeEngine,
     OmnisciLikeEngine,
+    bill,
     execute_query,
 )
 from repro.analysis.scaling import scale_profile
+from repro.hardware.counters import TrafficCounter
 from repro.ssb.queries import QUERIES, QUERY_ORDER
 
 ALL_ENGINES = [
@@ -24,16 +27,17 @@ ALL_ENGINES = [
 ]
 
 
-@pytest.fixture(scope="module")
-def engines(tiny_ssb):
-    return {cls.name: cls(tiny_ssb) for cls in ALL_ENGINES}
+def priced(engine, query):
+    """``engine``'s bill for a fresh functional pass of ``query``."""
+    return bill(engine, query, *execute_query(engine.db, query))
 
 
 class TestCorrectness:
     @pytest.mark.parametrize("query_name", QUERY_ORDER)
-    def test_all_engines_agree_on_every_query(self, engines, query_name):
+    def test_all_engines_agree_on_every_query(self, tiny_ssb, query_name):
         query = QUERIES[query_name]
-        results = {name: engine.run(query) for name, engine in engines.items()}
+        session = Session(tiny_ssb, cache=False)
+        results = {cls.name: session.run(query, engine=cls.name) for cls in ALL_ENGINES}
         reference = results["standalone-cpu"].value
         for name, result in results.items():
             assert result.value == reference, f"{name} disagrees on {query_name}"
@@ -41,9 +45,10 @@ class TestCorrectness:
             assert result.engine == name
             assert result.simulated_ms > 0
 
-    def test_result_rows_property(self, engines):
-        scalar = engines["standalone-cpu"].run(QUERIES["q1.1"])
-        grouped = engines["standalone-cpu"].run(QUERIES["q2.1"])
+    def test_result_rows_property(self, tiny_ssb):
+        cpu = CPUStandaloneEngine(tiny_ssb)
+        scalar = priced(cpu, QUERIES["q1.1"])
+        grouped = priced(cpu, QUERIES["q2.1"])
         assert scalar.rows == 1
         assert grouped.rows == len(grouped.value)
 
@@ -120,20 +125,34 @@ class TestPerformanceShapeAtScale:
             assert monetdb.simulate(query, profile).total_seconds > cpu.simulate(query, profile).total_seconds
 
     def test_coprocessor_is_pcie_bound(self, tiny_ssb):
+        """Section 3.1: shipping q1.1's input over PCIe alone takes longer
+        than the whole query on the standalone GPU."""
+        query = QUERIES["q1.1"]
         coprocessor = CoprocessorEngine(tiny_ssb)
-        result = coprocessor.run(QUERIES["q1.1"])
-        assert result.stats["pcie_bound"] == 1.0
-        assert result.traffic.pcie_bytes > 0
+        value, profile = execute_query(tiny_ssb, query)
+        transfer_s = coprocessor.pcie.transfer_seconds(coprocessor.transfer_bytes(profile))
+        assert transfer_s > GPUStandaloneEngine(tiny_ssb).simulate(query, profile).total_seconds
+        assert bill(coprocessor, query, value, profile).traffic.pcie_bytes > 0
 
 
 class TestQueryResultStats:
     def test_cpu_result_stats(self, tiny_ssb):
-        result = CPUStandaloneEngine(tiny_ssb).run(QUERIES["q2.1"])
+        result = priced(CPUStandaloneEngine(tiny_ssb), QUERIES["q2.1"])
         assert result.stats["fact_rows"] == tiny_ssb["lineorder"].num_rows
         assert result.stats["groups"] == result.rows
 
+    def test_every_engine_reports_the_profiles_facts(self, tiny_ssb):
+        query = QUERIES["q2.1"]
+        value, profile = execute_query(tiny_ssb, query)
+        results = {cls: bill(cls(tiny_ssb), query, value, profile) for cls in ALL_ENGINES}
+        facts = results[CPUStandaloneEngine].stats
+        assert sorted(facts) == ["fact_filter_selectivity", "fact_rows", "groups", "result_rows"]
+        assert all(result.stats == facts for result in results.values())
+        for baseline in (HyperLikeEngine, MonetDBLikeEngine, OmnisciLikeEngine):
+            assert results[baseline].traffic == TrafficCounter()
+
     def test_time_breakdown_has_named_phases(self, tiny_ssb):
-        result = GPUStandaloneEngine(tiny_ssb).run(QUERIES["q2.1"])
+        result = priced(GPUStandaloneEngine(tiny_ssb), QUERIES["q2.1"])
         components = result.time.components
         assert any(name.startswith("build.") for name in components)
         assert any(name.startswith("probe.") for name in components)

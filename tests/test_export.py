@@ -2,8 +2,6 @@
 
 import csv
 
-import pytest
-
 from repro.analysis.export import export_experiment, export_rows, export_series
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.analysis.capacity import MultiGPUConfig, PlacementAdvice, gpus_needed, placement_advice
+from repro.analysis.capacity import MultiGPUConfig, gpus_needed, placement_advice
 from repro.engine.planner import JoinOrderPlanner
 from repro.hardware.presets import NVIDIA_V100, bandwidth_ratio
 from repro.ops.cpu import cpu_hash_join_build, cpu_hash_join_probe, cpu_radix_join

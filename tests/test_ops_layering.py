@@ -1,17 +1,34 @@
-"""The operator plane (``repro.ops``) is a leaf of the package.
+"""The operator plane (``repro.ops``) is a leaf of the package, and the
+query engine (``repro.engine``) sits below the API.
 
 The Section 4 operators are measured standalone: each one is a kernel over
 arrays, priced by the hardware simulators.  They may reach the simulators,
 the hardware specs and the Crystal primitives, and nothing of the query
 engine, the SSB workload or the storage layer above them.
+
+The engines price one functional pass over the storage layer; the
+``Session`` facade of ``repro.api`` drives them, never the other way round.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
-import repro.ops
+import pytest
 
-ALLOWED = ("repro.ops", "repro.sim", "repro.hardware", "repro.crystal")
+#: Package -> the ``repro`` packages its modules may import.
+ALLOWED = {
+    "repro.ops": ("repro.ops", "repro.sim", "repro.hardware", "repro.crystal"),
+    "repro.engine": (
+        "repro.engine",
+        "repro.context",
+        "repro.faults",
+        "repro.hardware",
+        "repro.sim",
+        "repro.ssb",
+        "repro.storage",
+    ),
+}
 
 
 def _repro_imports(path: Path):
@@ -30,14 +47,16 @@ def _repro_imports(path: Path):
                 yield node.lineno, module
 
 
-def test_ops_imports_only_lower_layers():
-    root = Path(repro.ops.__file__).parent
+@pytest.mark.parametrize("package", sorted(ALLOWED))
+def test_package_imports_only_lower_layers(package):
+    root = Path(importlib.import_module(package).__file__).parent
+    allowed = ALLOWED[package]
     paths = sorted(root.rglob("*.py"))
     assert paths
     offenders = [
         f"{path.relative_to(root.parent)}:{lineno}: {module}"
         for path in paths
         for lineno, module in _repro_imports(path)
-        if not any(module == allowed or module.startswith(allowed + ".") for allowed in ALLOWED)
+        if not any(module == layer or module.startswith(layer + ".") for layer in allowed)
     ]
-    assert not offenders, "repro.ops reaches above its layer:\n" + "\n".join(offenders)
+    assert not offenders, f"{package} reaches above its layer:\n" + "\n".join(offenders)

@@ -2,26 +2,10 @@
 
 import pytest
 
-from repro.engine import (
-    CoprocessorEngine,
-    CPUStandaloneEngine,
-    GPUStandaloneEngine,
-    HyperLikeEngine,
-    JoinOrderPlanner,
-    MonetDBLikeEngine,
-    OmnisciLikeEngine,
-)
+from repro.api import Session, available_engines
+from repro.engine import JoinOrderPlanner
 from repro.engine.planner import joins_by_dimension
 from repro.ssb.queries import QUERIES
-
-ALL_ENGINES = [
-    CPUStandaloneEngine,
-    GPUStandaloneEngine,
-    CoprocessorEngine,
-    HyperLikeEngine,
-    MonetDBLikeEngine,
-    OmnisciLikeEngine,
-]
 
 MULTI_JOIN_QUERIES = ["q2.1", "q2.2", "q3.1", "q3.4", "q4.1", "q4.3"]
 
@@ -38,10 +22,10 @@ class TestReorderPreservesAnswers:
     ):
         query = QUERIES[query_name]
         reordered = planner.reorder(query)
-        for engine_cls in ALL_ENGINES:
-            engine = engine_cls(tiny_ssb)
-            assert engine.run(reordered).value == engine.run(query).value, (
-                f"{engine_cls.name} changed its answer for {query_name} after reordering"
+        session = Session(tiny_ssb, cache=False)
+        for engine in available_engines():
+            assert session.run(reordered, engine=engine).value == session.run(query, engine=engine).value, (
+                f"{engine} changed its answer for {query_name} after reordering"
             )
 
     def test_reorder_is_a_permutation_of_the_joins(self, planner):

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.hardware.counters import TrafficCounter
-from repro.hardware.presets import NVIDIA_V100
-from repro.sim.gpu import GPUSimulator, KernelLaunch
+from repro.sim.gpu import KernelLaunch
 
 
 class TestKernelLaunch:

@@ -11,7 +11,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from repro.ssb import QUERIES, SSBQuery, generate_ssb, ssb_table_rows
+from repro.ssb import QUERIES, generate_ssb, ssb_table_rows
 from repro.ssb.queries import QUERY_ORDER, FilterSpec
 from repro.ssb.schema import (
     NATIONS,
