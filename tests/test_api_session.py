@@ -5,6 +5,7 @@ import pytest
 
 from repro.api import Q, Session, available_engines
 from repro.engine import ENGINES, CPUStandaloneEngine, bill, execute_query, resolve_engine
+from repro.hardware.counters import TrafficCounter
 from repro.ssb.queries import QUERIES
 
 #: An ad-hoc two-dimension count query that is NOT one of the 13 SSB queries.
@@ -37,6 +38,21 @@ class TestEngineNames:
         with pytest.raises(KeyError, match=r"unknown engine 'tpu'; engines: \['coprocessor', 'cpu'"):
             resolve_engine("tpu")
 
+    @pytest.mark.parametrize("key", sorted(ENGINES))
+    def test_every_engine_prices_one_pass(self, tiny_ssb, key):
+        """An engine is a hardware model: built from the database alone, it
+        prices a pass through ``simulate`` and ``traffic`` under its name."""
+        query = QUERIES["q2.1"]
+        value, profile = execute_query(tiny_ssb, query)
+        engine = ENGINES[key](tiny_ssb)
+        assert isinstance(engine.name, str)
+        assert resolve_engine(engine.name) == key
+        result = bill(engine, query, value, profile)
+        assert result.engine == engine.name
+        assert result.value == value
+        assert result.time.total_seconds > 0
+        assert isinstance(result.traffic, TrafficCounter)
+
 
 class TestSessionRun:
     @pytest.fixture(scope="class")
@@ -52,6 +68,20 @@ class TestSessionRun:
 
     def test_engine_instances_are_cached(self, session):
         assert session.engine("gpu") is session.engine("standalone-gpu")
+
+    def test_engine_name_replays_its_keys_result(self, tiny_ssb):
+        session = Session(tiny_ssb)
+        by_key = session.run(QUERIES["q3.1"], engine="gpu")
+        by_name = session.run(QUERIES["q3.1"], engine="standalone-gpu")
+        assert session.cache_info()[:2] == (1, 1)
+        assert by_name.value == by_key.value
+        assert by_name.simulated_ms == by_key.simulated_ms
+
+    def test_unknown_engine_fails_before_running(self, tiny_ssb):
+        session = Session(tiny_ssb)
+        with pytest.raises(KeyError, match=r"unknown engine 'tpu'; engines: \['coprocessor', 'cpu'"):
+            session.run(QUERIES["q1.1"], engine="tpu")
+        assert session.cache_info()[:2] == (0, 0)
 
     def test_run_accepts_builders(self, session):
         result = session.run(CUSTOM_COUNT, engine="cpu")
