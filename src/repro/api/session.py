@@ -348,7 +348,7 @@ class Session:
 
         ``cache="execution"`` (the default) reports the functional-execution
         memo; ``cache="builds"`` reports the dimension-build artifact cache
-        every execution -- and every standing-query tick -- fetches its
+        every execution -- standing-query reads included -- fetches its
         lookups through (a replayed query moves neither counter);
         ``cache="zones"`` reports the zone-map statistics cache and the
         data-skipping counters (zones skipped / taken whole / evaluated,
@@ -486,23 +486,19 @@ class Session:
         }
 
     def ingest(self, table: str, arrays: "dict[str, np.ndarray | Sequence]") -> int:
-        """Append one micro-batch to ``table`` and refresh standing queries.
+        """Append one micro-batch to ``table``; returns its new version.
 
         The append is atomic (seal-then-publish: readers admitted before the
         version flip keep the old columns, readers after it see the whole
-        batch) and returns the table's new version.  Caches are *not*
-        cleared -- they key by ``(table, version)``, so artifacts built
-        against other tables keep hitting, a memoized answer over a grown
-        fact table is extended on next read (only the appended rows are
-        folded in), and one that joins a grown dimension is recomputed.
-        Registered standing queries are refreshed
-        incrementally before the call returns: each one runs its pipeline
-        over only the appended row range and combines that partial
-        aggregate into the one it holds.
+        batch) and is all the work done here, besides a checkpoint when the
+        log has grown enough.  Caches are *not* cleared -- they key by
+        ``(table, version)``, so artifacts built against other tables keep
+        hitting, a memoized answer over a grown fact table is extended on
+        next read (only the appended rows are folded in), and one that
+        joins a grown dimension is recomputed.  Standing queries are
+        maintained the same way, on their next read.
         """
         version = self.db.table(table).append(arrays)
-        for standing in self.standing_queries().values():
-            standing.refresh()
         if self._durability is not None:
             # The append itself is already durable (the WAL record was
             # fsynced before the version flip); this only asks whether the
@@ -513,16 +509,16 @@ class Session:
     def register_standing(
         self, query: SSBQuery | QueryBuilder, *, name: str | None = None
     ) -> "StandingQuery":
-        """Register an aggregate query for incremental maintenance.
+        """Register an aggregate query that is maintained on read.
 
-        The query is evaluated once, in full, at the current version; after
-        that every :meth:`ingest` refreshes it by running the pipeline over
-        just the appended fact rows and combining that partial aggregate
-        into the held one -- byte-identical to a from-scratch run at every
-        version (the differential suite proves it).  Returns the live
-        :class:`~repro.ingest.StandingQuery` handle; read ``.answer()`` for
-        the maintained result.  A query whose first evaluation raises is
-        not registered.
+        The query is evaluated once, in full, at the current version.  After
+        that each ``.answer()`` of the returned
+        :class:`~repro.ingest.StandingQuery` handle folds only the fact rows
+        appended since the previous read into the partial aggregate it keeps
+        (and re-evaluates in full after a dimension append) --
+        byte-identical to a from-scratch run at every version (the
+        differential suite proves it).  Appends do no work for it.  A query
+        whose first evaluation raises is not registered.
         """
         from repro.ingest.standing import StandingQuery
 

@@ -20,9 +20,9 @@ tests in ``tests/test_physical.py`` hold the two paths byte-identical.
 
 The data plane is a **row span, then late-materialization selection
 vectors**.  An execution covers fact rows ``[lo, hi)`` -- the whole table
-for :func:`execute_physical`, one shard's range or one standing-query
-tick's appended rows for :func:`execute_physical_partial` -- and until an
-operator actually drops a row, "every row of the span is alive" is a state
+for :func:`execute_physical`, one shard's range or the rows appended since
+a cached answer was read for :func:`execute_physical_partial` -- and until
+an operator actually drops a row, "every row of the span is alive" is a state
 (``sel is None``), not a materialized row-id vector: the first filter
 conjunct and the first probe
 read ``column[lo:hi]`` views, the sequential tile loads the paper prices at
@@ -1007,8 +1007,8 @@ def execute_physical_partial(
     artifacts: "tuple[BuildArtifact, ...] | None" = None,
 ) -> tuple[PartialAggregate, QueryProfile]:
     """Run a physical plan over fact rows ``[start, stop)``: one shard's
-    range, or the rows a standing query's tick or a cached answer has not
-    folded in yet (``stop=None`` means the end of the table).
+    range, or the rows a cached answer has not folded in yet (``stop=None``
+    means the end of the table).
 
     The ranged pipeline is the ordinary pipeline with its span set to the
     row range -- :func:`execute_physical` is the same loop over

@@ -431,11 +431,12 @@ class PartialAggregate:
 
     This is the only form in which any plane produces an answer: the
     single-process pipeline reduces ``[0, n)`` to one partial, ``shards=N``
-    to one per row range, a standing query to one per ingest tick -- the
-    tile-local partials the paper's ``BlockAggregate`` combines (Sections
-    3.3 and 5.2).  :func:`combine_partials` folds partials over disjoint
-    ranges into the partial over their union and :func:`finalize_partial`
-    turns a partial into the answer.
+    to one per row range, and a cached answer (a standing query's too) adds
+    one per read after an append -- the tile-local partials the paper's
+    ``BlockAggregate`` combines (Sections 3.3 and 5.2).
+    :func:`combine_partials` folds partials over disjoint ranges into the
+    partial over their union and :func:`finalize_partial` turns a partial
+    into the answer.
 
     The payload keeps exactly what makes that fold exact: ``sum``/``count``
     carry a float (0.0 over an empty range), ``min``/``max`` a float or

@@ -1,4 +1,4 @@
-"""Streaming ingest: micro-batch appends and incrementally maintained queries.
+"""Streaming ingest: micro-batch appends and standing queries maintained on read.
 
 The storage layer already makes appends atomic and versioned
 (:meth:`repro.storage.Table.append` seals a micro-batch off to the side and
@@ -11,15 +11,14 @@ pieces that turn those primitives into a streaming path:
   batch), so zone-map maintenance extends whole sealed zones instead of
   repeatedly re-reducing a ragged tail.
 
-* :class:`StandingQuery` keeps a registered aggregate query's answer
-  maintained incrementally: each ingest tick evaluates the pipeline over
-  only the newly appended fact rows and merges the grouped partials into
-  persistent state -- byte-identical to a from-scratch run at every
-  version.
+* :class:`StandingQuery` answers a registered aggregate query at the
+  current version on every read: a read evaluates the pipeline over only
+  the fact rows appended since the previous read and merges that partial
+  aggregate into the one it kept -- byte-identical to a from-scratch run
+  at every version.
 
-:class:`~repro.api.Session` wires them together: ``session.ingest(...)``
-appends and refreshes every query registered via
-``session.register_standing(...)``.
+``session.ingest(...)`` only appends; the queries registered via
+``session.register_standing(...)`` catch up when they are read.
 """
 
 from repro.ingest.buffer import IngestBuffer

@@ -21,7 +21,7 @@ published version.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,28 +34,19 @@ class IngestBuffer:
 
     ``batch_rows`` defaults to the zone size (4096), so every sealed batch
     adds exactly one zone of rows; any multiple of the zone size keeps the
-    alignment.  ``on_seal(version, rows)`` is invoked after each batch
-    publishes -- the hook :meth:`repro.api.Session.ingest` uses to refresh
-    standing queries -- and runs outside the buffer's own critical work, so
-    it may itself read the table.
+    alignment.  A sealed batch is one ordinary append: standing queries and
+    cached answers fold it in on their next read.
 
     Thread-safe: concurrent :meth:`add` calls interleave whole chunks (a
     chunk's rows are never split across *interleaved* writers, though one
     chunk may span two sealed batches).
     """
 
-    def __init__(
-        self,
-        table: Table,
-        *,
-        batch_rows: int = DEFAULT_ZONE_SIZE,
-        on_seal: "Callable[[int, int], None] | None" = None,
-    ) -> None:
+    def __init__(self, table: Table, *, batch_rows: int = DEFAULT_ZONE_SIZE) -> None:
         if batch_rows < 1:
             raise ValueError(f"batch_rows must be >= 1, got {batch_rows}")
         self.table = table
         self.batch_rows = batch_rows
-        self.on_seal = on_seal
         self._lock = threading.Lock()
         self._chunks: "list[dict[str, np.ndarray]]" = []
         self._staged_rows = 0
@@ -145,8 +136,6 @@ class IngestBuffer:
         version = self.table.append(batch)
         self.sealed_batches += 1
         self.sealed_rows += rows
-        if self.on_seal is not None:
-            self.on_seal(version, rows)
         return version
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

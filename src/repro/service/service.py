@@ -353,8 +353,8 @@ class QueryService:
         The append itself is seal-then-publish with an atomic version flip
         (:meth:`repro.storage.Table.append`): a query admitted at version
         ``v`` never observes a torn batch -- it reads all of ``v`` or all
-        of a later fully-sealed version.  Registered standing queries are
-        refreshed as part of the request, on the worker.
+        of a later fully-sealed version.  Registered standing queries do no
+        work here; each folds the batch in on its next read.
         """
         if self._closing:
             raise ServiceClosedError("QueryService is closed; no new submissions")

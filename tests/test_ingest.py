@@ -8,14 +8,16 @@ two directions:
   selection-vector plane, and the zone-pruned plane, and identically to a
   from-scratch session built over the grown database.
 
-* **Across time** -- a :class:`~repro.ingest.StandingQuery`'s incrementally
-  merged answer equals a full re-evaluation at every version, while the
-  cache counters prove the work was delta-proportional: zone maps extend
-  instead of rebuilding, unchanged dimensions' build artifacts report hits,
-  and an append to one dimension invalidates exactly one artifact.
+* **Across time** -- a :class:`~repro.ingest.StandingQuery`'s answer,
+  folded on read, equals a full re-evaluation at every version, while the
+  cache counters prove the work was delta-proportional: appends do no view
+  work, zone maps extend instead of rebuilding, unchanged dimensions' build
+  artifacts report hits, and an append to one dimension invalidates exactly
+  one artifact.
 """
 
 import asyncio
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -260,10 +262,15 @@ class TestDifferentialIngest:
                 "lineorder", generate_lineorder_batch(ssb, DEFAULT_ZONE_SIZE, seed=30 + step)
             )
             assert version == step + 1
-            # Standing-query work was delta-proportional: a tick of all 13
-            # hits every dimension artifact and builds none.
-            ticked = pruned.counters() - before
-            assert (ticked.build_misses, ticked.build_hits) == (0, total_joins)
+            # An append does no standing-query work ...
+            ingested = pruned.counters() - before
+            assert (ingested.build_misses, ingested.build_hits) == (0, 0)
+            # ... the fold happens on read, and is delta-proportional: a
+            # read of all 13 hits every dimension artifact and builds none.
+            for name in QUERY_ORDER:
+                standing[name].answer()
+            folded = pruned.counters() - before
+            assert (folded.build_misses, folded.build_hits) == (0, total_joins)
             fresh = Session(ssb)  # from-scratch reference at this version
             for name in QUERY_ORDER:
                 query = QUERIES[name]
@@ -272,7 +279,6 @@ class TestDifferentialIngest:
                 assert unpruned.run(query).value == reference, (name, "unpruned plane")
                 assert fresh.run(query).value == reference, (name, "fresh session")
                 assert standing[name].answer() == reference, (name, "standing query")
-                assert standing[name].versions["lineorder"] == version
             delta = pruned.counters() - before
             # Zone maps were extended, not rebuilt: after the first step
             # builds them, appends cost extension events and zero misses.
@@ -281,7 +287,7 @@ class TestDifferentialIngest:
                 assert delta.zone_misses == 0
 
         for name in QUERY_ORDER:
-            assert standing[name].ticks == 4  # registration + 3 ingests
+            assert standing[name].ticks == 4  # registration + 3 folds on read
             assert standing[name].full_refreshes == 1
 
     def test_standing_scalar_and_avg_ops(self, ssb):
@@ -304,8 +310,8 @@ class TestDifferentialIngest:
             fresh = Session(ssb, cache=False)
             for handle, query in zip(handles, (count_q, avg_q, minmax_q)):
                 assert handle.answer() == fresh.run(query).value, query.name
-        # avg is one (sum, count) partial per tick, so it probes its one
-        # build once per tick like any other op -- not once per half.
+        # avg is one (sum, count) partial per fold, so it probes its one
+        # build once per fold like any other op -- not once per half.
         # (The other two queries join nothing, and nothing else ran here.)
         builds = session.cache_info("builds")
         assert (builds.misses, builds.hits) == (1, 3)
@@ -314,21 +320,53 @@ class TestDifferentialIngest:
         session = Session(ssb)
         handle = session.register_standing(QUERIES["q2.1"])
         session.ingest("lineorder", generate_lineorder_batch(ssb, 500, seed=70))
+        handle.answer()
         assert handle.full_refreshes == 1
         built = session.cache_info("builds").misses
         ssb.table("supplier").append(supplier_batch(ssb))
         session.ingest("lineorder", generate_lineorder_batch(ssb, 500, seed=71))
-        assert handle.full_refreshes == 2  # the dimension change forced one
-        assert session.cache_info("builds").misses == built + 1  # and rebuilt only itself
+        assert handle.full_refreshes == 1  # counted on read, not on append
         reference, _ = execute_query_monolithic(ssb, QUERIES["q2.1"])
         assert handle.answer() == reference
+        assert handle.full_refreshes == 2  # the dimension change forced one
+        assert session.cache_info("builds").misses == built + 1  # and rebuilt only itself
 
     def test_noop_refresh_does_no_work(self, ssb):
         session = Session(ssb)
         handle = session.register_standing(QUERIES["q1.1"])
         ticks = handle.ticks
-        assert handle.refresh() is False
+        builds = session.cache_info("builds")
+        assert handle.refresh() == execute_query_monolithic(ssb, QUERIES["q1.1"])[0]
         assert handle.ticks == ticks
+        assert session.cache_info("builds") == builds
+
+    def test_answer_is_current_without_a_push(self, ssb):
+        session = Session(ssb)
+        handle = session.register_standing(QUERIES["q2.1"])
+        ssb.table("lineorder").append(generate_lineorder_batch(ssb, 700, seed=74))
+        # An out-of-band append, and no refresh() call: the read folds it.
+        assert handle.answer() == execute_query_monolithic(ssb, QUERIES["q2.1"])[0]
+        assert (handle.ticks, handle.full_refreshes) == (2, 1)
+
+    def test_ingest_runs_no_pipeline(self, ssb, monkeypatch):
+        from repro.engine import physical
+
+        session = Session(ssb)
+        handles = [session.register_standing(QUERIES[name]) for name in ("q1.1", "q2.1", "q4.1")]
+        calls = []
+        partial = physical.execute_physical_partial
+        monkeypatch.setattr(
+            physical, "execute_physical_partial", lambda *a, **k: calls.append(a) or partial(*a, **k)
+        )
+        builds = session.cache_info("builds")
+        for seed in (75, 76):
+            session.ingest("lineorder", generate_lineorder_batch(ssb, DEFAULT_ZONE_SIZE, seed=seed))
+        assert calls == []
+        assert session.cache_info("builds") == builds
+        # Each read then folds both batches in one ranged pass.
+        for handle in handles:
+            assert handle.answer() == execute_query_monolithic(ssb, handle.query)[0]
+        assert len(calls) == len(handles)
 
     def test_failed_registration_leaves_nothing_registered(self, ssb):
         session = Session(ssb)
@@ -375,8 +413,6 @@ class TestDifferentialIngest:
             if step == "supplier":
                 db.table("supplier").append(supplier_batch(db, seed=i))
                 supplier_grew = True
-                for handle in handles:
-                    handle.refresh()  # out-of-band append: no ingest tick follows
             else:
                 session.ingest("lineorder", generate_lineorder_batch(db, step, seed=100 + i))
             for handle, query in zip(handles, queries):
@@ -385,8 +421,9 @@ class TestDifferentialIngest:
                 joins_supplier = any(join.dimension == "supplier" for join in query.joins)
                 assert handle.full_refreshes == 1 + (supplier_grew and joins_supplier)
 
-    def test_tick_is_proportional_to_the_batch_not_the_table(self):
-        """Clock-free: a tick may allocate O(batch), never O(table)."""
+    def test_fold_is_proportional_to_the_batch_not_the_table(self):
+        """Clock-free: a fold on read may allocate O(batch), never O(table),
+        with the session's zone maps on (their extension is O(batch) too)."""
         db = generate_ssb(scale_factor=0.05, seed=21)
         fact = db.table("lineorder")
         assert fact.num_rows >= 300_000
@@ -394,23 +431,22 @@ class TestDifferentialIngest:
         handles = [session.register_standing(QUERIES[name]) for name in ("q1.1", "q2.1", "q4.1")]
         batch = DEFAULT_ZONE_SIZE
         fact.append(generate_lineorder_batch(db, batch, seed=73))
-        before = [h.delta_rows for h in handles]
         built = session.cache_info("builds").misses
         tracemalloc.start()
         try:
             baseline = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             for handle in handles:
-                assert handle.refresh() is True
+                handle.answer()
             peak = tracemalloc.get_traced_memory()[1] - baseline
         finally:
             tracemalloc.stop()
-        # Measured ~21 B per batch row; a rescan peaks above 2 MB.  The bound
+        # Measured ~22 B per batch row; a rescan peaks above 2 MB.  The bound
         # sits far below one 4-byte fact column (>= 1.2 MB): no rescan, no
         # row-id vector over the prefix, no rebuilt dimension lookup.
         assert peak < 128 * batch < 2 * fact.num_rows
-        for handle, rows in zip(handles, before):
-            assert handle.delta_rows == rows + batch
+        for handle in handles:
+            assert (handle.ticks, handle.full_refreshes) == (2, 1)  # one fold each
         assert session.cache_info("builds").misses == built
 
     def test_registration_builds_range_sized_lookups(self, ssb):
@@ -561,32 +597,69 @@ class TestExtendedAnswers:
     @given(data=st.data())
     def test_generated_appends_and_cached_reads_match_uncached_runs(self, data):
         """Each cached read -- a hit, or an extension -- equals a
-        ``cache=False`` run in value, stats and simulated time."""
+        ``cache=False`` run in value, stats and simulated time, and so does
+        each standing read, whatever appends came since its last one.
+
+        Every sequence ends in two fact appends with no read between them
+        and then a ``supplier`` append, each followed by a standing read of
+        every query: folds of several batches, and full re-evaluations.
+        """
         db = generate_ssb(scale_factor=0.005, seed=23)
         queries = {**{name: QUERIES[name] for name in QUERY_ORDER}, **op_queries(db)}
         shards = data.draw(st.sampled_from([1, 2]), label="shards")
         engine = data.draw(st.sampled_from(["cpu", "gpu", "hyper"]), label="engine")
         names = data.draw(st.lists(st.sampled_from(sorted(queries)), min_size=1, max_size=3, unique=True))
         read = st.sampled_from(names)
+        standing_read = read.map(lambda name: ("standing", name))
         append = st.integers(0, 2 * DEFAULT_ZONE_SIZE)
-        steps = data.draw(st.lists(st.one_of(read, append), min_size=2, max_size=8), label="steps")
+        steps = data.draw(
+            st.lists(st.one_of(read, standing_read, append, st.just("supplier")), min_size=2, max_size=8),
+            label="steps",
+        )
+        every = [("standing", name) for name in names]
+        tail = data.draw(st.lists(st.integers(1, 2 * DEFAULT_ZONE_SIZE), min_size=2, max_size=2), label="tail")
+        steps = [*steps, *every, *tail, *every, "supplier", *every]
+        joins_supplier = {name: any(j.dimension == "supplier" for j in queries[name].joins) for name in names}
+
+        def after(pending: dict, step) -> dict:
+            """Each query's next read: ``"fold"`` new fact rows, ``"full"``
+            re-evaluation (a joined dimension grew), or ``None`` (a hit)."""
+            if step == "supplier":
+                return {name: "full" if joins_supplier[name] else work for name, work in pending.items()}
+            return {name: work or "fold" for name, work in pending.items()} if step else pending
+
         extensions = 0
-        stale: dict = {}  # query -> whether rows were appended since its last read
+        stale: dict = {}  # session memo: query -> its next cached read's work
         with Session(db, shards=shards) as session:
+            handles = {name: session.register_standing(queries[name], name=name) for name in names}
+            pending = dict.fromkeys(names)  # standing memos, likewise
+            ticks, full = dict.fromkeys(names, 1), dict.fromkeys(names, 1)
             for i, step in enumerate(steps):
-                if isinstance(step, int):
+                if step == "supplier":
+                    db.table("supplier").append(supplier_batch(db, seed=i))
+                elif isinstance(step, int):
                     session.ingest("lineorder", generate_lineorder_batch(db, step, seed=200 + i))
-                    if step:  # a 0-row append publishes no new version
-                        stale = dict.fromkeys(stale, True)
+                elif isinstance(step, tuple):
+                    name = step[1]
+                    ticks[name] += pending[name] is not None
+                    full[name] += pending[name] == "full"
+                    pending[name] = None
+                    fresh = session.run(queries[name], engine=engine, cache=False)
+                    assert handles[name].answer() == fresh.value, (step, steps[: i + 1])
                     continue
-                extensions += stale.get(step, False)
-                stale[step] = False
-                cached = session.run(queries[step], engine=engine)
-                fresh = session.run(queries[step], engine=engine, cache=False)
-                assert cached.value == fresh.value, (step, steps[: i + 1])
-                assert cached.stats == fresh.stats, (step, steps[: i + 1])
-                assert cached.simulated_ms == fresh.simulated_ms, (step, steps[: i + 1])
+                else:
+                    extensions += stale.get(step) == "fold"
+                    stale[step] = None
+                    cached = session.run(queries[step], engine=engine)
+                    fresh = session.run(queries[step], engine=engine, cache=False)
+                    assert cached.value == fresh.value, (step, steps[: i + 1])
+                    assert cached.stats == fresh.stats, (step, steps[: i + 1])
+                    assert cached.simulated_ms == fresh.simulated_ms, (step, steps[: i + 1])
+                    continue
+                stale, pending = after(stale, step), after(pending, step)
             assert session.counters().execution_extensions == extensions
+            for name, handle in handles.items():
+                assert (handle.ticks, handle.full_refreshes) == (ticks[name], full[name]), name
 
 
 class TestClearCaches:
@@ -671,16 +744,6 @@ class TestIngestBuffer:
         assert buffer.flush() == 1
         assert fact.num_rows == base + 700
         assert buffer.flush() is None  # nothing left
-
-    def test_on_seal_callback_fires_per_batch(self, ssb):
-        sealed = []
-        buffer = IngestBuffer(
-            ssb.table("lineorder"), batch_rows=1000,
-            on_seal=lambda version, rows: sealed.append((version, rows)),
-        )
-        buffer.add(generate_lineorder_batch(ssb, 2200, seed=44))
-        buffer.flush()
-        assert sealed == [(1, 1000), (2, 1000), (3, 200)]
 
     def test_bad_chunks_fail_fast(self, ssb):
         buffer = IngestBuffer(ssb.table("lineorder"))
@@ -789,23 +852,45 @@ class TestConcurrentIngestHammer:
         assert session.run(QUERIES["q3.1"]).value == reference
 
     def test_concurrent_ingest_and_standing_refresh(self, ssb):
+        """Readers fold while writers seal: every answer a reader sees is
+        the answer at some sealed version, and the last one is current."""
         session = Session(ssb)
-        handle = session.register_standing(QUERIES["q1.1"])
-        buffer = IngestBuffer(
-            ssb.table("lineorder"), batch_rows=1000,
-            on_seal=lambda version, rows: handle.refresh(),
-        )
-        threads = [
+        count_q = Q("lineorder", db=ssb).agg("count").build(ssb)
+        handles = [session.register_standing(QUERIES["q1.1"]), session.register_standing(count_q)]
+        base = ssb.table("lineorder").num_rows
+        buffer = IngestBuffer(ssb.table("lineorder"), batch_rows=1000)
+        writers = [
             threading.Thread(
                 target=lambda i=i: buffer.add(generate_lineorder_batch(ssb, 500, seed=300 + i))
             )
             for i in range(8)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        done = threading.Event()
+        counts: list = []
+
+        def reader():
+            while not done.is_set():
+                handles[0].answer()
+                counts.append(handles[1].answer())
+
+        readers = [threading.Thread(target=reader) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in readers + writers:
+                t.start()
+            for t in writers:
+                t.join(GUARD_S)
+            done.set()
+            for t in readers:
+                t.join(GUARD_S)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in readers + writers)
         buffer.flush()
-        handle.refresh()
+        for count in counts:
+            assert (count - base) % 1000 == 0 and base <= count <= base + 4000, count
         reference, _ = execute_query_monolithic(ssb, QUERIES["q1.1"])
-        assert handle.answer() == reference
+        assert handles[0].answer() == reference
+        assert handles[1].answer() == base + 4000
