@@ -7,7 +7,8 @@
 2. **A burst within limits** -- no more requests than ``max_inflight +
    max_queue_depth`` at once: every one is admitted and answered.
 3. **A burst over a tiny queue** -- the excess is refused with typed
-   :class:`~repro.service.OverloadError`\\ s that ``ServiceStats`` counts.
+   :class:`~repro.service.OverloadError`\\ s, and ``ServiceStats.rejected``
+   counts exactly the refusals the submitters caught.
 
 Run with::
 
@@ -50,12 +51,15 @@ async def burst(session: Session, size: int, **limits) -> None:
         outcomes = await asyncio.gather(
             *(service.submit(query) for query in queries), return_exceptions=True
         )
+        refused = 0
         for outcome in outcomes:
             if isinstance(outcome, OverloadError):
+                refused += 1
                 print(f"  {type(outcome).__name__}: {outcome}")
             elif isinstance(outcome, BaseException):
                 raise outcome
         show(service.stats)
+        assert service.stats.rejected == refused, "a refusal went uncounted"
 
 
 async def serve(session: Session) -> None:

@@ -213,10 +213,7 @@ class Session:
         db: Database,
         *,
         cache: bool = True,
-        cache_size: int = 64,
-        build_cache_size: int = 128,
         zones: bool = True,
-        zone_size: int | None = None,
         shards: int | None = None,
         shard_start_method: str | None = None,
         resilience: ResiliencePolicy | None = None,
@@ -228,8 +225,7 @@ class Session:
         self.db = db
         #: The failure-handling knobs every layer consults: the shard
         #: executor takes its retry budget and task timeout from here, and
-        #: :class:`~repro.service.QueryService` defaults its retry/breaker
-        #: ladder to the same policy.
+        #: :class:`~repro.service.QueryService` its retry/breaker ladder.
         self.resilience = resilience if resilience is not None else ResiliencePolicy()
         #: Deterministic fault injection (chaos testing): when set, every
         #: execution's context carries this plan so the instrumented sites
@@ -238,13 +234,13 @@ class Session:
         self.faults = faults
         self._planner: JoinOrderPlanner | None = None
         self._engines: dict[str, object] = {}
-        self._cache = ExecutionCache(db, maxsize=cache_size) if cache else None
-        self._build_cache = BuildArtifactCache(db, maxsize=build_cache_size)
+        self._cache = ExecutionCache(db) if cache else None
+        self._build_cache = BuildArtifactCache(db)
         # The pruned, compression-aware scan plane (zone-map data skipping +
         # packed column twins) is the default; ``zones=False`` falls back to
         # the unpruned selection-vector plane.  Answers and profiles are
         # identical either way -- only the work done differs.
-        self._zone_cache = ZoneMapCache(db, zone_size=zone_size) if zones else None
+        self._zone_cache = ZoneMapCache(db) if zones else None
         # Process-parallel sharded execution (``shards=N`` here or per call):
         # the executor -- worker pool + shared-memory plane -- is constructed
         # lazily on the first ``shards > 1`` execution and torn down by
@@ -355,9 +351,9 @@ class Session:
         rows pruned without being touched).  :meth:`clear_caches` drops all
         three caches and zeroes every counter reported here in one call.
         """
-        if cache in ("builds", "build"):
+        if cache == "builds":
             return self._build_cache.info()
-        if cache in ("zones", "zone"):
+        if cache == "zones":
             if self._zone_cache is None:
                 return ZoneInfo(0, 0, 0, 0, 0, 0, 0)
             return self._zone_cache.info()

@@ -337,8 +337,9 @@ class ExecutionCache:
         partials, ``extend(db, query, profile, partials)`` carries it
         forward instead, returning the same triple, or ``None`` to fall back
         to ``compute``.  An extension that raises leaves its predecessor
-        intact.  Stores the result itself and hands every caller -- the
-        computing one included -- private copies.
+        intact.  Stores the result itself, unless a racing read already
+        stored a newer fact version of its lineage, and hands every caller
+        -- the computing one included -- private copies.
         """
         key = self.key(db, query)
         if key is None:
@@ -369,13 +370,16 @@ class ExecutionCache:
                     self.extensions += 1
                     # The predecessor answers a version no read sees again.
                     self._entries.pop(prior_key, None)
-                self._entries[key] = entry
                 newest = self._latest.get(lineage)
-                if version is not None and (newest is None or newest[0] <= version):
-                    self._latest[lineage] = (version, key)
-                while len(self._entries) > self.maxsize:
-                    evicted, _ = self._entries.popitem(last=False)
-                    self._forget(evicted)
+                # Keys only grow, so a result older than its lineage's newest
+                # entry can never be hit: storing it could only evict that entry.
+                if version is None or newest is None or newest[0] <= version:
+                    self._entries[key] = entry
+                    if version is not None:
+                        self._latest[lineage] = (version, key)
+                    while len(self._entries) > self.maxsize:
+                        evicted, _ = self._entries.popitem(last=False)
+                        self._forget(evicted)
         return private_value(entry.value), entry.profile.copy()
 
     @staticmethod
@@ -599,17 +603,15 @@ class ZoneMapCache:
     statistics (and packed twin) exactly once.
     """
 
-    def __init__(self, db: object, zone_size: int | None = None, packed_max_bits: int | None = None) -> None:
+    def __init__(self, db: object, zone_size: int | None = None) -> None:
         # Deferred import: the storage layer must not depend on this module.
-        from repro.storage.zonemap import DEFAULT_ZONE_SIZE, PACKED_MAX_BITS
+        from repro.storage.zonemap import DEFAULT_ZONE_SIZE
 
         if zone_size is not None and (zone_size < 1 or zone_size & (zone_size - 1)):
-            # Fail at construction (e.g. the Session constructor), not deep
-            # inside the first query's lowering.
+            # Fail at construction, not deep inside the first query's lowering.
             raise ValueError(f"zone_size must be a power of two, got {zone_size}")
         self.db = db
         self.zone_size = DEFAULT_ZONE_SIZE if zone_size is None else zone_size
-        self.packed_max_bits = PACKED_MAX_BITS if packed_max_bits is None else packed_max_bits
         self.hits = 0
         self.misses = 0
         self.extended = 0
@@ -655,7 +657,7 @@ class ZoneMapCache:
                     self.extended += 1
                     return maps
             self.misses += 1
-            maps = TableZoneMaps(snap, zone_size=self.zone_size, packed_max_bits=self.packed_max_bits)
+            maps = TableZoneMaps(snap, zone_size=self.zone_size)
             self._tables[snap.name] = maps
             return maps
 

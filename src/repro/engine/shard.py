@@ -64,7 +64,7 @@ from repro.storage.shm import (
     TableExport,
     export_table,
 )
-from repro.storage.zonemap import DEFAULT_ZONE_SIZE, PACKED_MAX_BITS
+from repro.storage.zonemap import DEFAULT_ZONE_SIZE
 
 #: Artifacts whose lookup + present arrays exceed this many bytes ship to
 #: workers through shared memory; smaller ones pickle inline with the task
@@ -155,7 +155,6 @@ class ShardTask:
     #: same pruning decisions the monolithic pipeline would.
     zones: bool
     zone_size: int
-    packed_max_bits: int
     #: An armed fault the worker executes before the shard runs (chaos
     #: testing only; ``None`` on every production task).  Armed parent-side
     #: because the execution context does not cross the process boundary.
@@ -363,7 +362,6 @@ class ShardExecutor:
         # pipelines take the pruning decisions the monolithic one would.
         zones = context.zones
         zone_size = zones.zone_size if zones is not None else DEFAULT_ZONE_SIZE
-        packed_max_bits = zones.packed_max_bits if zones is not None else PACKED_MAX_BITS
         ranges = [r for r in shard_ranges(n, shards, zone_size) if r[1] > r[0]]
         # Deferred import keeps the worker module (and its module globals)
         # out of the parent's hot path until sharding is actually used.
@@ -402,7 +400,6 @@ class ShardExecutor:
                             artifacts=artifacts,
                             zones=zones is not None,
                             zone_size=zone_size,
-                            packed_max_bits=packed_max_bits,
                             fault=faults.arm(SHARD_TASK) if faults is not None else None,
                         ),
                     )

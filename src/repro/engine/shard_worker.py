@@ -38,7 +38,7 @@ from repro.storage.shm import attach_array, attach_table
 #: Attached segment handles by name -- keep-alive for every array view this
 #: process holds (see module docstring).
 _SEGMENTS: dict = {}
-#: ``(table, version, zones, zone_size, packed_max_bits)`` -> (db, zone_cache).
+#: ``(table, version, zones, zone_size)`` -> (db, zone_cache).
 _TABLES: dict = {}
 #: Shm-shipped build artifacts by token.
 _ARTIFACTS: dict = {}
@@ -47,13 +47,13 @@ _ARTIFACTS: dict = {}
 def _database_for(task: ShardTask) -> tuple[Database, ZoneMapCache]:
     """The reconstructed single-table database (and zone cache) of a task."""
     export = task.export
-    key = (export.name, export.version, task.zones, task.zone_size, task.packed_max_bits)
+    key = (export.name, export.version, task.zones, task.zone_size)
     held = _TABLES.get(key)
     if held is not None:
         return held
     table, packed = attach_table(export, _SEGMENTS)
     db = Database(name=f"shard-{export.name}", tables={export.name: table})
-    zone_cache = ZoneMapCache(db, zone_size=task.zone_size, packed_max_bits=task.packed_max_bits)
+    zone_cache = ZoneMapCache(db, zone_size=task.zone_size)
     if task.zones:
         maps = zone_cache.maps(db, table)
         # Pre-populate every column's packed slot with the parent's twin

@@ -10,29 +10,38 @@ across three layers:
   resubmits) before :class:`~repro.engine.shard.ShardExecutor` falls back
   to the monolithic plane; ``shard_task_timeout_s`` bounds each shard
   task's wait so a hung worker is a recoverable failure, not a hang.
-* **Service rung** -- transient execution failures retry up to
-  ``max_attempts`` with exponential backoff and deterministic jitter
-  (:meth:`ResiliencePolicy.backoff_s`); retries re-enter admission so they
-  pay for their own queueing.
+* **Service rung** -- transient execution failures (:data:`RETRYABLE`)
+  retry up to ``max_attempts`` with exponential backoff from
+  ``backoff_base_s`` (:meth:`ResiliencePolicy.backoff_s`: x2 per attempt,
+  capped at 1 s, plus up to 25 % jitter); retries re-enter admission so
+  they pay for their own queueing.
 * **Breaker rung** -- ``breaker_threshold`` consecutive shard-plane
   failures trip a circuit breaker that routes requests to ``shards=1``;
   every ``breaker_probe_every``-th request while open probes the shard
   plane at full width, and a clean probe closes the breaker.
 
-Jitter is *deterministic*: the delay is a pure function of ``(seed,
-request_id, attempt)``, so a failing workload replays with identical
-backoff timing -- randomized enough to de-synchronize retry herds, seeded
-enough to debug.
+Jitter is *deterministic*: the delay is a pure function of ``(request_id,
+attempt)``, so a failing workload replays with identical backoff timing --
+randomized enough to de-synchronize retry herds, seeded enough to debug.
 """
 
 from __future__ import annotations
 
 import random
 from concurrent.futures import BrokenExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.faults.plan import TransientFaultError
+
+#: Backoff growth per attempt (exponential).
+BACKOFF_MULTIPLIER = 2.0
+#: Ceiling on any single backoff delay, before jitter.
+BACKOFF_MAX_S = 1.0
+#: Fractional jitter: a delay stretches by up to this fraction.
+JITTER = 0.25
+#: Exception types the service retry rung treats as transient.
+RETRYABLE = (TransientFaultError, BrokenExecutor, ConnectionError)
 
 
 @dataclass(frozen=True)
@@ -43,14 +52,6 @@ class ResiliencePolicy:
     max_attempts: int = 3
     #: First retry's backoff, before jitter.
     backoff_base_s: float = 0.02
-    #: Backoff growth per attempt (exponential).
-    backoff_multiplier: float = 2.0
-    #: Ceiling on any single backoff delay.
-    backoff_max_s: float = 1.0
-    #: Fractional jitter: the delay stretches by up to this fraction.
-    jitter: float = 0.25
-    #: Seed of the deterministic jitter stream.
-    seed: int = 0
     #: Consecutive shard-plane failures that trip the breaker.
     breaker_threshold: int = 3
     #: While open, every Nth dispatch probes the shard plane at full width.
@@ -60,20 +61,12 @@ class ResiliencePolicy:
     shard_retry_budget: int = 2
     #: Per-shard-task result wait; ``None`` waits forever (no hang guard).
     shard_task_timeout_s: Optional[float] = None
-    #: Exception types the service retry rung treats as transient.
-    retryable: tuple = field(default=(TransientFaultError, BrokenExecutor, ConnectionError))
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.backoff_base_s < 0:
             raise ValueError(f"backoff_base_s must be >= 0, got {self.backoff_base_s}")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError(f"backoff_multiplier must be >= 1, got {self.backoff_multiplier}")
-        if self.backoff_max_s < 0:
-            raise ValueError(f"backoff_max_s must be >= 0, got {self.backoff_max_s}")
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
         if self.breaker_threshold < 1:
             raise ValueError(f"breaker_threshold must be >= 1, got {self.breaker_threshold}")
         if self.breaker_probe_every < 1:
@@ -88,23 +81,21 @@ class ResiliencePolicy:
     # ------------------------------------------------------------------
     def is_transient(self, exc: BaseException) -> bool:
         """Whether the service retry rung should absorb ``exc``."""
-        return isinstance(exc, self.retryable)
+        return isinstance(exc, RETRYABLE)
 
     def backoff_s(self, request_id: int, attempt: int) -> float:
         """The delay before retry number ``attempt`` of ``request_id``.
 
-        Exponential in the attempt, capped at ``backoff_max_s``, stretched
-        by jitter drawn from a stream keyed on ``(seed, request_id,
-        attempt)`` -- every request backs off on its own schedule (no
-        retry herd), and the same request replays the same schedule.
+        ``backoff_base_s`` times :data:`BACKOFF_MULTIPLIER` per attempt,
+        capped at :data:`BACKOFF_MAX_S`, stretched by up to :data:`JITTER`
+        drawn from a stream keyed on ``(request_id, attempt)`` -- every
+        request backs off on its own schedule (no retry herd), and the same
+        request replays the same schedule.
         """
         if attempt < 1:
             raise ValueError(f"attempt must be >= 1, got {attempt}")
-        base = min(
-            self.backoff_base_s * self.backoff_multiplier ** (attempt - 1),
-            self.backoff_max_s,
-        )
-        if not self.jitter or not base:
+        base = min(self.backoff_base_s * BACKOFF_MULTIPLIER ** (attempt - 1), BACKOFF_MAX_S)
+        if not base:
             return base
-        rng = random.Random(f"{self.seed}:{request_id}:{attempt}")
-        return base * (1.0 + self.jitter * rng.random())
+        rng = random.Random(f"0:{request_id}:{attempt}")
+        return base * (1.0 + JITTER * rng.random())

@@ -5,7 +5,7 @@ a concurrent query *server*:
 
 * :mod:`repro.service.service` -- :class:`QueryService`, an asyncio front
   end admitting queries through a bounded queue onto the session's shared
-  worker pool, with ``reject``/``shed`` overload policies, per-request
+  worker pool, rejecting requests when its queue is full, with per-request
   timeouts, graceful drain, and typed failures (:class:`OverloadError`,
   :class:`QueryTimeoutError`, :class:`ServiceClosedError`).
 * :mod:`repro.service.trace` -- :class:`RequestTrace`, the per-request
@@ -20,7 +20,6 @@ failures trip a breaker that routes to ``shards=1`` until a probe heals.
 
 from repro.faults import ResiliencePolicy
 from repro.service.service import (
-    OVERLOAD_POLICIES,
     IngestResult,
     OverloadError,
     QueryService,
@@ -33,7 +32,6 @@ from repro.service.service import (
 from repro.service.trace import TERMINAL_STATUSES, RequestTrace
 
 __all__ = [
-    "OVERLOAD_POLICIES",
     "IngestResult",
     "OverloadError",
     "QueryService",

@@ -12,20 +12,19 @@ already ``ContextVar``-scoped and lock-guarded, so concurrent executions
 share the execution memo, build artifacts, and zone maps safely.
 
 Overload is a first-class state, not a crash: when the queue is full the
-service either **rejects** the new request with a typed
-:class:`OverloadError` carrying the queue stats the client needs for
-backoff, or **sheds** the oldest queued request of the most-represented
-class (``overload="shed"``) so a burst of one query class cannot starve the
-others.  Per-request timeouts cover the whole queued+running lifetime, and
-:meth:`QueryService.close` drains gracefully: no new admissions, every
+service **rejects** the new request with a typed :class:`OverloadError`
+carrying the queue stats the client needs for backoff.  A per-request
+timeout (``submit(timeout=...)``) covers the whole queued+running lifetime,
+and :meth:`QueryService.close` drains gracefully: no new admissions, every
 admitted request finishes.
 
 Failure is the other first-class state (the degradation ladder, governed by
 the session's :class:`~repro.faults.ResiliencePolicy`):
 
 * **Retry rung** -- a transient execution failure puts the request into
-  ``backoff`` (exponential delay, deterministic per-request jitter) and
-  then *re-admits* it: the retry passes the same overload gate as a fresh
+  ``backoff`` (:meth:`~repro.faults.ResiliencePolicy.backoff_s`: x2 per
+  attempt, capped at 1 s, up to 25 % deterministic jitter) and then
+  *re-admits* it: the retry passes the same overload gate as a fresh
   submission, so retries pay for their own queueing instead of jumping the
   line.  The request's one timeout spans all attempts.
 * **Breaker rung** -- ``breaker_threshold`` consecutive shard-plane
@@ -49,7 +48,7 @@ import asyncio
 import contextvars
 import itertools
 import time
-from collections import Counter, deque
+from collections import deque
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -58,13 +57,12 @@ from repro.api.builder import QueryBuilder
 from repro.api.resultset import ResultSet
 from repro.api.session import Session
 from repro.engine.cache import CounterSnapshot
-from repro.faults import SERVICE_EXECUTE, ResiliencePolicy
+from repro.faults import SERVICE_EXECUTE
 from repro.service.trace import RequestTrace
 from repro.ssb.queries import SSBQuery
 
-#: Overload policies: refuse the newcomer, or evict the oldest queued
-#: request of the most-represented class to make room for it.
-OVERLOAD_POLICIES = ("reject", "shed")
+#: Settled traces the service keeps (:attr:`QueryService.traces`), newest last.
+TRACE_LIMIT = 100_000
 
 
 class ServiceError(RuntimeError):
@@ -72,35 +70,28 @@ class ServiceError(RuntimeError):
 
 
 class OverloadError(ServiceError):
-    """The bounded queue refused a request (reject) or evicted one (shed).
+    """The bounded queue refused a request.
 
     Carries the queue stats a client needs to back off intelligently:
-    the depth and inflight count at refusal time, the configured limits,
-    and which policy fired.  ``shed=True`` marks the *evicted* request's
-    error (its submitter receives this exception); the newcomer that
-    triggered the shed is admitted normally.
+    the depth and inflight count at refusal time, and the configured limits.
     """
 
     def __init__(
         self,
         message: str,
         *,
-        policy: str,
         queue_depth: int,
         max_queue_depth: int,
         inflight: int,
         max_inflight: int,
         class_tag: Optional[str] = None,
-        shed: bool = False,
     ) -> None:
         super().__init__(message)
-        self.policy = policy
         self.queue_depth = queue_depth
         self.max_queue_depth = max_queue_depth
         self.inflight = inflight
         self.max_inflight = max_inflight
         self.class_tag = class_tag
-        self.shed = shed
 
 
 class QueryTimeoutError(ServiceError):
@@ -154,6 +145,8 @@ class ServiceStats:
     submitted: int = 0
     completed: int = 0
     rejected: int = 0
+    #: Always 0: the service never evicts a queued request.  Kept because
+    #: the benchmark ledger sums it into ``service.rejected``.
     shed: int = 0
     timed_out: int = 0
     failed: int = 0
@@ -172,10 +165,7 @@ class ServiceStats:
     @property
     def settled(self) -> int:
         """Requests that reached a terminal state."""
-        return (
-            self.completed + self.rejected + self.shed
-            + self.timed_out + self.failed + self.cancelled
-        )
+        return self.completed + self.rejected + self.timed_out + self.failed + self.cancelled
 
 
 @dataclass(eq=False)  # identity semantics: requests live in the backoff set
@@ -185,7 +175,7 @@ class _Request:
     ``kind`` is ``"query"`` or ``"ingest"``; ingest requests carry
     ``payload = (table, arrays, rows)`` instead of a query spec.  Both
     kinds flow through the same admission queue, so a workload that
-    interleaves reads and writes is governed by one overload policy.
+    interleaves reads and writes is governed by one admission gate.
     """
 
     query: Optional[SSBQuery]
@@ -220,54 +210,37 @@ class QueryService:
     A dispatched query whose engine product is already stored completes on
     the event loop without taking a worker or an inflight slot; everything
     else goes to :attr:`Session.executor <repro.api.Session.executor>`.
-    ``overload`` picks what happens when both are full (see
-    :data:`OVERLOAD_POLICIES`); ``timeout_s`` is the default per-request
-    timeout (``submit(timeout=...)`` overrides per call).  Answers are
-    byte-identical to ``session.run`` -- the service adds scheduling, never
-    execution semantics.
+    When both are full a new request is rejected with :class:`OverloadError`.
+    ``shards`` is the width every served query runs at.  The retry and
+    breaker knobs are the session's :attr:`~repro.api.Session.resilience`.
+    Answers are byte-identical to ``session.run`` -- the service adds
+    scheduling, never execution semantics.
     """
 
     def __init__(
         self,
         session: Session,
         *,
-        engine: str = "cpu",
         max_inflight: int = 2,
         max_queue_depth: int = 64,
-        overload: str = "reject",
-        timeout_s: Optional[float] = None,
-        optimize: bool = False,
-        trace_limit: int = 100_000,
         shards: Optional[int] = None,
-        resilience: Optional[ResiliencePolicy] = None,
     ) -> None:
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         if max_queue_depth < 0:
             raise ValueError(f"max_queue_depth must be >= 0, got {max_queue_depth}")
-        if overload not in OVERLOAD_POLICIES:
-            raise ValueError(f"overload must be one of {OVERLOAD_POLICIES}, got {overload!r}")
-        if timeout_s is not None and timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {timeout_s}")
         if shards is not None and shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.session = session
-        self.engine = engine
         self.max_inflight = max_inflight
         self.max_queue_depth = max_queue_depth
-        self.overload = overload
-        self.timeout_s = timeout_s
-        self.optimize = optimize
         #: Intra-query process parallelism: every served query dispatches to
         #: the session's shard pool at this width.  The blocking shard waits
         #: happen on the session's executor *threads*, so the asyncio loop
-        #: never blocks -- admission, timeouts, and shedding stay live while
-        #: worker processes chew on shards.
+        #: never blocks -- admission and timeouts stay live while worker
+        #: processes chew on shards.
         self.shards = shards
-        #: The degradation ladder's knobs; defaults to the session's policy
-        #: so one ``Session(resilience=...)`` configures every layer.
-        self.resilience = resilience if resilience is not None else session.resilience
-        self.traces: deque = deque(maxlen=trace_limit)
+        self.traces: deque = deque(maxlen=TRACE_LIMIT)
         self._queue: deque = deque()
         self._inflight = 0
         self._closing = False
@@ -280,14 +253,11 @@ class QueryService:
         self._breaker_failures = 0
         self._breaker_dispatches = 0
         self._stats = {
-            "submitted": 0, "completed": 0, "rejected": 0, "shed": 0,
+            "submitted": 0, "completed": 0, "rejected": 0,
             "timed_out": 0, "failed": 0, "cancelled": 0,
             "peak_queue_depth": 0, "peak_inflight": 0,
             "retries": 0, "breaker_trips": 0,
         }
-        # Fail fast on a bad default engine, and pre-instantiate it so
-        # worker threads only ever *read* the session's engine map.
-        session.engine(engine)
 
     # ------------------------------------------------------------------
     @property
@@ -308,13 +278,15 @@ class QueryService:
         self,
         query: "SSBQuery | QueryBuilder",
         *,
-        engine: Optional[str] = None,
+        engine: str = "cpu",
         class_tag: Optional[str] = None,
-        timeout: "float | None | object" = ...,
+        timeout: Optional[float] = None,
     ) -> ServiceResult:
         """Admit one query and await its result.
 
-        Raises :class:`OverloadError` if admission is refused,
+        ``timeout`` (seconds, ``None`` for none) spans the request's whole
+        queued, running and backing-off lifetime.  Raises
+        :class:`OverloadError` if admission is refused,
         :class:`QueryTimeoutError` if the request's timeout fires first,
         :class:`ServiceClosedError` after shutdown, and whatever the
         execution itself raises (bad column, bad engine, ...).
@@ -322,20 +294,21 @@ class QueryService:
         if self._closing:
             raise ServiceClosedError("QueryService is closed; no new submissions")
         loop = asyncio.get_running_loop()
-        prepared = self.session.prepare(query, optimize=self.optimize)
-        engine_name = engine if engine is not None else self.engine
-        self.session.engine(engine_name)  # fail fast, on the loop thread
+        prepared = self.session.prepare(query)
+        # Fail fast, and instantiate the engine on the loop thread, so
+        # worker threads only ever *read* the session's engine map.
+        self.session.engine(engine)
         trace = RequestTrace(
             request_id=next(self._ids),
             query=prepared.name,
             class_tag=class_tag if class_tag is not None else prepared.name,
-            engine=engine_name,
+            engine=engine,
             enqueued_at=time.perf_counter(),
             enqueued_wall=time.time(),
             queue_depth_seen=len(self._queue),
             inflight_seen=self._inflight,
         )
-        request = self._admit(loop, trace, query=prepared, engine=engine_name, timeout=timeout)
+        request = self._admit(loop, trace, query=prepared, engine=engine, timeout=timeout)
         return await request.future
 
     async def ingest(
@@ -344,7 +317,7 @@ class QueryService:
         arrays: dict,
         *,
         class_tag: Optional[str] = None,
-        timeout: "float | None | object" = ...,
+        timeout: Optional[float] = None,
     ) -> IngestResult:
         """Admit one micro-batch append and await its published version.
 
@@ -385,64 +358,38 @@ class QueryService:
         engine: str = "-",
         kind: str = "query",
         payload: Optional[tuple] = None,
-        timeout: "float | None | object" = ...,
+        timeout: Optional[float] = None,
     ) -> _Request:
         """Shared admission tail of :meth:`submit` and :meth:`ingest`."""
         self._stats["submitted"] += 1
         if self._inflight >= self.max_inflight and len(self._queue) >= self.max_queue_depth:
-            self._overloaded(trace)
+            raise self._overloaded(trace)
         request = _Request(query, engine, trace, loop.create_future(), kind=kind, payload=payload)
         self._queue.append(request)
         self._stats["peak_queue_depth"] = max(self._stats["peak_queue_depth"], len(self._queue))
-        timeout_s = self.timeout_s if timeout is ... else timeout
-        if timeout_s is not None:
-            trace.timeout_s = timeout_s
-            request.timeout_handle = loop.call_later(timeout_s, self._expire, request, timeout_s)
+        if timeout is not None:
+            trace.timeout_s = timeout
+            request.timeout_handle = loop.call_later(timeout, self._expire, request, timeout)
         self._dispatch(loop)
         return request
 
     # ------------------------------------------------------------------
-    def _overloaded(self, trace: RequestTrace) -> None:
-        """Queue full: reject the newcomer, or shed a queued victim."""
-        stats = dict(
+    def _overloaded(self, trace: RequestTrace) -> OverloadError:
+        """Queue full: settle ``trace`` as rejected; returns the error to raise."""
+        trace.status = "rejected"
+        trace.finished_at = time.perf_counter()
+        self._stats["rejected"] += 1
+        self.traces.append(trace)
+        return OverloadError(
+            f"queue full ({len(self._queue)}/{self.max_queue_depth} queued, "
+            f"{self._inflight}/{self.max_inflight} inflight); request "
+            f"{trace.class_tag!r} rejected",
             queue_depth=len(self._queue),
             max_queue_depth=self.max_queue_depth,
             inflight=self._inflight,
             max_inflight=self.max_inflight,
+            class_tag=trace.class_tag,
         )
-        if self.overload == "reject" or not self._queue:
-            # No queued victim to shed (max_queue_depth=0): reject instead.
-            trace.status = "rejected"
-            trace.finished_at = time.perf_counter()
-            self._stats["rejected"] += 1
-            self.traces.append(trace)
-            raise OverloadError(
-                f"queue full ({stats['queue_depth']}/{self.max_queue_depth} queued, "
-                f"{self._inflight}/{self.max_inflight} inflight); request "
-                f"{trace.class_tag!r} rejected",
-                policy="reject", class_tag=trace.class_tag, **stats,
-            )
-        # Shed: evict the oldest queued request of the most-represented
-        # class, so a burst of one class pays for its own burst instead of
-        # squeezing out minority classes.
-        counts = Counter(queued.trace.class_tag for queued in self._queue)
-        heaviest = max(counts.values())
-        victim = next(r for r in self._queue if counts[r.trace.class_tag] == heaviest)
-        self._queue.remove(victim)
-        if victim.timeout_handle is not None:
-            victim.timeout_handle.cancel()
-        victim.trace.status = "shed"
-        victim.trace.finished_at = time.perf_counter()
-        self._stats["shed"] += 1
-        self.traces.append(victim.trace)
-        victim.future.set_exception(
-            OverloadError(
-                f"request {victim.trace.class_tag!r} shed to admit {trace.class_tag!r} "
-                f"(class had {heaviest} queued)",
-                policy="shed", class_tag=victim.trace.class_tag, shed=True, **stats,
-            )
-        )
-        self._notify_idle()
 
     def _dispatch(self, loop: asyncio.AbstractEventLoop) -> None:
         """Move queued requests onto the worker pool up to ``max_inflight``.
@@ -516,7 +463,7 @@ class QueryService:
         if not self._breaker_open:
             return self.shards, False
         self._breaker_dispatches += 1
-        if self._breaker_dispatches % self.resilience.breaker_probe_every == 0:
+        if self._breaker_dispatches % self.session.resilience.breaker_probe_every == 0:
             return self.shards, True
         return 1, False
 
@@ -611,7 +558,7 @@ class QueryService:
             elif request.probe and self._breaker_open:
                 # A probe answered without a shard task tested nothing: the
                 # next dispatch probes instead.
-                self._breaker_dispatches = self.resilience.breaker_probe_every - 1
+                self._breaker_dispatches = self.session.resilience.breaker_probe_every - 1
         if not request.future.done():
             trace.status = "ok"
             self._stats["completed"] += 1
@@ -653,7 +600,7 @@ class QueryService:
             return  # degraded dispatch: says nothing about the shard plane
         if failed:
             self._breaker_failures += 1
-            if not self._breaker_open and self._breaker_failures >= self.resilience.breaker_threshold:
+            if not self._breaker_open and self._breaker_failures >= self.session.resilience.breaker_threshold:
                 self._breaker_open = True
                 self._breaker_dispatches = 0
                 self._stats["breaker_trips"] += 1
@@ -671,13 +618,13 @@ class QueryService:
         return (
             request.kind == "query"
             and not request.future.done()  # a timed-out request stays failed
-            and request.attempt < self.resilience.max_attempts
-            and self.resilience.is_transient(exc)
+            and request.attempt < self.session.resilience.max_attempts
+            and self.session.resilience.is_transient(exc)
         )
 
     def _schedule_retry(self, request: _Request) -> None:
         """Put the request into backoff; it re-enters admission on wake."""
-        delay = self.resilience.backoff_s(request.trace.request_id, request.attempt)
+        delay = self.session.resilience.backoff_s(request.trace.request_id, request.attempt)
         request.attempt += 1
         request.trace.attempts = request.attempt
         request.trace.status = "backoff"
@@ -691,10 +638,9 @@ class QueryService:
         """Backoff elapsed: pass the overload gate again and re-queue.
 
         The retry is deliberately *not* front-of-line: it pays the same
-        admission toll as a fresh submission (reject settles it with
-        :class:`OverloadError`; shed policy evicts a victim to seat it),
-        so a failing workload cannot crowd out healthy traffic by
-        retrying.
+        admission toll as a fresh submission (a full queue settles it with
+        :class:`OverloadError`), so a failing workload cannot crowd out
+        healthy traffic by retrying.
         """
         self._backoff.discard(request)
         request.retry_handle = None
@@ -708,14 +654,11 @@ class QueryService:
             self._notify_idle()
             return
         if self._inflight >= self.max_inflight and len(self._queue) >= self.max_queue_depth:
-            try:
-                self._overloaded(trace)
-            except OverloadError as exc:
-                if request.timeout_handle is not None:
-                    request.timeout_handle.cancel()
-                request.future.set_exception(exc)
-                self._notify_idle()
-                return
+            if request.timeout_handle is not None:
+                request.timeout_handle.cancel()
+            request.future.set_exception(self._overloaded(trace))
+            self._notify_idle()
+            return
         trace.status = "queued"
         self._queue.append(request)
         self._stats["peak_queue_depth"] = max(self._stats["peak_queue_depth"], len(self._queue))
@@ -803,7 +746,6 @@ class QueryService:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"QueryService(engine={self.engine!r}, inflight={self._inflight}/"
-            f"{self.max_inflight}, queued={len(self._queue)}/{self.max_queue_depth}, "
-            f"policy={self.overload!r})"
+            f"QueryService(inflight={self._inflight}/{self.max_inflight}, "
+            f"queued={len(self._queue)}/{self.max_queue_depth})"
         )

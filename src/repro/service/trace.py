@@ -23,7 +23,7 @@ from repro.engine.cache import CounterSnapshot
 #: Terminal trace states.  ``queued``, ``running``, and ``backoff`` (a
 #: retry waiting to re-enter admission) are the live states a trace passes
 #: through on the way to exactly one of these.
-TERMINAL_STATUSES = ("ok", "error", "timeout", "rejected", "shed", "cancelled")
+TERMINAL_STATUSES = ("ok", "error", "timeout", "rejected", "cancelled")
 
 
 @dataclass
@@ -32,7 +32,7 @@ class RequestTrace:
 
     ``status`` walks ``queued`` -> ``running`` -> one of
     :data:`TERMINAL_STATUSES` (requests refused at admission jump straight
-    to ``rejected``/``shed``).  ``queue_depth_seen`` and ``inflight_seen``
+    to ``rejected``).  ``queue_depth_seen`` and ``inflight_seen``
     are the congestion the request observed *at admission* -- the numbers
     that explain its wait time.  ``counters`` is the cache-counter delta
     bracketing this request's execution (best-effort under concurrency;

@@ -265,18 +265,12 @@ class TableZoneMaps:
     time.
     """
 
-    def __init__(
-        self,
-        table: Table,
-        zone_size: int = DEFAULT_ZONE_SIZE,
-        packed_max_bits: int = PACKED_MAX_BITS,
-    ) -> None:
+    def __init__(self, table: Table, zone_size: int = DEFAULT_ZONE_SIZE) -> None:
         if zone_size < 1 or zone_size & (zone_size - 1):
             raise ValueError(f"zone_size must be a power of two, got {zone_size}")
         self.table = table
         self.zone_size = zone_size
         self.zone_shift = int(zone_size).bit_length() - 1
-        self.packed_max_bits = packed_max_bits
         self._stats: dict[str, ColumnZoneStats | None] = {}
         self._packed: dict[str, BitPackedColumn | None] = {}
         # Guards the lazy construction: morsel-parallel workers share one
@@ -315,7 +309,7 @@ class TableZoneMaps:
         """The packed twin of ``column`` (``None`` if its domain needs > 16 bits).
 
         Packing keys off the zone statistics: non-negative integer columns
-        whose max fits in :attr:`packed_max_bits` bits are packed once
+        whose max fits in :data:`PACKED_MAX_BITS` bits are packed once
         (under the instance lock, like :meth:`stats`) and memoized, so
         later selection-vector gathers can decode packed words instead of
         touching 4-byte values.
@@ -325,7 +319,7 @@ class TableZoneMaps:
         stats = self.stats(column)
         with self._lock:
             if column not in self._packed:
-                if stats is None or stats.low < 0 or bits_needed(stats.high) > self.packed_max_bits:
+                if stats is None or stats.low < 0 or bits_needed(stats.high) > PACKED_MAX_BITS:
                     self._packed[column] = None
                 else:
                     self._packed[column] = BitPackedColumn.pack(self.table.column(column))
@@ -361,7 +355,7 @@ class TableZoneMaps:
         guarantees this via the table version); extended statistics are
         byte-identical to freshly built ones.
         """
-        ext = TableZoneMaps(table, zone_size=self.zone_size, packed_max_bits=self.packed_max_bits)
+        ext = TableZoneMaps(table, zone_size=self.zone_size)
         with self._lock:
             carried_stats = dict(self._stats)
             carried_packed = dict(self._packed)
@@ -378,7 +372,7 @@ class TableZoneMaps:
             stats = ext._stats.get(column)
             if stats is None:
                 continue  # stats not carried; the twin re-derives lazily
-            if stats.low < 0 or bits_needed(stats.high) > self.packed_max_bits:
+            if stats.low < 0 or bits_needed(stats.high) > PACKED_MAX_BITS:
                 ext._packed[column] = None
                 continue
             if packed is not None and bits_needed(stats.high) == packed.bit_width:

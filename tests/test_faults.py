@@ -43,7 +43,8 @@ from repro.faults import (
     active_fault_plan,
     unlink_segment,
 )
-from repro.service import QueryService, ServiceResult
+from repro.faults.policy import BACKOFF_MAX_S, BACKOFF_MULTIPLIER, JITTER
+from repro.service import QueryService, QueryTimeoutError, ServiceClosedError, ServiceResult
 from repro.ssb.queries import QUERIES
 from repro.storage.shm import SEGMENT_PREFIX, SharedMemoryRegistry, reap_stale_segments
 
@@ -153,9 +154,6 @@ class TestResiliencePolicyUnit:
         [
             {"max_attempts": 0},
             {"backoff_base_s": -1.0},
-            {"backoff_multiplier": 0.5},
-            {"backoff_max_s": -0.1},
-            {"jitter": -0.1},
             {"breaker_threshold": 0},
             {"breaker_probe_every": 0},
             {"shard_retry_budget": -1},
@@ -166,22 +164,19 @@ class TestResiliencePolicyUnit:
         with pytest.raises(ValueError):
             ResiliencePolicy(**kwargs)
 
-    def test_backoff_is_deterministic_exponential_and_capped(self):
-        policy = ResiliencePolicy(
-            backoff_base_s=0.1, backoff_multiplier=2.0, backoff_max_s=0.3, jitter=0.5, seed=7
-        )
+    def test_backoff_is_deterministic_exponential_capped_and_jittered(self):
+        assert (BACKOFF_MULTIPLIER, BACKOFF_MAX_S, JITTER) == (2.0, 1.0, 0.25)
+        policy = ResiliencePolicy(backoff_base_s=0.1)
         assert policy.backoff_s(42, 1) == policy.backoff_s(42, 1)  # replayable
         assert policy.backoff_s(42, 1) != policy.backoff_s(43, 1)  # de-synchronized
-        assert 0.1 <= policy.backoff_s(42, 1) <= 0.15
-        assert 0.2 <= policy.backoff_s(42, 2) <= 0.3
-        assert 0.3 <= policy.backoff_s(42, 9) <= 0.45  # base capped at max
+        assert 0.1 <= policy.backoff_s(42, 1) <= 0.125
+        assert 0.2 <= policy.backoff_s(42, 2) <= 0.25
+        assert 0.8 <= policy.backoff_s(42, 4) <= 1.0
+        assert 1.0 <= policy.backoff_s(42, 9) <= 1.25  # base capped at 1 s
+        assert all(policy.backoff_s(42, attempt) > 0.1 * 2 ** (attempt - 1) for attempt in (1, 2, 3))
+        assert ResiliencePolicy(backoff_base_s=0.0).backoff_s(42, 3) == 0.0
         with pytest.raises(ValueError):
             policy.backoff_s(42, 0)
-
-    def test_zero_jitter_is_exact(self):
-        policy = ResiliencePolicy(backoff_base_s=0.02, backoff_multiplier=2.0, jitter=0.0)
-        assert policy.backoff_s(1, 1) == 0.02
-        assert policy.backoff_s(1, 2) == 0.04
 
     def test_is_transient(self):
         policy = ResiliencePolicy()
@@ -332,7 +327,7 @@ class TestChaosDifferential:
 # The service's retry and breaker rungs
 # ----------------------------------------------------------------------
 
-FAST_BACKOFF = dict(backoff_base_s=0.005, backoff_max_s=0.02)
+FAST_BACKOFF = dict(backoff_base_s=0.005)
 
 
 class TestServiceRetries:
@@ -375,7 +370,7 @@ class TestServiceRetries:
     def test_retry_timing_is_the_policys(self, tiny_ssb):
         """The backoff between attempts follows ``backoff_s`` exactly."""
         plan = FaultPlan([FaultPoint(site=SERVICE_EXECUTE, mode="raise", times=1)])
-        policy = ResiliencePolicy(max_attempts=2, backoff_base_s=0.08, jitter=0.0)
+        policy = ResiliencePolicy(max_attempts=2, backoff_base_s=0.08)
 
         async def go():
             with Session(tiny_ssb, faults=plan, resilience=policy) as session:
@@ -387,6 +382,44 @@ class TestServiceRetries:
         elapsed, outcome = run(go())
         assert outcome.trace.attempts == 2
         assert elapsed >= 0.08  # the one retry waited its full backoff
+
+    def test_timeout_during_backoff_is_final(self, tiny_ssb):
+        """One timeout spans all attempts: it can fire between two, and the
+        request is then never re-admitted."""
+        plan = FaultPlan([FaultPoint(site=SERVICE_EXECUTE, mode="raise", times=1)])
+        policy = ResiliencePolicy(max_attempts=3, backoff_base_s=0.2)
+
+        async def go():
+            with Session(tiny_ssb, faults=plan, resilience=policy) as session:
+                async with QueryService(session) as service:
+                    with pytest.raises(QueryTimeoutError):
+                        await service.submit(QUERIES["q1.1"], timeout=0.05)
+                    await service.drain()  # the backoff timer still wakes
+                    return service.traces[-1], service.stats
+
+        trace, stats = run(go())
+        assert trace.status == "timeout" and trace.attempts == 2
+        assert stats.timed_out == 1 and stats.retries == 1 and stats.completed == 0
+        assert plan.fired(SERVICE_EXECUTE) == 1  # the second attempt never ran
+
+    def test_non_drain_close_cancels_pending_retries(self, tiny_ssb):
+        plan = FaultPlan([FaultPoint(site=SERVICE_EXECUTE, mode="raise", times=1)])
+        policy = ResiliencePolicy(max_attempts=3, backoff_base_s=5.0)
+
+        async def go():
+            with Session(tiny_ssb, faults=plan, resilience=policy) as session:
+                service = QueryService(session)
+                pending = asyncio.create_task(service.submit(QUERIES["q1.1"]))
+                while service.stats.retries == 0:
+                    await asyncio.sleep(0.001)
+                await service.close(drain=False)  # does not wait out the backoff
+                with pytest.raises(ServiceClosedError):
+                    await pending
+                return service.stats
+
+        stats = run(go())
+        assert stats.cancelled == 1 and stats.retries == 1
+        assert stats.submitted == stats.settled == 1
 
     def test_ingest_is_never_retried(self, tiny_ssb):
         """Appends are not idempotent: no fault site, no retry rung."""

@@ -593,6 +593,62 @@ class TestExtendedAnswers:
         assert session.run(QUERIES["q1.1"]).value == execute_query_monolithic(ssb, QUERIES["q1.1"])[0]
         assert session.counters().execution_extensions == 1
 
+    def test_a_stale_insert_keeps_the_newer_entry_of_its_lineage(self, ssb, monkeypatch):
+        """Reader A folds v0 into v1; before A stores, reader B appends and
+        folds v0 into v2.  A's insert under the older key must not evict
+        B's entry from a one-entry memo, or the next read recomputes."""
+        from repro.engine import plan
+
+        session = Session(ssb)
+        handle = session.register_standing(QUERIES["q1.1"])
+        fold = plan._extend_answer
+        raced = []
+
+        def racing(*args):
+            if not raced:
+                raced.append(True)
+                session.ingest("lineorder", generate_lineorder_batch(ssb, 300, seed=91))
+                handle.answer()  # reader B
+            return fold(*args)
+
+        session.ingest("lineorder", generate_lineorder_batch(ssb, 300, seed=92))
+        with monkeypatch.context() as patch:
+            patch.setattr(plan, "_extend_answer", racing)
+            handle.answer()  # reader A
+        assert raced
+        assert (handle.ticks, handle.full_refreshes) == (3, 1)
+        session.ingest("lineorder", generate_lineorder_batch(ssb, 300, seed=93))
+        assert handle.answer() == execute_query_monolithic(ssb, QUERIES["q1.1"])[0]
+        assert (handle.ticks, handle.full_refreshes) == (4, 1)  # a fold, not a re-evaluation
+
+    def test_a_stale_full_evaluation_is_not_stored(self, ssb, monkeypatch):
+        """The same race on the full-evaluation path: after a dimension
+        append, reader A evaluates at fact v0 while reader B appends and
+        evaluates at v1; A's result must not displace B's entry."""
+        from repro.engine import plan
+
+        session = Session(ssb)
+        handle = session.register_standing(QUERIES["q2.1"])
+        evaluate = plan._execute_query_uncached
+        raced = []
+
+        def racing(*args):
+            if not raced:
+                raced.append(True)
+                session.ingest("lineorder", generate_lineorder_batch(ssb, 300, seed=94))
+                handle.answer()  # reader B
+            return evaluate(*args)
+
+        ssb.table("supplier").append(supplier_batch(ssb))
+        with monkeypatch.context() as patch:
+            patch.setattr(plan, "_execute_query_uncached", racing)
+            handle.answer()  # reader A
+        assert raced
+        assert (handle.ticks, handle.full_refreshes) == (3, 3)
+        session.ingest("lineorder", generate_lineorder_batch(ssb, 300, seed=95))
+        assert handle.answer() == execute_query_monolithic(ssb, QUERIES["q2.1"])[0]
+        assert (handle.ticks, handle.full_refreshes) == (4, 3)  # a fold, not a re-evaluation
+
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_generated_appends_and_cached_reads_match_uncached_runs(self, data):

@@ -239,9 +239,10 @@ class TestSharedBuilds:
         session.clear_caches()
         assert session.cache_info("builds") == (0, 0, 0, 128)
 
-    def test_unknown_cache_name_rejected(self, tiny_ssb):
+    @pytest.mark.parametrize("name", ["bogus", "build", "zone"])
+    def test_unknown_cache_name_rejected(self, tiny_ssb, name):
         with pytest.raises(ValueError, match="unknown cache"):
-            Session(tiny_ssb).cache_info("bogus")
+            Session(tiny_ssb).cache_info(name)
 
     def test_artifacts_are_immutable(self, tiny_ssb):
         cache = BuildArtifactCache(tiny_ssb)

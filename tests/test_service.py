@@ -3,7 +3,7 @@
 The headline property is differential: for every replayed class -- all 13
 canonical SSB queries plus an ad-hoc builder query -- the service must
 answer byte-identically to a direct ``Session.run``.  The service adds
-scheduling (bounded queue, overload policies, timeouts, drain), never
+scheduling (bounded queue, overload rejection, timeouts, drain), never
 execution semantics, and every scheduling path is exercised here with a
 hang guard: nothing in this file may block forever on a broken pump.
 """
@@ -20,6 +20,7 @@ import pytest
 from repro.api import Q, Session
 from repro.api.session import DEFAULT_COMPARE_ENGINES
 from repro.engine.cache import CounterSnapshot
+from repro.faults import SERVICE_EXECUTE, FaultPlan, FaultPoint, ResiliencePolicy
 from repro.service import (
     OverloadError,
     QueryService,
@@ -57,7 +58,7 @@ class SlowSession(Session):
 
     The real queries answer in a millisecond, far too fast to observe a
     full queue deterministically; the sleep pins workers so the admission
-    paths (reject, shed, queued/running timeout) trigger on command.
+    paths (reject, queued/running timeout) trigger on command.
     """
 
     def __init__(self, db, delay_s: float, **kwargs) -> None:
@@ -100,13 +101,14 @@ class TestDifferential:
     @pytest.mark.parametrize("engine", DEFAULT_COMPARE_ENGINES)
     @pytest.mark.parametrize("name", [*QUERY_ORDER, "adhoc"])
     def test_class_matches_direct_session_run_on_engine(self, session, engine, name):
-        """Per engine and per class: a service built for ``engine`` answers
-        exactly what ``session.run`` does, and its trace names that engine."""
+        """Per engine and per class: a request submitted for ``engine``
+        answers exactly what ``session.run`` does, and its trace names that
+        engine."""
         query = adhoc_query() if name == "adhoc" else QUERIES[name]
 
         async def go():
-            async with QueryService(session, engine=engine) as service:
-                return await service.submit(query, class_tag=name), service.stats
+            async with QueryService(session) as service:
+                return await service.submit(query, class_tag=name, engine=engine), service.stats
 
         served, stats = run(go())
         direct = session.run(query, engine=engine)
@@ -117,12 +119,15 @@ class TestDifferential:
         assert served.trace.engine == engine and served.trace.class_tag == name
         assert stats.completed == stats.submitted == stats.settled == 1
 
-    def test_engine_override_per_submit(self, session):
+    def test_engine_per_submit_defaults_to_cpu(self, session):
         async def go():
-            async with QueryService(session, engine="cpu") as service:
-                return await service.submit(QUERIES["q2.1"], engine="gpu")
+            async with QueryService(session) as service:
+                default = await service.submit(QUERIES["q2.1"])
+                return default, await service.submit(QUERIES["q2.1"], engine="gpu")
 
-        submitted = run(go())
+        default, submitted = run(go())
+        assert default.result.engine == "standalone-cpu"
+        assert default.trace.engine == "cpu"
         assert submitted.result.engine == "standalone-gpu"
         assert submitted.trace.engine == "gpu"
 
@@ -171,8 +176,6 @@ class TestOverloadReject:
                 return excinfo.value, service.stats
 
         error, stats = run(go())
-        assert error.policy == "reject"
-        assert error.shed is False
         assert error.class_tag == "c"
         assert error.queue_depth == 1 and error.max_queue_depth == 1
         assert error.inflight == 1 and error.max_inflight == 1
@@ -192,6 +195,34 @@ class TestOverloadReject:
                 await first
 
         run(go())
+
+    def test_retry_waking_to_a_full_queue_is_rejected(self, tiny_ssb):
+        """A retry re-enters admission like a fresh request: a full queue
+        rejects it instead of letting it jump the line."""
+        plan = FaultPlan([FaultPoint(site=SERVICE_EXECUTE, mode="raise", times=1)])
+        session = SlowSession(
+            tiny_ssb, delay_s=0.3, faults=plan, resilience=ResiliencePolicy(backoff_base_s=0.1)
+        )
+
+        async def go():
+            async with QueryService(session, max_inflight=1, max_queue_depth=1) as service:
+                retried = asyncio.create_task(service.submit(QUERIES["q1.1"], class_tag="retried"))
+                while service.stats.retries == 0:  # its first attempt failed
+                    await asyncio.sleep(0.001)
+                running = asyncio.create_task(service.submit(QUERIES["q2.1"]))
+                await asyncio.sleep(0)
+                queued = asyncio.create_task(service.submit(QUERIES["q3.1"]))
+                await asyncio.sleep(0)  # the queue is full when the backoff ends
+                with pytest.raises(OverloadError) as excinfo:
+                    await retried
+                await asyncio.gather(running, queued)
+                return excinfo.value, service.stats
+
+        error, stats = run(go())
+        assert error.class_tag == "retried"
+        assert error.queue_depth == 1 and error.inflight == 1
+        assert stats.retries == 1 and stats.rejected == 1 and stats.completed == 2
+        assert stats.submitted == stats.settled == 3
 
     @pytest.mark.parametrize(
         "max_inflight, max_queue_depth", [(1, 1), (1, 0), (2, 1), (1, 3), (2, 2)]
@@ -216,7 +247,6 @@ class TestOverloadReject:
         outcomes, stats = run(go())
         errors = [outcome for outcome in outcomes if isinstance(outcome, BaseException)]
         assert errors and all(isinstance(error, OverloadError) for error in errors)
-        assert all(error.shed is False for error in errors)
         assert stats.rejected == len(errors) == len(names) - admitted
         assert stats.completed == admitted and stats.failed == 0
         assert stats.submitted == stats.settled == len(names)
@@ -224,53 +254,6 @@ class TestOverloadReject:
         # A request bound for a free worker passes through the queue, so the
         # gauge reads at least 1 even when ``max_queue_depth=0``.
         assert stats.peak_queue_depth == max(max_queue_depth, 1)
-
-
-class TestOverloadShed:
-    def test_sheds_oldest_of_most_represented_class(self, tiny_ssb):
-        session = SlowSession(tiny_ssb, delay_s=0.25)
-
-        async def go():
-            async with QueryService(
-                session, max_inflight=1, max_queue_depth=2, overload="shed"
-            ) as service:
-                running = asyncio.create_task(service.submit(QUERIES["q1.1"], class_tag="a"))
-                await asyncio.sleep(0.05)
-                burst1 = asyncio.create_task(service.submit(QUERIES["q2.1"], class_tag="burst"))
-                await asyncio.sleep(0)
-                burst2 = asyncio.create_task(service.submit(QUERIES["q2.2"], class_tag="burst"))
-                await asyncio.sleep(0)  # queue: [burst1, burst2], full
-                minority = asyncio.create_task(service.submit(QUERIES["q3.1"], class_tag="rare"))
-                await asyncio.sleep(0)
-                with pytest.raises(OverloadError) as excinfo:
-                    await burst1  # oldest request of the heaviest class paid
-                results = await asyncio.gather(running, burst2, minority)
-                return excinfo.value, results, service.stats
-
-        error, results, stats = run(go())
-        assert error.shed is True
-        assert error.policy == "shed"
-        assert error.class_tag == "burst"
-        assert all(isinstance(result, ServiceResult) for result in results)
-        assert stats.shed == 1 and stats.completed == 3 and stats.rejected == 0
-        assert stats.submitted == stats.settled
-
-    def test_shed_with_empty_queue_falls_back_to_reject(self, tiny_ssb):
-        session = SlowSession(tiny_ssb, delay_s=0.2)
-
-        async def go():
-            async with QueryService(
-                session, max_inflight=1, max_queue_depth=0, overload="shed"
-            ) as service:
-                first = asyncio.create_task(service.submit(QUERIES["q1.1"]))
-                await asyncio.sleep(0.05)
-                with pytest.raises(OverloadError) as excinfo:
-                    await service.submit(QUERIES["q1.2"])
-                await first
-                return excinfo.value
-
-        error = run(go())
-        assert error.shed is False  # no queued victim existed; newcomer refused
 
 
 class TestTimeouts:
@@ -297,9 +280,9 @@ class TestTimeouts:
         session = SlowSession(tiny_ssb, delay_s=0.3)
 
         async def go():
-            async with QueryService(session, max_inflight=1, timeout_s=0.05) as service:
+            async with QueryService(session, max_inflight=1) as service:
                 with pytest.raises(QueryTimeoutError) as excinfo:
-                    await service.submit(QUERIES["q1.1"])
+                    await service.submit(QUERIES["q1.1"], timeout=0.05)
                 # The service is still healthy after the worker unwinds.
                 follow_up = await service.submit(QUERIES["q1.2"], timeout=None)
                 return excinfo.value, follow_up, service.stats

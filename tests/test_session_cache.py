@@ -72,14 +72,14 @@ class TestOptOutAndLifecycle:
         assert session.cache_info() == (0, 0, 0, 64)
 
     def test_lru_eviction_bounds_size(self, tiny_ssb):
-        session = Session(tiny_ssb, cache_size=2)
+        cache = ExecutionCache(tiny_ssb, maxsize=2)
         for name in ("q1.1", "q1.2", "q1.3"):
-            session.run(QUERIES[name], engine="cpu")
-        assert session.cache_info().size == 2
+            cache.fetch(tiny_ssb, QUERIES[name], execute_query)
+        assert cache.info().size == 2
 
     def test_tiny_cache_rejected(self, tiny_ssb):
         with pytest.raises(ValueError, match="maxsize"):
-            Session(tiny_ssb, cache_size=0)
+            ExecutionCache(tiny_ssb, maxsize=0)
 
     def test_cache_ignores_foreign_databases(self, tiny_ssb, small_ssb):
         cache = ExecutionCache(tiny_ssb)
@@ -321,20 +321,25 @@ class TestReplayCost:
 
 
 class TestReplayEviction:
-    def test_eviction_drops_the_engine_products(self, tiny_ssb, monkeypatch):
-        from repro.engine import plan
-
+    def test_eviction_drops_the_engine_products(self, tiny_ssb):
         computed = []
-        compute = plan._execute_query_uncached
-        monkeypatch.setattr(plan, "_execute_query_uncached", lambda db, q: computed.append(q.name) or compute(db, q))
-        session = Session(tiny_ssb, cache_size=1)
-        session.run(QUERIES["q1.1"], engine="cpu")
-        session.run(QUERIES["q1.1"], engine="gpu")
-        session.run(QUERIES["q1.2"], engine="cpu")  # evicts q1.1 with both products
-        again = session.run(QUERIES["q1.1"], engine="gpu")
+
+        def compute(db, query):
+            computed.append(query.name)
+            return execute_query(db, query)
+
+        cache = ExecutionCache(tiny_ssb, maxsize=1)
+        key = cache.key(tiny_ssb, QUERIES["q1.1"])
+        cache.fetch(tiny_ssb, QUERIES["q1.1"], compute)
+        cache.record(key, "cpu", ("decoded",), "cpu product")
+        cache.record(key, "gpu", ("decoded",), "gpu product")
+        assert cache.replay(key, "gpu")[2] == "gpu product"
+        cache.fetch(tiny_ssb, QUERIES["q1.2"], compute)  # evicts q1.1 with both products
+        assert not cache.stores(key, "cpu") and cache.replay(key, "gpu") is None
+        value, _ = cache.fetch(tiny_ssb, QUERIES["q1.1"], compute)
         assert computed == ["q1.1", "q1.2", "q1.1"]
-        assert session.cache_info() == (1, 3, 1, 1)
-        assert again.value == session.run(QUERIES["q1.1"], engine="gpu", cache=False).value
+        assert cache.info() == (1, 3, 1, 1)
+        assert value == execute_query(tiny_ssb, QUERIES["q1.1"])[0]
 
 
 class TestReplayRace:

@@ -37,9 +37,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Q, Session, col
+from repro.context import activate_context
 from repro.engine.cache import BuildArtifactCache, ZoneMapCache, activate_builds, activate_zones
 from repro.engine.plan import (
     combine_partials,
+    execute_query,
     execute_query_monolithic,
     finalize_partial,
     fold_shard_profiles,
@@ -505,24 +507,28 @@ class TestLeakSafety:
                 .build(tiny_ssb)
             )
 
-        with Session(tiny_ssb, shards=2, build_cache_size=4, cache=False) as session:
+        with Session(tiny_ssb, shards=2, cache=False) as session:
             executor = session.shard_executor()
             prefix = executor.registry._prefix
 
             def footprint():
                 return len(executor._artifact_refs), sum(prefix in path for path in _shm_segments())
 
-            for i in range(30):
-                query = cold(i)
-                assert session.run(query).value == execute_query_monolithic(tiny_ssb, query)[0]
-                refs, segments = footprint()
-                assert refs <= 4  # the build cache's size, not 2 per query so far
-            session.run(QUERIES["q2.1"])
-            settled = footprint()
-            assert settled[1] <= segments  # the fact export plus two segments per tabled ref
-            for _ in range(30):
-                assert session.run(QUERIES["q2.1"]).value == execute_query_monolithic(tiny_ssb, QUERIES["q2.1"])[0]
-                assert footprint() == settled
+            # The session's sharded context, with a 4-entry build cache.
+            with activate_context(session.context(cache=False)):
+                with activate_builds(BuildArtifactCache(tiny_ssb, maxsize=4)):
+                    for i in range(30):
+                        query = cold(i)
+                        assert execute_query(tiny_ssb, query)[0] == execute_query_monolithic(tiny_ssb, query)[0]
+                        refs, segments = footprint()
+                        assert refs <= 4  # the build cache's size, not 2 per query so far
+                    execute_query(tiny_ssb, QUERIES["q2.1"])
+                    settled = footprint()
+                    assert settled[1] <= segments  # the fact export plus two segments per tabled ref
+                    expected = execute_query_monolithic(tiny_ssb, QUERIES["q2.1"])[0]
+                    for _ in range(30):
+                        assert execute_query(tiny_ssb, QUERIES["q2.1"])[0] == expected
+                        assert footprint() == settled
         assert not any(prefix in path for path in _shm_segments())
 
     def test_no_process_outlives_an_interpreter_that_sharded(self):
