@@ -14,7 +14,6 @@ implements the Table 3 dollar-cost comparison.
 
 from repro.analysis.capacity import MultiGPUConfig, gpus_needed, placement_advice
 from repro.analysis.cost import CostComparison, cost_comparison
-from repro.analysis.export import export_experiment, export_rows, export_series
 from repro.analysis.report import format_series, format_table
 from repro.analysis.scaling import scale_profile
 
@@ -22,9 +21,6 @@ __all__ = [
     "CostComparison",
     "MultiGPUConfig",
     "cost_comparison",
-    "export_experiment",
-    "export_rows",
-    "export_series",
     "format_series",
     "format_table",
     "gpus_needed",

@@ -179,9 +179,6 @@ class ColumnRef:
     def eq(self, value) -> Leaf:
         return self._leaf("eq", value)
 
-    def ne(self, value) -> Leaf:
-        return self._leaf("ne", value)
-
     def between(self, low, high) -> Leaf:
         """Inclusive two-sided range: ``low <= column <= high``."""
         return self._leaf("between", (low, high))

@@ -20,10 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from typing import Iterator
-
-import numpy as np
 
 from repro.engine.result import QueryResult
 from repro.ssb.queries import SSBQuery
@@ -63,7 +60,7 @@ class ResultSet:
     Construct via :meth:`from_result`.  The set behaves like a small named
     table: ``columns`` names the group-by columns plus the aggregate,
     ``records`` holds one decoded tuple per output row, and
-    ``sort_values`` / ``head`` / ``to_dicts`` / ``to_csv`` reshape it.  The
+    ``sort_values`` / ``head`` / ``to_csv`` reshape it.  The
     raw engine answer stays reachable -- ``value``, ``simulated_ms``,
     ``time``, ``traffic``, ``stats`` delegate to the underlying
     :class:`~repro.engine.result.QueryResult` -- so everything that worked
@@ -169,10 +166,6 @@ class ResultSet:
         """A copy keeping only the first ``n`` records."""
         return self._replace_records(self.records[:n])
 
-    def to_dicts(self) -> list[dict]:
-        """Tidy records: one ``{column: decoded value}`` dict per output row."""
-        return [dict(zip(self.columns, record)) for record in self.records]
-
     def to_csv(self, path: "str | None" = None) -> str:
         """The decoded table as CSV text (also written to ``path`` if given)."""
         buffer = io.StringIO()
@@ -180,21 +173,6 @@ class ResultSet:
         writer.writerow(self.columns)
         writer.writerows(self.records)
         text = buffer.getvalue()
-        if path is not None:
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        return text
-
-    def to_json(self, path: "str | None" = None, *, indent: "int | None" = None) -> str:
-        """The decoded table as records-orientation JSON text.
-
-        One object per output row, keyed by :attr:`columns` with decoded
-        labels -- the shape ``json.loads`` round-trips straight back into
-        :meth:`to_dicts`.  NumPy scalars (aggregates come back as
-        ``np.int64``/``np.float64``) are converted to native Python numbers
-        so the text is plain JSON.  Also written to ``path`` if given.
-        """
-        text = json.dumps(self.to_dicts(), default=_json_default, indent=indent)
         if path is not None:
             with open(path, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
@@ -226,12 +204,6 @@ class ResultSet:
             f"ResultSet({self.query!r}, engine={self.engine!r}, columns={list(self.columns)}, "
             f"records={len(self.records)})"
         )
-
-
-def _json_default(value):
-    if isinstance(value, np.generic):
-        return value.item()
-    raise TypeError(f"ResultSet cell of type {type(value).__name__} is not JSON serializable")
 
 
 def _format(value) -> str:

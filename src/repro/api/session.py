@@ -145,11 +145,6 @@ class Comparison:
         return all(values_agree(value, values[0]) for value in values)
 
     @property
-    def fastest(self) -> str:
-        """Key of the engine with the lowest simulated time."""
-        return min(self.results, key=lambda key: self.results[key].simulated_ms)
-
-    @property
     def answer(self) -> ResultSet:
         """The first engine's (decoded) result set, as the reference answer."""
         return next(iter(self.results.values()))
@@ -171,20 +166,6 @@ class Comparison:
             for key, result in self.results.items()
         ]
         return sorted(rows, key=lambda row: row.simulated_ms)
-
-    def as_dicts(self) -> list[dict]:
-        """The comparison as tidy records (one dict per engine)."""
-        return [
-            {
-                "query": self.query.name,
-                "engine": row.engine,
-                "simulated_ms": row.simulated_ms,
-                "rows": row.rows,
-                "agrees": row.agrees,
-                "speedup_vs_slowest": row.speedup_vs_slowest,
-            }
-            for row in self.rows()
-        ]
 
     def __str__(self) -> str:
         lines = [f"query {self.query.name}: {len(self.results)} engines, consistent={self.consistent}"]
@@ -531,11 +512,6 @@ class Session:
                 raise ValueError(f"standing query {key!r} already registered")
             self._standing[key] = standing
         return standing
-
-    def unregister_standing(self, name: str) -> None:
-        """Remove a standing query registered under ``name``."""
-        with self._standing_lock:
-            del self._standing[name]
 
     def standing_queries(self) -> "dict[str, StandingQuery]":
         """A snapshot of the registered standing queries, by name."""

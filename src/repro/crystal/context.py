@@ -96,9 +96,6 @@ class BlockContext:
             self.charge_atomic(self.num_tiles() or 1, num_targets=1)
         return old
 
-    def counter_value(self, name: str) -> int:
-        return self.counters.get(name, 0)
-
     def finalized_launch(self) -> KernelLaunch:
         """Launch configuration annotated with the grid size and barriers."""
         return KernelLaunch(

@@ -71,23 +71,17 @@ class CrystalKernel:
         body: Callable[[BlockContext], Any],
         threads_per_block: int = 128,
         items_per_thread: int = 4,
-        registers_per_thread: int = 32,
-        shared_bytes_per_block: int | None = None,
         label: str = "crystal-kernel",
         simulator: GPUSimulator | None = None,
     ) -> None:
         self.body = body
         self.label = label
         self.simulator = simulator or GPUSimulator()
-        tile_items = threads_per_block * items_per_thread
-        if shared_bytes_per_block is None:
-            # Two tile-sized 4-byte buffers, as in the Figure 8 kernel.
-            shared_bytes_per_block = tile_items * 4 * 2
         self.launch = KernelLaunch(
             threads_per_block=threads_per_block,
             items_per_thread=items_per_thread,
-            shared_bytes_per_block=shared_bytes_per_block,
-            registers_per_thread=registers_per_thread,
+            # Two tile-sized 4-byte buffers, as in the Figure 8 kernel.
+            shared_bytes_per_block=threads_per_block * items_per_thread * 4 * 2,
             label=label,
         )
 

@@ -29,7 +29,7 @@ def block_shuffle(ctx: BlockContext, tile: Tile, offsets: np.ndarray | None = No
             because matched order is preserved either way.
 
     Returns:
-        A new tile whose first ``num_matched`` entries are the matched values
+        A new tile whose first entries are the matched values
         in their original order and whose ``size`` equals that count.
     """
     matched = tile.matched_values()

@@ -67,11 +67,6 @@ class Tile:
         """Bytes per item."""
         return int(self.values.dtype.itemsize)
 
-    @property
-    def nbytes_valid(self) -> int:
-        """Bytes occupied by the valid entries."""
-        return self.size * self.itemsize
-
     def valid_values(self) -> np.ndarray:
         """The valid leading entries as a NumPy array view."""
         return self.values[: self.size]
@@ -81,12 +76,6 @@ class Tile:
         if self.bitmap is None:
             return self.valid_values()
         return self.values[: self.size][self.bitmap[: self.size]]
-
-    def num_matched(self) -> int:
-        """Number of entries selected by the bitmap."""
-        if self.bitmap is None:
-            return self.size
-        return int(np.count_nonzero(self.bitmap[: self.size]))
 
     def with_bitmap(self, bitmap: np.ndarray) -> "Tile":
         """Return a new tile sharing values but carrying ``bitmap``."""

@@ -42,9 +42,9 @@ class HyperLikeEngine:
 
     name = "hyper"
 
-    def __init__(self, db: Database, simulator: CPUSimulator | None = None) -> None:
+    def __init__(self, db: Database) -> None:
         self.db = db
-        self.simulator = simulator or CPUSimulator()
+        self.simulator = CPUSimulator()
 
     def simulate(self, query: SSBQuery, profile: QueryProfile) -> TimeBreakdown:
         """Simulated runtime for an already-collected profile."""
@@ -116,9 +116,9 @@ class MonetDBLikeEngine:
     #: Effective cores the operator-at-a-time execution keeps busy.
     effective_cores = 3
 
-    def __init__(self, db: Database, simulator: CPUSimulator | None = None) -> None:
+    def __init__(self, db: Database) -> None:
         self.db = db
-        self.simulator = simulator or CPUSimulator()
+        self.simulator = CPUSimulator()
 
     def simulate(self, query: SSBQuery, profile: QueryProfile) -> TimeBreakdown:
         """Simulated runtime for an already-collected profile."""
@@ -216,9 +216,9 @@ class OmnisciLikeEngine:
 
     name = "omnisci"
 
-    def __init__(self, db: Database, simulator: GPUSimulator | None = None) -> None:
+    def __init__(self, db: Database) -> None:
         self.db = db
-        self.simulator = simulator or GPUSimulator()
+        self.simulator = GPUSimulator()
 
     def simulate(self, query: SSBQuery, profile: QueryProfile) -> TimeBreakdown:
         """Simulated runtime for an already-collected profile."""

@@ -54,9 +54,9 @@ tasks) each see their own binding.  Pool threads and
 ``loop.run_in_executor`` do **not** inherit the submitter's context, so
 :meth:`repro.api.Session._execute` installs the session's context on the
 executing thread itself (:meth:`repro.api.Session.context` is the one place
-a session's state becomes ambient).  :func:`activate`,
-:func:`activate_builds` and :func:`activate_zones` replace one field of the
-current context for callers that drive the engine without a session.
+a session's state becomes ambient).  :func:`activate_builds` and
+:func:`activate_zones` replace one field of the current context for callers
+that drive the engine without a session.
 
 All three caches key by **(table, version)** under streaming ingest
 (:meth:`repro.storage.Table.append` bumps a monotonic per-table version),
@@ -146,11 +146,6 @@ class CounterSnapshot(NamedTuple):
     def execution_cached(self) -> bool:
         """Whether the covered work replayed at least one memoized execution."""
         return self.execution_hits > 0
-
-    @property
-    def builds_shared(self) -> bool:
-        """Whether the covered work reused at least one shared build artifact."""
-        return self.build_hits > 0
 
 
 def snapshot_counters(
@@ -706,13 +701,6 @@ class ZoneMapCache:
 # ----------------------------------------------------------------------
 # Per-field scopes over the one execution context (repro.context)
 # ----------------------------------------------------------------------
-
-
-@contextmanager
-def activate(cache: ExecutionCache):
-    """Route ``execute_query`` calls through ``cache`` for the duration."""
-    with activate_context(replace(current(), cache=cache)):
-        yield cache
 
 
 @contextmanager

@@ -16,7 +16,6 @@ from repro.engine.plan import QueryProfile
 from repro.hardware.counters import TrafficCounter
 from repro.hardware.interconnect import PCIeLink
 from repro.hardware.presets import DEFAULT_PCIE
-from repro.sim.gpu import GPUSimulator
 from repro.sim.timing import TimeBreakdown
 from repro.ssb.queries import SSBQuery
 from repro.storage import Database
@@ -27,16 +26,10 @@ class CoprocessorEngine:
 
     name = "gpu-coprocessor"
 
-    def __init__(
-        self,
-        db: Database,
-        simulator: GPUSimulator | None = None,
-        pcie: PCIeLink | None = None,
-    ) -> None:
+    def __init__(self, db: Database) -> None:
         self.db = db
-        self.simulator = simulator or GPUSimulator()
-        self.pcie = pcie or PCIeLink(bandwidth_bytes_per_s=DEFAULT_PCIE)
-        self._gpu = GPUStandaloneEngine(db, self.simulator)
+        self._gpu = GPUStandaloneEngine(db)
+        self.pcie = PCIeLink(bandwidth_bytes_per_s=DEFAULT_PCIE)
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -27,9 +27,9 @@ class CPUStandaloneEngine:
 
     name = "standalone-cpu"
 
-    def __init__(self, db: Database, simulator: CPUSimulator | None = None) -> None:
+    def __init__(self, db: Database) -> None:
         self.db = db
-        self.simulator = simulator or CPUSimulator()
+        self.simulator = CPUSimulator()
 
     # ------------------------------------------------------------------
     def build_time(self, profile: QueryProfile) -> TimeBreakdown:

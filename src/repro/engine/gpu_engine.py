@@ -33,9 +33,9 @@ class GPUStandaloneEngine:
 
     name = "standalone-gpu"
 
-    def __init__(self, db: Database, simulator: GPUSimulator | None = None) -> None:
+    def __init__(self, db: Database) -> None:
         self.db = db
-        self.simulator = simulator or GPUSimulator()
+        self.simulator = GPUSimulator()
 
     # ------------------------------------------------------------------
     def build_time(self, profile: QueryProfile) -> TimeBreakdown:

@@ -92,7 +92,7 @@ touching the same dimensions construct each distinct lookup exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable
+from typing import Hashable
 
 import numpy as np
 
@@ -438,10 +438,10 @@ class ScanFilter:
     therefore the profile) is byte-identical to the unpruned scan.
     """
 
-    def __init__(self, term: Pred, zone_cls: np.ndarray | None = None) -> None:
+    def __init__(self, term: Pred) -> None:
         self.term = term
         #: Tri-state per-zone fold of ``term`` (None = statistics silent).
-        self.zone_cls = zone_cls
+        self.zone_cls: np.ndarray | None = None
         #: The exact :class:`TableZoneMaps` instance the classification was
         #: folded against (set by :func:`lower`).  Under streaming ingest a
         #: zone-count check is not enough -- an append can change the tail
@@ -862,14 +862,6 @@ class PhysicalPlan:
     builds: tuple[BuildLookup, ...]
     probes: tuple[ProbeJoin, ...]
     aggregate: Aggregate
-
-    def operators(self) -> Iterable[object]:
-        """Every operator in execution order (builds before their probes)."""
-        yield from self.filters
-        for build, probe in zip(self.builds, self.probes):
-            yield build
-            yield probe
-        yield self.aggregate
 
 
 def lower(logical: LogicalPlan, db: Database | None = None) -> PhysicalPlan:

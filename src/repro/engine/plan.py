@@ -112,10 +112,6 @@ class QueryProfile:
             joins=[replace(stage) for stage in self.joins],
         )
 
-    def fact_bytes_accessed_full(self) -> float:
-        """Total bytes of the fact columns the query touches (full columns)."""
-        return sum(access.column_bytes for access in self.column_accesses)
-
     def selective_column_bytes(self, line_bytes: int) -> float:
         """Fact-column bytes touched under the min(full-scan, line-per-row) rule."""
         total = 0.0

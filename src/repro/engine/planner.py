@@ -22,10 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.engine.expr import evaluate_pred
-from repro.engine.physical import LogicalPlan, PhysicalPlan, lower
 from repro.engine.plan import HASH_ENTRY_BYTES
 from repro.hardware.presets import NVIDIA_V100
-from repro.hardware.specs import GPUSpec
 from repro.ssb.queries import JoinSpec, SSBQuery
 from repro.storage import Database
 
@@ -59,29 +57,10 @@ class PlanChoice:
 class JoinOrderPlanner:
     """Chooses the dimension-join order of a star-join query by cost."""
 
-    def __init__(self, db: Database, spec: GPUSpec = NVIDIA_V100) -> None:
+    def __init__(self, db: Database) -> None:
         self.db = db
-        self.spec = spec
 
     # ------------------------------------------------------------------
-    def join_selectivity(self, query: SSBQuery, dimension: str) -> float:
-        """Fraction of fact rows that survive the join with ``dimension``.
-
-        For SSB's uniform foreign keys this equals the fraction of dimension
-        rows that pass the dimension's own filters.  Only raises when
-        ``dimension`` itself is missing or joined more than once; other
-        role-playing joins in the query do not make this answer ambiguous.
-        """
-        matches = [join for join in query.joins if join.dimension == dimension]
-        if not matches:
-            raise KeyError(f"query {query.name!r} has no join with dimension {dimension!r}")
-        if len(matches) > 1:
-            raise ValueError(
-                f"query {query.name!r} joins dimension {dimension!r} more than once; "
-                f"its selectivity is per-join, not per-dimension"
-            )
-        return self._join_selectivity(matches[0])
-
     def _join_selectivity(self, join: JoinSpec) -> float:
         table = self.db.table(join.dimension)
         if table.num_rows == 0:
@@ -108,9 +87,9 @@ class JoinOrderPlanner:
         once and passes them via ``selectivity_by_dimension`` so the n!
         candidate orders do not each re-scan the dimension tables.
         """
-        line = self.spec.global_access_granularity_bytes
-        l2 = float(self.spec.l2_capacity_bytes)
-        read_bw = self.spec.global_read_bandwidth
+        line = NVIDIA_V100.global_access_granularity_bytes
+        l2 = float(NVIDIA_V100.l2_capacity_bytes)
+        read_bw = NVIDIA_V100.global_read_bandwidth
 
         joins = joins_by_dimension(query)
         if selectivity_by_dimension is None:
@@ -162,18 +141,3 @@ class JoinOrderPlanner:
         return replace(query, joins=reordered)
 
     # ------------------------------------------------------------------
-    def logical_plan(self, query: SSBQuery, *, optimize: bool = False) -> LogicalPlan:
-        """Normalize ``query`` into a logical plan, optionally cost-ordered.
-
-        With ``optimize=True`` the dimension joins are first rearranged into
-        the cheapest order (same constraint as :meth:`reorder`: each
-        dimension joined at most once); the plan then carries the chosen
-        order, so lowering and batched execution need no further planning.
-        """
-        if optimize:
-            query = self.reorder(query)
-        return LogicalPlan.from_query(query)
-
-    def physical_plan(self, query: SSBQuery, *, optimize: bool = False) -> PhysicalPlan:
-        """Lower ``query`` straight to the staged physical operator pipeline."""
-        return lower(self.logical_plan(query, optimize=optimize))

@@ -114,9 +114,9 @@ class FaultPoint:
     ``skip`` counts arrivals at the site before the point becomes eligible
     (``skip=2`` leaves the first two alone); ``times`` bounds how many
     arrivals it then fires on.  ``probability`` (default certain) makes
-    eligible arrivals fire on a seeded coin flip instead -- the draw order
-    is the arrival order, so a given ``(plan seed, workload)`` pair always
-    faults the same requests.  ``delay_s`` is the sleep for ``latency``
+    eligible arrivals fire on a fixed-seed coin flip instead -- the draw
+    order is the arrival order, so a given plan against a given workload
+    always faults the same requests.  ``delay_s`` is the sleep for ``latency``
     mode (ignored by the instantaneous modes).
     """
 
@@ -153,10 +153,9 @@ class FaultPlan:
     retry loop converge against a plan that faults the first attempt.
     """
 
-    def __init__(self, points, *, seed: int = 0) -> None:
+    def __init__(self, points) -> None:
         self.points = tuple(points)
-        self.seed = seed
-        self._rng = random.Random(seed)
+        self._rng = random.Random(0)
         self._budgets = [point.times for point in self.points]
         self._arrivals: dict[str, int] = {}
         self._fired: dict[str, int] = {}
@@ -203,11 +202,6 @@ class FaultPlan:
                 return self._fired.get(site, 0)
             return sum(self._fired.values())
 
-    def arrivals(self, site: str) -> int:
-        """Arrivals counted at ``site`` so far."""
-        with self._lock:
-            return self._arrivals.get(site, 0)
-
     def stats(self) -> dict:
         """Per-site ``{"arrivals": n, "fired": m}`` bookkeeping snapshot."""
         with self._lock:
@@ -221,7 +215,7 @@ class FaultPlan:
             }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FaultPlan({len(self.points)} points, seed={self.seed}, fired={self.fired()})"
+        return f"FaultPlan({len(self.points)} points, fired={self.fired()})"
 
 
 def execute_fault(action: FaultAction, *, segment: "str | None" = None) -> None:

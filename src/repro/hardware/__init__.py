@@ -11,20 +11,18 @@ package provides:
   V100 specifications used throughout the paper, plus the measured PCIe
   bandwidth.
 * :mod:`repro.hardware.cache` -- an analytic cache-hit-ratio model (used by
-  the cost models) and a set-associative LRU cache simulator (used by tests
-  and by the fidelity checks of the analytic model).
-* :mod:`repro.hardware.memory` -- bandwidth/latency accounting for
-  sequential and random memory traffic.
+  the cost models) and a set-associative LRU cache simulator (the reference
+  the analytic model is checked against).
+* :mod:`repro.hardware.memory` -- the device a piece of data resides on.
 * :mod:`repro.hardware.interconnect` -- the PCIe transfer model used by the
   coprocessor experiments.
 * :mod:`repro.hardware.counters` -- memory-traffic counters shared by the
   operator implementations and the simulators.
 """
 
-from repro.hardware.cache import AnalyticCacheModel, CacheHierarchy, SetAssociativeCache
+from repro.hardware.cache import AnalyticCacheModel, SetAssociativeCache
 from repro.hardware.counters import TrafficCounter
 from repro.hardware.interconnect import PCIeLink
-from repro.hardware.memory import AccessPattern, MemoryRegion
 from repro.hardware.presets import (
     AWS_P3_2XLARGE,
     AWS_R5_2XLARGE,
@@ -36,17 +34,14 @@ from repro.hardware.presets import (
 from repro.hardware.specs import CacheLevelSpec, CPUSpec, GPUSpec
 
 __all__ = [
-    "AccessPattern",
     "AnalyticCacheModel",
     "AWS_P3_2XLARGE",
     "AWS_R5_2XLARGE",
-    "CacheHierarchy",
     "CacheLevelSpec",
     "CPUSpec",
     "DEFAULT_PCIE",
     "GPUSpec",
     "INTEL_I7_6900",
-    "MemoryRegion",
     "NVIDIA_V100",
     "PCIeLink",
     "SetAssociativeCache",

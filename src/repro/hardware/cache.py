@@ -9,17 +9,15 @@ Two complementary models are provided:
   use, because it is exact for uniform random probing under LRU in the
   steady state and is independent of the data scale.
 * :class:`SetAssociativeCache` -- a line-granular LRU set-associative cache
-  simulator.  It is far too slow to run at the paper's data scale but it is
-  used by the test suite to validate the analytic model (the paper cites
-  Mei & Chu's finding that the V100 L2 behaves as an LRU set-associative
-  cache) and by the ablation experiments on small traces.
+  simulator.  It is far too slow to run at the paper's data scale; it is
+  the reference the test suite validates the analytic model against (the
+  paper cites Mei & Chu's finding that the V100 L2 behaves as an LRU
+  set-associative cache).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.hardware.specs import CacheLevelSpec
 
 
 @dataclass(frozen=True)
@@ -40,46 +38,9 @@ class AnalyticCacheModel:
             return 1.0
         return min(self.capacity_bytes / working_set_bytes, 1.0)
 
-    def miss_ratio(self, working_set_bytes: float) -> float:
-        """Complement of :meth:`hit_ratio`."""
-        return 1.0 - self.hit_ratio(working_set_bytes)
-
     def fits(self, working_set_bytes: float) -> bool:
         """True when the working set fits entirely in the cache."""
         return working_set_bytes <= self.capacity_bytes
-
-
-@dataclass
-class CacheHierarchy:
-    """An ordered sequence of analytic cache levels (L1 -> L2 -> ... -> LLC).
-
-    ``effective_capacity_bytes`` optionally reduces the capacity of a level,
-    which the full-query model of Section 5.3 needs: the part hash table
-    competes for the GPU L2 with the supplier and date hash tables, leaving
-    only ``6 MB - 0.3 MB = 5.7 MB`` available.
-    """
-
-    levels: list[AnalyticCacheModel]
-
-    @classmethod
-    def from_specs(cls, specs: tuple[CacheLevelSpec, ...] | list[CacheLevelSpec]) -> "CacheHierarchy":
-        return cls(levels=[AnalyticCacheModel(s.capacity_bytes, s.line_bytes) for s in specs])
-
-    def hit_level(self, working_set_bytes: float) -> int | None:
-        """Index of the smallest level the working set fits in, or ``None``."""
-        for index, level in enumerate(self.levels):
-            if level.fits(working_set_bytes):
-                return index
-        return None
-
-    def memory_access_probability(self, working_set_bytes: float) -> float:
-        """Probability a random probe misses every level and reaches memory."""
-        if not self.levels:
-            return 1.0
-        return self.levels[-1].miss_ratio(working_set_bytes)
-
-    def last_level(self) -> AnalyticCacheModel:
-        return self.levels[-1]
 
 
 @dataclass
@@ -131,10 +92,6 @@ class SetAssociativeCache:
         self._sets: list[list[int]] = [[] for _ in range(self.num_sets)]
         self.stats = CacheStats()
 
-    @classmethod
-    def from_spec(cls, spec: CacheLevelSpec) -> "SetAssociativeCache":
-        return cls(spec.capacity_bytes, spec.line_bytes, spec.associativity)
-
     def _locate(self, address: int) -> tuple[int, int]:
         line = address // self.line_bytes
         return line % self.num_sets, line
@@ -179,7 +136,3 @@ class SetAssociativeCache:
         """Invalidate all lines and reset statistics."""
         self._sets = [[] for _ in range(self.num_sets)]
         self.stats.reset()
-
-    @property
-    def resident_lines(self) -> int:
-        return sum(len(ways) for ways in self._sets)

@@ -109,15 +109,6 @@ class TrafficCounter:
             notes=list(self.notes),
         )
 
-    @property
-    def total_device_bytes(self) -> float:
-        """Total bytes that must cross the device-memory bus (line granular)."""
-        return (
-            self.sequential_read_bytes
-            + self.sequential_write_bytes
-            + self.random_accesses * self.random_access_bytes
-        )
-
     def note(self, message: str) -> None:
         """Attach a human-readable note (kept out of the hot paths)."""
         self.notes.append(message)

@@ -19,13 +19,10 @@ class PCIeLink:
     Attributes:
         bandwidth_bytes_per_s: Sustained transfer bandwidth in one direction.
         latency_s: Fixed per-transfer latency (kernel-launch / DMA setup).
-        duplex: When True, host-to-device and device-to-host transfers can
-            proceed concurrently at full bandwidth each.
     """
 
     bandwidth_bytes_per_s: float = 12.8e9
     latency_s: float = 10e-6
-    duplex: bool = True
 
     def __post_init__(self) -> None:
         if self.bandwidth_bytes_per_s <= 0:
@@ -40,14 +37,6 @@ class PCIeLink:
         if num_bytes == 0:
             return 0.0
         return self.latency_s + num_bytes / self.bandwidth_bytes_per_s
-
-    def round_trip_seconds(self, bytes_to_device: float, bytes_to_host: float) -> float:
-        """Time to ship inputs to the device and results back to the host."""
-        down = self.transfer_seconds(bytes_to_device)
-        up = self.transfer_seconds(bytes_to_host)
-        if self.duplex:
-            return max(down, up)
-        return down + up
 
     def overlapped_with_kernel(self, transfer_bytes: float, kernel_seconds: float) -> float:
         """Runtime when the transfer is perfectly pipelined with execution.

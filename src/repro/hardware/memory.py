@@ -1,30 +1,12 @@
-"""Memory access patterns and simple region/bandwidth accounting.
+"""Where data resides.
 
-The cost models in the paper charge for memory traffic in two ways:
-
-* **Sequential (streaming) traffic** -- bytes divided by bandwidth.
-* **Random traffic** -- every access pays for a full cache line / memory
-  transaction, so ``n_accesses * line_bytes`` divided by the bandwidth of
-  whichever level services the access.
-
-This module provides the small value types used to express that distinction,
-plus a :class:`MemoryRegion` helper the storage layer uses to track which
-device a column currently resides on (host DRAM or GPU global memory) so the
-coprocessor engine knows what has to cross PCIe.
+:class:`Device` names the memory a column lives in -- host DRAM or GPU
+global memory -- so the generator can place a database on either device.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-
-
-class AccessPattern(enum.Enum):
-    """How a region of memory is touched by an operator."""
-
-    SEQUENTIAL = "sequential"
-    RANDOM = "random"
-    STRIDED = "strided"
 
 
 class Device(enum.Enum):
@@ -32,51 +14,3 @@ class Device(enum.Enum):
 
     CPU = "cpu"
     GPU = "gpu"
-
-
-@dataclass(frozen=True)
-class MemoryRegion:
-    """A contiguous allocation on a device.
-
-    The reproduction does not manage real device memory, but the engines need
-    to reason about residency (Section 3.1: the coprocessor model must ship
-    columns over PCIe; the GPU-resident model does not) and about capacity
-    (does the working set fit in 32 GB of HBM?).
-    """
-
-    device: Device
-    size_bytes: int
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.size_bytes < 0:
-            raise ValueError("region size must be non-negative")
-
-    def on_gpu(self) -> bool:
-        return self.device is Device.GPU
-
-    def on_cpu(self) -> bool:
-        return self.device is Device.CPU
-
-
-def transfer_time_seconds(num_bytes: float, bandwidth_bytes_per_s: float) -> float:
-    """Time to stream ``num_bytes`` at ``bandwidth_bytes_per_s``.
-
-    Raises ``ValueError`` for a non-positive bandwidth rather than silently
-    returning infinity -- a zero bandwidth always indicates a mis-configured
-    spec.
-    """
-    if bandwidth_bytes_per_s <= 0:
-        raise ValueError("bandwidth must be positive")
-    if num_bytes < 0:
-        raise ValueError("byte count must be non-negative")
-    return num_bytes / bandwidth_bytes_per_s
-
-
-def random_access_bytes(num_accesses: float, line_bytes: int) -> float:
-    """Bytes actually moved by ``num_accesses`` random line-granular accesses."""
-    if num_accesses < 0:
-        raise ValueError("access count must be non-negative")
-    if line_bytes <= 0:
-        raise ValueError("line size must be positive")
-    return num_accesses * line_bytes

@@ -113,20 +113,12 @@ class CPUSpec:
         """Cache line size of the last-level cache (the DRAM transfer unit)."""
         return self.caches[-1].line_bytes
 
-    @property
-    def last_level_cache(self) -> CacheLevelSpec:
-        return self.caches[-1]
-
     def cache_named(self, name: str) -> CacheLevelSpec:
         """Return the cache level with the given name (e.g. ``"L2"``)."""
         for level in self.caches:
             if level.name == name:
                 return level
         raise KeyError(f"no cache level named {name!r} on {self.model}")
-
-    def shared_cache_capacity(self) -> int:
-        """Capacity of the shared last-level cache in bytes."""
-        return self.last_level_cache.capacity_bytes
 
 
 @dataclass(frozen=True)
@@ -174,25 +166,6 @@ class GPUSpec:
     def total_cores(self) -> int:
         """Total number of scalar cores across all SMs."""
         return self.num_sms * self.cores_per_sm
-
-    @property
-    def max_resident_threads(self) -> int:
-        """Maximum number of threads resident on the device at once."""
-        return self.num_sms * self.max_threads_per_sm
-
-    @property
-    def shared_memory_per_thread_bytes(self) -> float:
-        """Shared-memory bytes available per thread at full occupancy.
-
-        The paper quotes ~24 4-byte values per thread on the V100; this
-        property reproduces that derivation.
-        """
-        return self.shared_memory_per_sm_bytes / self.max_threads_per_sm
-
-    @property
-    def registers_per_thread_at_full_occupancy(self) -> float:
-        """Registers available per thread when an SM is fully occupied."""
-        return self.registers_per_sm / self.max_threads_per_sm
 
     def occupancy_limit_blocks(
         self,

@@ -32,9 +32,8 @@ from repro.storage.zonemap import DEFAULT_ZONE_SIZE
 class IngestBuffer:
     """Stages arriving rows and seals them into zone-aligned micro-batches.
 
-    ``batch_rows`` defaults to the zone size (4096), so every sealed batch
-    adds exactly one zone of rows; any multiple of the zone size keeps the
-    alignment.  A sealed batch is one ordinary append: standing queries and
+    A batch is one zone of rows (4096), so every sealed batch adds exactly
+    one zone.  A sealed batch is one ordinary append: standing queries and
     cached answers fold it in on their next read.
 
     Thread-safe: concurrent :meth:`add` calls interleave whole chunks (a
@@ -42,11 +41,9 @@ class IngestBuffer:
     chunk may span two sealed batches).
     """
 
-    def __init__(self, table: Table, *, batch_rows: int = DEFAULT_ZONE_SIZE) -> None:
-        if batch_rows < 1:
-            raise ValueError(f"batch_rows must be >= 1, got {batch_rows}")
+    def __init__(self, table: Table) -> None:
         self.table = table
-        self.batch_rows = batch_rows
+        self.batch_rows = DEFAULT_ZONE_SIZE
         self._lock = threading.Lock()
         self._chunks: "list[dict[str, np.ndarray]]" = []
         self._staged_rows = 0

@@ -19,6 +19,8 @@ import numpy as np
 #: Sentinel stored in empty slots.  SSB keys and the microbenchmark keys are
 #: all non-negative, matching the paper's setup.
 EMPTY_KEY = np.int64(-1)
+#: Logical bytes per slot: a 4-byte key and a 4-byte payload.
+SLOT_BYTES = 8
 
 
 def _next_power_of_two(value: int) -> int:
@@ -46,17 +48,13 @@ class LinearProbingHashTable:
     Args:
         num_slots: Number of slots; rounded up to a power of two so the hash
             can use a mask instead of a modulo.
-        key_bytes / payload_bytes: Logical width of the stored key and
-            payload; the microbenchmark uses 4 + 4 bytes per slot.
     """
 
-    def __init__(self, num_slots: int, key_bytes: int = 4, payload_bytes: int = 4) -> None:
+    def __init__(self, num_slots: int) -> None:
         if num_slots <= 0:
             raise ValueError("hash table needs at least one slot")
         self.num_slots = _next_power_of_two(num_slots)
         self._mask = self.num_slots - 1
-        self.key_bytes = key_bytes
-        self.payload_bytes = payload_bytes
         self._keys = np.full(self.num_slots, EMPTY_KEY, dtype=np.int64)
         self._values = np.zeros(self.num_slots, dtype=np.int64)
         self.build_stats = _BuildStats(num_slots=self.num_slots)
@@ -68,8 +66,6 @@ class LinearProbingHashTable:
         keys: np.ndarray,
         values: np.ndarray | None = None,
         fill_factor: float = 0.5,
-        key_bytes: int = 4,
-        payload_bytes: int = 4,
     ) -> "LinearProbingHashTable":
         """Build a table over ``keys`` (and optional payloads).
 
@@ -89,7 +85,7 @@ class LinearProbingHashTable:
         if values.shape != keys.shape:
             raise ValueError("values must align with keys")
         num_slots = max(1, int(np.ceil(keys.shape[0] / fill_factor)))
-        table = cls(num_slots, key_bytes=key_bytes, payload_bytes=payload_bytes)
+        table = cls(num_slots)
         table.insert(keys, values)
         return table
 
@@ -100,7 +96,7 @@ class LinearProbingHashTable:
 
     @property
     def slot_bytes(self) -> int:
-        return self.key_bytes + self.payload_bytes
+        return SLOT_BYTES
 
     @property
     def num_keys(self) -> int:
@@ -194,23 +190,3 @@ class LinearProbingHashTable:
                 if steps > self.num_slots:
                     raise RuntimeError("probe did not terminate; table is corrupt")
         return found, values
-
-    def average_probe_length(self, sample_keys: np.ndarray | None = None) -> float:
-        """Average number of slots inspected per probe (build-quality metric)."""
-        keys = self._keys[self._keys != EMPTY_KEY] if sample_keys is None else np.asarray(sample_keys)
-        if keys.size == 0:
-            return 0.0
-        positions = self._hash(keys.astype(np.int64))
-        lengths = np.ones(keys.shape[0])
-        active = np.arange(keys.shape[0])
-        step = 0
-        while active.size and step <= self.num_slots:
-            pos = positions[active]
-            slot_keys = self._keys[pos]
-            done = (slot_keys == keys[active]) | (slot_keys == EMPTY_KEY)
-            active = active[~done]
-            if active.size:
-                positions[active] = (positions[active] + 1) & self._mask
-                lengths[active] += 1
-            step += 1
-        return float(lengths.mean())

@@ -95,11 +95,13 @@ class OverloadError(ServiceError):
 
 
 class QueryTimeoutError(ServiceError):
-    """A request exceeded its timeout while queued or running.
+    """A request exceeded its timeout while queued, running or backing off.
 
     ``where`` says which: ``"queued"`` requests are removed from the queue
     and never execute; ``"running"`` requests cannot be interrupted
-    mid-kernel -- the worker finishes and the result is discarded.
+    mid-kernel -- the worker finishes and the result is discarded;
+    ``"backoff"`` requests were waiting between two attempts, with no
+    worker holding them, and are never re-admitted.
     """
 
     def __init__(self, message: str, *, timeout_s: float, where: str) -> None:
@@ -119,10 +121,6 @@ class ServiceResult:
     result: ResultSet
     trace: RequestTrace
 
-    @property
-    def latency_ms(self) -> float:
-        return self.trace.total_ms or 0.0
-
 
 @dataclass(frozen=True)
 class IngestResult:
@@ -132,10 +130,6 @@ class IngestResult:
     version: int
     rows: int
     trace: RequestTrace
-
-    @property
-    def latency_ms(self) -> float:
-        return self.trace.total_ms or 0.0
 
 
 @dataclass(frozen=True)
@@ -161,11 +155,6 @@ class ServiceStats:
     #: request's first), and times the shard breaker tripped open.
     retries: int = 0
     breaker_trips: int = 0
-
-    @property
-    def settled(self) -> int:
-        """Requests that reached a terminal state."""
-        return self.completed + self.rejected + self.timed_out + self.failed + self.cancelled
 
 
 @dataclass(eq=False)  # identity semantics: requests live in the backoff set
@@ -669,7 +658,7 @@ class QueryService:
         if request.future.done():
             return
         trace = request.trace
-        where = "queued" if trace.status == "queued" else "running"
+        where = trace.status if trace.status in ("queued", "backoff") else "running"
         if where == "queued":
             self._queue.remove(request)
             trace.finished_at = time.perf_counter()
@@ -678,7 +667,8 @@ class QueryService:
         self._stats["timed_out"] += 1
         request.future.set_exception(
             QueryTimeoutError(
-                f"request {trace.class_tag!r} exceeded {timeout_s * 1e3:.0f}ms while {where}",
+                f"request {trace.class_tag!r} exceeded {timeout_s * 1e3:.0f}ms while "
+                + ("backing off" if where == "backoff" else where),
                 timeout_s=timeout_s, where=where,
             )
         )

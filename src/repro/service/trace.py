@@ -108,37 +108,7 @@ class RequestTrace:
         """Whether the answer replayed from the session's execution memo."""
         return self.counters is not None and self.counters.execution_cached
 
-    @property
-    def builds_shared(self) -> bool:
-        """Whether the request reused at least one shared build artifact."""
-        return self.counters is not None and self.counters.builds_shared
-
     # ------------------------------------------------------------------
-    def as_dict(self) -> dict:
-        """The trace as one tidy record (for JSON/CSV export)."""
-        return {
-            "request_id": self.request_id,
-            "query": self.query,
-            "class_tag": self.class_tag,
-            "engine": self.engine,
-            "status": self.status,
-            "enqueued_wall": self.enqueued_wall,
-            "queue_depth_seen": self.queue_depth_seen,
-            "inflight_seen": self.inflight_seen,
-            "wait_ms": self.wait_ms,
-            "execute_ms": self.execute_ms,
-            "total_ms": self.total_ms,
-            "execution_cached": self.execution_cached,
-            "builds_shared": self.builds_shared,
-            "rows_pruned": self.counters.rows_pruned if self.counters else 0,
-            "table_versions": self.table_versions,
-            "attempts": self.attempts,
-            "faults": list(self.faults),
-            "plane": self.plane,
-            "durability": self.durability,
-            "fsync_ms": self.fsync_ms,
-            "error": self.error,
-        }
 
     def __str__(self) -> str:
         timing = (

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from repro.hardware.cache import AnalyticCacheModel
 from repro.hardware.counters import TrafficCounter
 from repro.hardware.presets import INTEL_I7_6900
-from repro.hardware.specs import CPUSpec
 from repro.sim.timing import TimeBreakdown
 
 #: Instructions (scalar micro-ops) retired per core per cycle for the simple
@@ -66,9 +65,9 @@ class CPUExecution:
 class CPUSimulator:
     """Analytic multicore CPU performance simulator."""
 
-    def __init__(self, spec: CPUSpec = INTEL_I7_6900) -> None:
-        self.spec = spec
-        self._levels = [AnalyticCacheModel(c.capacity_bytes, c.line_bytes) for c in spec.caches]
+    def __init__(self) -> None:
+        self.spec = INTEL_I7_6900
+        self._levels = [AnalyticCacheModel(c.capacity_bytes, c.line_bytes) for c in self.spec.caches]
 
     # ------------------------------------------------------------------
     # Bandwidth and compute primitives

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from repro.hardware.cache import AnalyticCacheModel
 from repro.hardware.counters import TrafficCounter
 from repro.hardware.presets import NVIDIA_V100
-from repro.hardware.specs import GPUSpec
 from repro.sim.timing import TimeBreakdown
 
 #: Occupancy (fraction of max resident warps) needed to fully hide global
@@ -99,10 +98,11 @@ class GPUExecution:
 class GPUSimulator:
     """Analytic GPU performance simulator for tile-based kernels."""
 
-    def __init__(self, spec: GPUSpec = NVIDIA_V100) -> None:
-        self.spec = spec
-        self._l1 = AnalyticCacheModel(spec.l1_capacity_per_sm_bytes, spec.global_access_granularity_bytes)
-        self._l2 = AnalyticCacheModel(spec.l2_capacity_bytes, spec.global_access_granularity_bytes)
+    def __init__(self) -> None:
+        self.spec = NVIDIA_V100
+        granularity = NVIDIA_V100.global_access_granularity_bytes
+        self._l1 = AnalyticCacheModel(NVIDIA_V100.l1_capacity_per_sm_bytes, granularity)
+        self._l2 = AnalyticCacheModel(NVIDIA_V100.l2_capacity_bytes, granularity)
 
     # ------------------------------------------------------------------
     # Bandwidth primitives

@@ -36,10 +36,6 @@ class TimeBreakdown:
     def total_ms(self) -> float:
         return self.total_seconds * 1e3
 
-    @property
-    def total_us(self) -> float:
-        return self.total_seconds * 1e6
-
     def add(self, name: str, seconds: float) -> "TimeBreakdown":
         """Add ``seconds`` to component ``name`` (creating it if needed)."""
         if seconds < 0:
@@ -58,12 +54,6 @@ class TimeBreakdown:
         if factor < 0:
             raise ValueError("scale factor must be non-negative")
         return TimeBreakdown({k: v * factor for k, v in self.components.items()})
-
-    def dominant_component(self) -> str | None:
-        """Name of the largest component, or ``None`` when empty."""
-        if not self.components:
-            return None
-        return max(self.components, key=self.components.get)
 
     def __add__(self, other: "TimeBreakdown") -> "TimeBreakdown":
         result = TimeBreakdown(dict(self.components))

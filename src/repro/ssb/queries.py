@@ -344,17 +344,6 @@ class SSBQuery:
         """The fact-table restriction as a normalized :class:`Pred` tree."""
         return as_pred(self.fact_filters)
 
-    def fact_columns_accessed(self) -> list[str]:
-        """Fact-table columns the query touches (filters, keys, measures)."""
-        columns: list[str] = list(self.predicate.columns())
-        for join in self.joins:
-            if join.fact_key not in columns:
-                columns.append(join.fact_key)
-        for column in self.aggregate.columns:
-            if column not in columns:
-                columns.append(column)
-        return columns
-
 
 _HASHED_FIELDS = tuple(f.name for f in fields(SSBQuery) if f.compare)
 

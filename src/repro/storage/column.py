@@ -63,10 +63,6 @@ class Column:
     def max(self) -> float:
         return float(self.values.max()) if len(self) else float("nan")
 
-    def distinct_count(self) -> int:
-        """Number of distinct values (used by dictionary-width discussions)."""
-        return int(np.unique(self.values).shape[0]) if len(self) else 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Column({self.name!r}, n={len(self)}, dtype={self.dtype}, "

@@ -189,8 +189,3 @@ class BitPackedColumn:
         decode = decode_ops_per_value / compute_throughput * 1e9  # pseudo-bytes equivalent
         uncompressed_read = float(self.reference_bytes_per_value)
         return uncompressed_read / max(packed_read, decode)
-
-
-def pack_table_columns(columns: dict[str, np.ndarray]) -> dict[str, BitPackedColumn]:
-    """Pack every column of a mapping; convenience for the ablation bench."""
-    return {name: BitPackedColumn.pack(values, name=name) for name, values in columns.items()}

@@ -10,13 +10,7 @@ from repro.storage.table import Table
 
 @dataclass
 class Database:
-    """A named collection of tables plus device-capacity bookkeeping.
-
-    The GPU-resident execution model requires the working set to fit in GPU
-    memory (32 GB on the V100); :meth:`fits_on_device` performs that check so
-    the engines can refuse (or fall back to the coprocessor path) when it
-    does not, mirroring the paper's scoping discussion in Section 5.5.
-    """
+    """A named collection of tables."""
 
     name: str = "db"
     tables: dict[str, Table] = field(default_factory=dict)
@@ -44,15 +38,6 @@ class Database:
     def nbytes(self) -> int:
         """Total size of all tables in bytes."""
         return sum(table.nbytes for table in self.tables.values())
-
-    def fits_on_device(self, capacity_bytes: int, headroom: float = 0.9) -> bool:
-        """Whether the whole database fits in ``capacity_bytes`` of memory.
-
-        ``headroom`` leaves room for intermediate results and hash tables.
-        """
-        if capacity_bytes <= 0:
-            raise ValueError("capacity must be positive")
-        return self.nbytes <= capacity_bytes * headroom
 
     def to_device(self, device: Device) -> "Database":
         """Return a database with every table marked resident on ``device``."""

@@ -66,16 +66,3 @@ class DictionaryEncoder:
 
     def __contains__(self, value: object) -> bool:
         return str(value) in self._code_of
-
-    @property
-    def width_bytes(self) -> int:
-        """Smallest power-of-two byte width able to hold every code.
-
-        The paper notes many SSB columns would fit 1-2 byte codes but keeps
-        4 bytes for comparability; the compression ablation uses this.
-        """
-        cardinality = max(len(self.values), 1)
-        for width in (1, 2, 4):
-            if cardinality <= (1 << (8 * width)):
-                return width
-        return 8

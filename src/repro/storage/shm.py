@@ -228,17 +228,16 @@ class SharedMemoryRegistry:
     registry reclaims whatever a crashed predecessor stranded.
     """
 
-    def __init__(self, prefix: str | None = None, *, janitor: bool = True) -> None:
-        self._prefix = prefix or f"{SEGMENT_PREFIX}-{os.getpid()}-{secrets.token_hex(4)}"
+    def __init__(self) -> None:
+        self._prefix = f"{SEGMENT_PREFIX}-{os.getpid()}-{secrets.token_hex(4)}"
         self._segments: dict[str, shared_memory.SharedMemory] = {}
         self._counter = itertools.count()
         self._lock = threading.Lock()
         self._closed = False
-        if janitor:
-            try:
-                reap_stale_segments()
-            except OSError:  # pragma: no cover - unreadable shm dir
-                pass
+        try:
+            reap_stale_segments()
+        except OSError:  # pragma: no cover - unreadable shm dir
+            pass
         _stop_tracker_at_exit()
         atexit.register(self.close)
 
@@ -269,10 +268,6 @@ class SharedMemoryRegistry:
     def num_segments(self) -> int:
         with self._lock:
             return len(self._segments)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def release(self, names) -> None:
         """Close and unlink a subset of owned segments (by segment name).

@@ -390,10 +390,6 @@ class Table:
     def column_names(self) -> list[str]:
         return list(self.columns)
 
-    def bytes_for(self, column_names) -> int:
-        """Total bytes of a subset of columns (used for PCIe accounting)."""
-        return sum(self.column(name).nbytes for name in column_names)
-
     def select_rows(self, mask_or_indices) -> "Table":
         """Materialize a row subset into a new table (used by tests/examples)."""
         result = Table(name=f"{self.name}_subset", dictionaries=dict(self.dictionaries))
@@ -414,12 +410,6 @@ class Table:
         for column in self.columns.values():
             result.add_column(column.to_device(device))
         return result
-
-    def encode_predicate_value(self, column_name: str, value: str) -> int:
-        """Rewrite a string predicate constant into its dictionary code."""
-        if column_name not in self.dictionaries:
-            raise KeyError(f"column {column_name!r} of table {self.name!r} is not dictionary encoded")
-        return self.dictionaries[column_name].encode_value(value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Table({self.name!r}, rows={self.num_rows}, columns={self.column_names()})"

@@ -406,10 +406,6 @@ class WriteAheadLog:
             self._fh.close()
             self._fh = None
 
-    @property
-    def closed(self) -> bool:
-        return self._fh is None
-
     def size(self) -> int:
         """Current on-disk size of the log in bytes."""
         return os.path.getsize(self.path)
@@ -437,7 +433,7 @@ class WriteAheadLog:
         return len(record)
 
     def sync(self) -> None:
-        """Force an fsync now (checkpoint barriers, graceful close)."""
+        """Force an fsync now, whatever the policy."""
         with self._lock:
             if self._fh is None:
                 return

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware.cache import AnalyticCacheModel, CacheHierarchy, SetAssociativeCache
-from repro.hardware.presets import INTEL_I7_6900
+from repro.hardware.cache import AnalyticCacheModel, SetAssociativeCache
 
 
 class TestAnalyticCacheModel:
@@ -18,7 +17,6 @@ class TestAnalyticCacheModel:
     def test_hit_ratio_partial(self):
         cache = AnalyticCacheModel(capacity_bytes=1024)
         assert cache.hit_ratio(4096) == pytest.approx(0.25)
-        assert cache.miss_ratio(4096) == pytest.approx(0.75)
 
     def test_hit_ratio_degenerate_working_set(self):
         cache = AnalyticCacheModel(capacity_bytes=1024)
@@ -34,20 +32,6 @@ class TestAnalyticCacheModel:
         """Section 5.3: pi = 5.7 MB / 8 MB for the part hash table in the GPU L2."""
         cache = AnalyticCacheModel(capacity_bytes=int(5.7 * 2**20))
         assert cache.hit_ratio(8 * 2**20) == pytest.approx(5.7 / 8, rel=1e-3)
-
-
-class TestCacheHierarchy:
-    def test_from_specs_and_hit_level(self):
-        hierarchy = CacheHierarchy.from_specs(INTEL_I7_6900.caches)
-        assert hierarchy.hit_level(16 * 1024) == 0      # fits in L1
-        assert hierarchy.hit_level(128 * 1024) == 1     # fits in L2
-        assert hierarchy.hit_level(10 * 2**20) == 2     # fits in L3
-        assert hierarchy.hit_level(100 * 2**20) is None  # nothing fits
-
-    def test_memory_access_probability(self):
-        hierarchy = CacheHierarchy.from_specs(INTEL_I7_6900.caches)
-        assert hierarchy.memory_access_probability(10 * 2**20) == 0.0
-        assert hierarchy.memory_access_probability(40 * 2**20) == pytest.approx(0.5)
 
 
 class TestSetAssociativeCache:
@@ -69,7 +53,6 @@ class TestSetAssociativeCache:
         cache = SetAssociativeCache(capacity_bytes=4096)
         cache.access(0)
         cache.flush()
-        assert cache.resident_lines == 0
         assert cache.access(0) is False
 
     def test_stats_accumulate(self):

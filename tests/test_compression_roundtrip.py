@@ -12,7 +12,7 @@ executor's packed gathers rely on.
 import numpy as np
 import pytest
 
-from repro.storage.compression import BitPackedColumn, bits_needed, pack_table_columns
+from repro.storage.compression import BitPackedColumn, bits_needed
 
 
 class TestBitsNeeded:
@@ -118,13 +118,3 @@ class TestSizeAccounting:
         assert packed.packed_bytes == int(np.ceil(12_345 * 6 / 8))
         assert packed.uncompressed_bytes == 12_345 * 4
         assert packed.compression_ratio == pytest.approx(4 * 8 / 6, rel=0.01)
-
-    def test_pack_table_columns_convenience(self, rng):
-        columns = {
-            "a": rng.integers(0, 10, size=100),
-            "b": rng.integers(0, 1000, size=100),
-        }
-        packed = pack_table_columns(columns)
-        assert set(packed) == {"a", "b"}
-        for name, twin in packed.items():
-            np.testing.assert_array_equal(twin.unpack(), columns[name])

@@ -1,4 +1,4 @@
-"""Tests for traffic counters, time breakdowns, memory helpers, and PCIe."""
+"""Tests for traffic counters, time breakdowns, and PCIe."""
 
 import pytest
 from hypothesis import given
@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.hardware.counters import TrafficCounter
 from repro.hardware.interconnect import PCIeLink
-from repro.hardware.memory import AccessPattern, Device, MemoryRegion, random_access_bytes, transfer_time_seconds
 from repro.sim.timing import TimeBreakdown
 
 
@@ -48,11 +47,6 @@ class TestTrafficCounter:
         with pytest.raises(ValueError):
             TrafficCounter().scaled(-1)
 
-    def test_total_device_bytes(self):
-        counter = TrafficCounter(sequential_read_bytes=100, sequential_write_bytes=50,
-                                 random_accesses=10, random_access_bytes=8)
-        assert counter.total_device_bytes == 100 + 50 + 80
-
     @given(factor=st.floats(min_value=0, max_value=1e6),
            reads=st.floats(min_value=0, max_value=1e12))
     def test_scaling_is_linear(self, factor, reads):
@@ -84,10 +78,6 @@ class TestTimeBreakdown:
         assert scaled.total_seconds == pytest.approx(2.0)
         assert time.total_seconds == pytest.approx(4.0)
 
-    def test_dominant_component(self):
-        assert TimeBreakdown({"x": 1.0, "y": 3.0}).dominant_component() == "y"
-        assert TimeBreakdown().dominant_component() is None
-
     def test_addition_operator(self):
         total = TimeBreakdown({"x": 1.0}) + TimeBreakdown({"x": 2.0, "y": 1.0})
         assert total.components == {"x": 3.0, "y": 1.0}
@@ -96,37 +86,11 @@ class TestTimeBreakdown:
         assert TimeBreakdown.single("only", 2.0).total_seconds == 2.0
 
 
-class TestMemoryHelpers:
-    def test_transfer_time(self):
-        assert transfer_time_seconds(1e9, 1e9) == pytest.approx(1.0)
-
-    def test_transfer_time_rejects_zero_bandwidth(self):
-        with pytest.raises(ValueError):
-            transfer_time_seconds(1.0, 0.0)
-
-    def test_random_access_bytes(self):
-        assert random_access_bytes(10, 64) == 640
-
-    def test_memory_region(self):
-        region = MemoryRegion(device=Device.GPU, size_bytes=1024)
-        assert region.on_gpu() and not region.on_cpu()
-        with pytest.raises(ValueError):
-            MemoryRegion(device=Device.CPU, size_bytes=-1)
-
-    def test_access_pattern_enum(self):
-        assert AccessPattern.SEQUENTIAL.value == "sequential"
-
-
 class TestPCIeLink:
     def test_transfer_seconds_includes_latency(self):
         link = PCIeLink(bandwidth_bytes_per_s=10e9, latency_s=1e-5)
         assert link.transfer_seconds(10e9) == pytest.approx(1.0 + 1e-5)
         assert link.transfer_seconds(0) == 0.0
-
-    def test_round_trip_duplex_vs_half(self):
-        duplex = PCIeLink(bandwidth_bytes_per_s=10e9, duplex=True)
-        half = PCIeLink(bandwidth_bytes_per_s=10e9, duplex=False)
-        assert duplex.round_trip_seconds(1e9, 1e9) < half.round_trip_seconds(1e9, 1e9)
 
     def test_overlap_with_kernel_takes_max(self):
         link = PCIeLink(bandwidth_bytes_per_s=10e9, latency_s=0.0)

@@ -28,7 +28,7 @@ class TestTile:
         tile = Tile(values=np.arange(8, dtype=np.int32))
         assert tile.size == 8
         assert tile.itemsize == 4
-        assert tile.num_matched() == 8
+        assert tile.matched_values().size == 8
 
     def test_partial_tile(self):
         tile = Tile(values=np.arange(8), size=5)
@@ -37,7 +37,7 @@ class TestTile:
     def test_bitmap_matching(self):
         tile = Tile(values=np.arange(8), bitmap=np.arange(8) % 2 == 0)
         assert list(tile.matched_values()) == [0, 2, 4, 6]
-        assert tile.num_matched() == 4
+        assert tile.matched_values().size == 4
 
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):
@@ -89,13 +89,13 @@ class TestLoadPredScan:
         ctx = BlockContext()
         tile = Tile(values=np.arange(10, dtype=np.int32))
         tile = block_pred(ctx, tile, lambda v: v >= 5)
-        assert tile.num_matched() == 5
+        assert tile.matched_values().size == 5
 
     def test_block_pred_partial_tile_excludes_tail(self):
         ctx = BlockContext()
         tile = Tile(values=np.arange(10, dtype=np.int32), size=4)
         tile = block_pred(ctx, tile, lambda v: v >= 0)
-        assert tile.num_matched() == 4
+        assert tile.matched_values().size == 4
 
     def test_block_pred_and(self):
         ctx = BlockContext()

@@ -833,8 +833,6 @@ class TestServiceDurability:
         assert result.version == 1
         assert result.trace.durability == "always"
         assert result.trace.fsync_ms is not None and result.trace.fsync_ms >= 0.0
-        record = result.trace.as_dict()
-        assert record["durability"] == "always" and record["fsync_ms"] == result.trace.fsync_ms
         # Acknowledgement implies durability: a cold reopen sees the batch.
         session.close()
         db2 = tiny_db()

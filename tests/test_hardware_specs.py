@@ -77,10 +77,6 @@ class TestTable2Presets:
 
 
 class TestGPUOccupancy:
-    def test_shared_memory_per_thread_is_about_24_ints(self):
-        # The paper: ~24 4-byte values per thread at full occupancy.
-        per_thread_ints = NVIDIA_V100.shared_memory_per_thread_bytes / 4
-        assert 10 <= per_thread_ints <= 32
 
     def test_full_occupancy_small_blocks(self):
         assert NVIDIA_V100.occupancy(128, shared_bytes_per_block=4096, registers_per_thread=32) == 1.0

@@ -786,16 +786,16 @@ class TestIngestBuffer:
 
     def test_large_chunk_seals_multiple_batches(self, ssb):
         fact = ssb.table("lineorder")
-        buffer = IngestBuffer(fact, batch_rows=1000)
-        versions = buffer.add(generate_lineorder_batch(ssb, 3500, seed=42))
+        buffer = IngestBuffer(fact)
+        versions = buffer.add(generate_lineorder_batch(ssb, 3 * DEFAULT_ZONE_SIZE + 500, seed=42))
         assert versions == [1, 2, 3]
         assert buffer.staged_rows == 500
-        assert buffer.sealed_rows == 3000
+        assert buffer.sealed_rows == 3 * DEFAULT_ZONE_SIZE
 
     def test_flush_seals_the_partial_remainder(self, ssb):
         fact = ssb.table("lineorder")
         base = fact.num_rows
-        buffer = IngestBuffer(fact, batch_rows=1000)
+        buffer = IngestBuffer(fact)
         buffer.add(generate_lineorder_batch(ssb, 700, seed=43))
         assert buffer.flush() == 1
         assert fact.num_rows == base + 700
@@ -914,10 +914,12 @@ class TestConcurrentIngestHammer:
         count_q = Q("lineorder", db=ssb).agg("count").build(ssb)
         handles = [session.register_standing(QUERIES["q1.1"]), session.register_standing(count_q)]
         base = ssb.table("lineorder").num_rows
-        buffer = IngestBuffer(ssb.table("lineorder"), batch_rows=1000)
+        buffer = IngestBuffer(ssb.table("lineorder"))
         writers = [
             threading.Thread(
-                target=lambda i=i: buffer.add(generate_lineorder_batch(ssb, 500, seed=300 + i))
+                target=lambda i=i: buffer.add(
+                    generate_lineorder_batch(ssb, DEFAULT_ZONE_SIZE // 2, seed=300 + i)
+                )
             )
             for i in range(8)
         ]
@@ -946,7 +948,8 @@ class TestConcurrentIngestHammer:
         assert not any(t.is_alive() for t in readers + writers)
         buffer.flush()
         for count in counts:
-            assert (count - base) % 1000 == 0 and base <= count <= base + 4000, count
+            assert (count - base) % DEFAULT_ZONE_SIZE == 0, count
+            assert base <= count <= base + 4 * DEFAULT_ZONE_SIZE, count
         reference, _ = execute_query_monolithic(ssb, QUERIES["q1.1"])
         assert handles[0].answer() == reference
-        assert handles[1].answer() == base + 4000
+        assert handles[1].answer() == base + 4 * DEFAULT_ZONE_SIZE

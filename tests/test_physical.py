@@ -16,9 +16,7 @@ from repro.api import Q, QueryValidationError, Session, col
 from repro.context import ExecutionContext, activate_context, current
 from repro.engine.cache import (
     BuildArtifactCache,
-    ExecutionCache,
     ZoneMapCache,
-    activate,
     activate_builds,
     activate_zones,
 )
@@ -126,8 +124,6 @@ class TestLowering:
         assert len(plan.filters) == 0  # q4.1 has no fact filters
         assert len(plan.builds) == len(QUERIES["q4.1"].joins) == 4
         assert len(plan.probes) == 4
-        operators = list(plan.operators())
-        assert operators[-1] is plan.aggregate
 
     def test_one_scan_filter_per_conjunct(self):
         plan = lower_query(QUERIES["q1.1"])
@@ -287,16 +283,6 @@ class TestBuildArtifactCacheUnit:
 
 
 class TestContextScopes:
-    def test_nested_activation_restores_previous(self, tiny_ssb):
-        outer = ExecutionCache(tiny_ssb)
-        inner = ExecutionCache(tiny_ssb)
-        assert current().cache is None
-        with activate(outer):
-            assert current().cache is outer
-            with activate(inner):
-                assert current().cache is inner
-            assert current().cache is outer
-        assert current().cache is None
 
     def test_nested_build_scopes(self, tiny_ssb):
         outer = BuildArtifactCache(tiny_ssb)
@@ -314,10 +300,10 @@ class TestContextScopes:
         ready = threading.Barrier(2)
 
         def worker(name):
-            cache = ExecutionCache(tiny_ssb)
-            with activate(cache):
+            cache = BuildArtifactCache(tiny_ssb)
+            with activate_builds(cache):
                 ready.wait(timeout=5)
-                observed[name] = current().cache is cache
+                observed[name] = current().builds is cache
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
         for t in threads:
@@ -329,7 +315,6 @@ class TestContextScopes:
     @pytest.mark.parametrize(
         "scope, field",
         [
-            (activate, "cache"),
             (activate_builds, "builds"),
             (activate_zones, "zones"),
             (activate_faults, "faults"),

@@ -6,18 +6,12 @@ decoding the group keys must equal filtering the decoded (string-level)
 data directly with plain Python.
 """
 
-import json
-
 import numpy as np
 import pytest
 
 from repro.api import Q, ResultSet, Session, col
 from repro.api.resultset import measure_label
 from repro.ssb.queries import QUERIES
-
-
-def _native(value):
-    return value.item() if isinstance(value, np.generic) else value
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +61,8 @@ class TestDecoding:
             if nation is not None:
                 expected[nation] = expected.get(nation, 0.0) + 1.0
 
-        assert {record["s_nation"]: record["count(*)"] for record in result.to_dicts()} == expected
+        assert result.columns == ("s_nation", "count(*)")
+        assert dict(result.records) == expected
 
     def test_scalar_result_has_single_record(self, session):
         result = session.run(QUERIES["q1.1"], engine="gpu")
@@ -116,11 +111,6 @@ class TestTabularOps:
         assert len(result.head(3)) == min(3, len(result))
         assert result.head(3).columns == result.columns
 
-    def test_to_dicts_round_trips_columns(self, result):
-        records = result.to_dicts()
-        assert len(records) == len(result)
-        assert all(set(record) == set(result.columns) for record in records)
-
     def test_to_csv(self, result, tmp_path):
         text = result.to_csv()
         lines = text.strip().splitlines()
@@ -129,29 +119,6 @@ class TestTabularOps:
         path = tmp_path / "q21.csv"
         result.to_csv(str(path))
         assert path.read_text(encoding="utf-8") == text
-
-    def test_to_json_round_trips_records(self, result):
-        records = json.loads(result.to_json())
-        assert records == result.to_dicts() or records == [
-            {key: _native(value) for key, value in record.items()}
-            for record in result.to_dicts()
-        ]
-        # Decoded labels survive, and every cell is a plain JSON type.
-        assert all(isinstance(record["p_brand1"], str) for record in records)
-        assert all(
-            isinstance(value, (str, int, float)) for record in records for value in record.values()
-        )
-
-    def test_to_json_scalar_and_path(self, session, tmp_path):
-        scalar = session.run(QUERIES["q1.1"], engine="cpu")
-        path = tmp_path / "q11.json"
-        text = scalar.to_json(str(path), indent=2)
-        assert path.read_text(encoding="utf-8") == text
-        records = json.loads(text)
-        assert len(records) == 1
-        assert records[0]["sum(lo_extendedprice*lo_discount)"] == pytest.approx(
-            float(scalar.value)
-        )
 
     def test_str_renders_aligned_table(self, result):
         text = str(result.sort_values().head(2))

@@ -455,7 +455,7 @@ class TestLeakSafety:
                 prefix = executor.registry._prefix
                 assert executor.registry.num_segments > 0  # segments live
                 assert any(prefix in path for path in _shm_segments())
-            assert executor.registry.closed
+            assert executor.registry._closed
             assert executor.registry.num_segments == 0
             assert not any(prefix in path for path in _shm_segments())
 
@@ -466,7 +466,7 @@ class TestLeakSafety:
         assert executor.registry.num_segments > 0
         session.close()
         session.close()
-        assert executor.registry.closed
+        assert executor.registry._closed
         assert executor.registry.num_segments == 0
 
     def test_closed_session_does_not_resurrect_its_pool(self, tiny_ssb):

@@ -22,7 +22,6 @@ class TestColumn:
         assert column.itemsize == 4
         assert column.nbytes == 40
         assert column.min() == 0 and column.max() == 9
-        assert column.distinct_count() == 10
 
     def test_rejects_multidimensional(self):
         with pytest.raises(ValueError):
@@ -53,10 +52,9 @@ class TestDictionaryEncoder:
         with pytest.raises(KeyError):
             encoder.encode_value("B")
 
-    def test_contains_and_width(self):
+    def test_contains(self):
         encoder = DictionaryEncoder.from_values([str(i) for i in range(300)])
         assert "5" in encoder
-        assert encoder.width_bytes == 2
 
     @settings(max_examples=25, deadline=None)
     @given(values=st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=50))
@@ -89,22 +87,14 @@ class TestTable:
         table = Table(name="supplier")
         table.add_encoded_column("s_region", ["ASIA", "AMERICA", "ASIA"])
         assert table.num_rows == 3
-        code = table.encode_predicate_value("s_region", "ASIA")
+        code = table.dictionaries["s_region"].encode_value("ASIA")
         assert list(table["s_region"] == code) == [True, False, True]
-
-    def test_encode_predicate_requires_dictionary(self):
-        with pytest.raises(KeyError):
-            self._table().encode_predicate_value("a", "x")
 
     def test_select_rows(self):
         table = self._table()
         subset = table.select_rows(np.array([0, 2]))
         assert subset.num_rows == 2
         assert list(subset["a"]) == [0, 2]
-
-    def test_bytes_for(self):
-        table = self._table()
-        assert table.bytes_for(["a", "b"]) == table.nbytes == 40
 
 
 class TestDatabase:
@@ -117,14 +107,6 @@ class TestDatabase:
             db.add_table(Table.from_arrays("t", {"a": np.arange(3)}))
         with pytest.raises(KeyError):
             db.table("missing")
-
-    def test_fits_on_device(self):
-        db = Database("test")
-        db.add_table(Table.from_arrays("t", {"a": np.zeros(1000, dtype=np.int32)}))
-        assert db.fits_on_device(1 << 20)
-        assert not db.fits_on_device(1000)
-        with pytest.raises(ValueError):
-            db.fits_on_device(0)
 
     def test_summary_mentions_tables(self):
         db = Database("test")
