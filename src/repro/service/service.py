@@ -635,8 +635,8 @@ class QueryService:
         request.retry_handle = None
         trace = request.trace
         if request.future.done():
-            # Timed out (or cancelled) while backing off; _expire's running
-            # branch left the trace un-appended for us to finalize.
+            # Its caller cancelled it while it backed off (a timeout drops
+            # the timer instead): finalize the trace, run nothing.
             if trace.finished_at is None:
                 trace.finished_at = time.perf_counter()
             self.traces.append(trace)
@@ -661,6 +661,13 @@ class QueryService:
         where = trace.status if trace.status in ("queued", "backoff") else "running"
         if where == "queued":
             self._queue.remove(request)
+        elif where == "backoff":
+            # Nothing runs between attempts: drop the retry timer now rather
+            # than hold drain() until the backoff elapses.
+            request.retry_handle.cancel()
+            request.retry_handle = None
+            self._backoff.discard(request)
+        if where != "running":
             trace.finished_at = time.perf_counter()
             self.traces.append(trace)
         trace.status = "timeout"

@@ -111,6 +111,21 @@ class TestSessionRun:
         with pytest.raises(TypeError, match="encoded"):
             session.run(spec, engine="cpu")
 
+    def test_prepare_builds_a_builder_against_the_session_db(self, session, tiny_ssb):
+        assert session.prepare(CUSTOM_COUNT) == CUSTOM_COUNT.build(tiny_ssb)
+        assert session.prepare(QUERIES["q2.1"]) is QUERIES["q2.1"]
+
+    def test_prepare_optimize_takes_the_planners_order(self, session):
+        query = QUERIES["q4.1"]
+        best = session.planner.best_order(query).join_order
+        optimized = session.prepare(query, optimize=True)
+        assert tuple(join.dimension for join in optimized.joins) == best
+        assert sorted(optimized.joins, key=str) == sorted(query.joins, key=str)
+
+    def test_prepare_rejects_anything_but_a_query(self, session):
+        with pytest.raises(TypeError, match="SSBQuery or QueryBuilder"):
+            session.prepare("q1.1")
+
     def test_optimize_preserves_answers(self, session):
         plain = session.run(QUERIES["q4.1"], engine="cpu")
         optimized = session.run(QUERIES["q4.1"], engine="cpu", optimize=True)

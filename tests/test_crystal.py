@@ -50,6 +50,13 @@ class TestTile:
     def test_empty(self):
         assert Tile.empty().size == 0
 
+    def test_with_bitmap_shares_values_and_size(self):
+        tile = Tile(values=np.arange(8), size=6)
+        masked = tile.with_bitmap(np.arange(8) >= 3)
+        assert masked.values is tile.values and masked.size == 6
+        assert list(masked.matched_values()) == [3, 4, 5]
+        assert tile.bitmap is None  # the original tile is untouched
+
 
 class TestLoadPredScan:
     def test_block_load_charges_read_traffic(self):

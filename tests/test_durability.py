@@ -59,13 +59,26 @@ from repro.storage import (
     Table,
     WriteAheadLog,
 )
-from repro.storage.checkpoint import CHECKPOINT_MAGIC, checkpoint_paths, parse_checkpoint
+from repro.storage.checkpoint import (
+    CHECKPOINT_MAGIC,
+    checkpoint_path,
+    checkpoint_paths,
+    clean_orphan_tmp,
+    load_latest_checkpoint,
+    next_checkpoint_seq,
+    parse_checkpoint,
+    prune_checkpoints,
+    write_checkpoint,
+)
 from repro.storage.wal import (
     WAL_NAME,
+    decode_payload_header,
     decode_table_payload,
     encode_table_payload,
+    frame_chunks,
     frame_record,
     scan_records,
+    table_payload_chunks,
 )
 
 START_METHODS = ("fork", "spawn")
@@ -364,6 +377,100 @@ class TestWalCodec:
 # ----------------------------------------------------------------------
 # The streaming checkpoint writer: same bytes, no second copy
 # ----------------------------------------------------------------------
+
+
+class TestCheckpointFiles:
+    """The file-level helpers under checkpointing and recovery."""
+
+    @staticmethod
+    def _write(directory, seq, qty):
+        arrays = {"qty": np.asarray(qty, dtype=np.int32)}
+        record = table_payload_chunks("fact", seq, arrays, {"qty": ("<i4", None)}, {})
+        return write_checkpoint(str(directory), seq, [record], {"fact": seq})
+
+    def test_paths_are_zero_padded_and_listed_oldest_first(self, tmp_path):
+        assert checkpoint_path("d", 7) == os.path.join("d", "checkpoint-00000007.ckpt")
+        assert checkpoint_paths(str(tmp_path / "missing")) == []
+        for seq in (10, 2):
+            (tmp_path / os.path.basename(checkpoint_path("", seq))).write_bytes(b"")
+        (tmp_path / "checkpoint-00000003.ckpt.tmp").write_bytes(b"")
+        (tmp_path / WAL_NAME).write_bytes(b"")
+        assert checkpoint_paths(str(tmp_path)) == [
+            (2, checkpoint_path(str(tmp_path), 2)),
+            (10, checkpoint_path(str(tmp_path), 10)),
+        ]
+        os.unlink(tmp_path / "checkpoint-00000003.ckpt.tmp")
+
+    def test_next_seq_follows_the_newest_generation(self, tmp_path):
+        assert next_checkpoint_seq(str(tmp_path)) == 1
+        self._write(tmp_path, 3, [1])
+        self._write(tmp_path, 9, [2])
+        assert next_checkpoint_seq(str(tmp_path)) == 10
+
+    def test_prune_keeps_only_the_newest(self, tmp_path):
+        paths = [self._write(tmp_path, seq, [seq]) for seq in (1, 2, 3, 4)]
+        assert prune_checkpoints(str(tmp_path), keep=2) == paths[:2]
+        assert [seq for seq, _ in checkpoint_paths(str(tmp_path))] == [3, 4]
+        assert prune_checkpoints(str(tmp_path), keep=2) == []
+        assert prune_checkpoints(str(tmp_path), keep=0) == paths[2:]
+
+    def test_orphan_sweep_spares_the_live_temp(self, tmp_path):
+        for name in ("a.tmp", "b.tmp", "c.ckpt"):
+            (tmp_path / name).write_bytes(b"x")
+        live = str(tmp_path / "b.tmp")
+        assert clean_orphan_tmp(str(tmp_path), keep=live) == [str(tmp_path / "a.tmp")]
+        assert sorted(os.listdir(tmp_path)) == ["b.tmp", "c.ckpt"]
+        assert clean_orphan_tmp(str(tmp_path)) == [live]
+        assert clean_orphan_tmp(str(tmp_path / "missing")) == []
+
+    def test_written_generation_loads_back(self, tmp_path):
+        self._write(tmp_path, 1, [1, 2])
+        self._write(tmp_path, 2, [3, 4, 5])
+        seq, states, invalid = load_latest_checkpoint(str(tmp_path))
+        assert (seq, invalid) == (2, 0)
+        version, arrays, meta, labels = states["fact"]
+        assert version == 2 and labels == {} and meta == {"qty": ("<i4", None)}
+        assert arrays["qty"].tolist() == [3, 4, 5]
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+
+    def test_nothing_valid_loads_as_none_and_counts_the_invalid(self, tmp_path):
+        assert load_latest_checkpoint(str(tmp_path)) == (None, None, 0)
+        for seq in (1, 2):
+            with open(self._write(tmp_path, seq, [seq]), "ab") as handle:
+                handle.write(b"garbage")
+        assert load_latest_checkpoint(str(tmp_path)) == (None, None, 2)
+
+    def test_parse_rejects_a_foreign_header_and_a_missing_footer(self, tmp_path):
+        path = self._write(tmp_path, 1, [1])
+        blob = open(path, "rb").read()
+        assert parse_checkpoint(path)[0] == 1
+        with open(path, "wb") as handle:
+            handle.write(b"X" + blob[1:])
+        assert parse_checkpoint(path) is None
+        # Every table record intact, the footer record cut off.
+        header_len = len(CHECKPOINT_MAGIC) + 4
+        first = scan_records(memoryview(blob), header_len).payloads[0]
+        with open(path, "wb") as handle:
+            handle.write(blob[:header_len] + frame_record(bytes(first)))
+        assert parse_checkpoint(path) is None
+
+    def test_framing_chunks_equals_framing_their_join(self):
+        chunks = [b"head", np.arange(3, dtype=np.int32).view(np.uint8), b""]
+        joined = b"".join(bytes(chunk) for chunk in chunks)
+        assert b"".join(bytes(piece) for piece in frame_chunks(chunks)) == frame_record(joined)
+        assert scan_records(frame_record(joined)).payloads == (joined,)
+
+    def test_payload_header_length_is_checked(self):
+        payload = encode_table_payload("t", 1, {"a": np.arange(2, dtype=np.int32)}, {"a": ("<i4", None)}, {})
+        assert decode_payload_header(payload)["rows"] == 2
+        with pytest.raises(DurabilityError, match="header length field"):
+            decode_payload_header(payload[:3])
+        with pytest.raises(DurabilityError, match="declared header"):
+            decode_payload_header(payload[:10])
+        with pytest.raises(DurabilityError, match="truncated"):
+            decode_table_payload(payload[:-1])
+        with pytest.raises(DurabilityError, match="trailing bytes"):
+            decode_table_payload(payload + b"\0")
 
 
 def wide_db(rows):

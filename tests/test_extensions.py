@@ -151,6 +151,14 @@ class TestCapacityPlanning:
         single = MultiGPUConfig(num_gpus=1)
         assert single.speedup_over_cpu() == pytest.approx(bandwidth_ratio())
 
+    def test_aggregate_bandwidth_discounts_each_added_gpu(self):
+        single = MultiGPUConfig(num_gpus=1)
+        assert single.aggregate_bandwidth == NVIDIA_V100.global_read_bandwidth
+        four = MultiGPUConfig(num_gpus=4, scaling_efficiency=0.5)
+        assert four.aggregate_bandwidth == pytest.approx(2.5 * NVIDIA_V100.global_read_bandwidth)
+        linear = MultiGPUConfig(num_gpus=4, scaling_efficiency=1.0)
+        assert linear.aggregate_bandwidth == pytest.approx(4 * NVIDIA_V100.global_read_bandwidth)
+
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
             MultiGPUConfig(num_gpus=0)

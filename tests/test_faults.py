@@ -391,7 +391,7 @@ class TestServiceRetries:
                 async with QueryService(session) as service:
                     with pytest.raises(QueryTimeoutError):
                         await service.submit(QUERIES["q1.1"], timeout=0.05)
-                    await service.drain()  # the backoff timer still wakes
+                    await service.drain()
                     return service.traces[-1], service.stats
 
         trace, stats = run(go())
@@ -415,6 +415,26 @@ class TestServiceRetries:
         error = run(go())
         assert error.where == "backoff"
         assert str(error) == "request 'q1.1' exceeded 50ms while backing off"
+
+    def test_timeout_during_backoff_does_not_hold_drain(self, tiny_ssb):
+        """The timeout settles the request and drops its retry timer, so a
+        drain right after it does not wait out the backoff."""
+        plan = FaultPlan([FaultPoint(site=SERVICE_EXECUTE, mode="raise", times=1)])
+        policy = ResiliencePolicy(max_attempts=3, backoff_base_s=BACKOFF_MAX_S)
+
+        async def go():
+            with Session(tiny_ssb, faults=plan, resilience=policy) as session:
+                async with QueryService(session) as service:
+                    with pytest.raises(QueryTimeoutError):
+                        await service.submit(QUERIES["q1.1"], timeout=0.05)
+                    traces = list(service.traces)  # final at the timeout
+                    await asyncio.wait_for(service.drain(), timeout=BACKOFF_MAX_S / 2)
+                    return traces, service.stats
+
+        traces, stats = run(go())
+        assert [trace.status for trace in traces] == ["timeout"]
+        assert traces[0].finished_at is not None
+        assert stats.timed_out == 1 and stats.retries == 1
 
     def test_non_drain_close_cancels_pending_retries(self, tiny_ssb):
         plan = FaultPlan([FaultPoint(site=SERVICE_EXECUTE, mode="raise", times=1)])

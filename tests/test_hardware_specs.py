@@ -39,6 +39,9 @@ class TestTable2Presets:
         assert INTEL_I7_6900.dram_read_bandwidth == pytest.approx(53e9)
         assert INTEL_I7_6900.dram_write_bandwidth == pytest.approx(55e9)
 
+    def test_cpu_cache_line_is_the_last_levels(self):
+        assert INTEL_I7_6900.cache_line_bytes == INTEL_I7_6900.caches[-1].line_bytes == 64
+
     def test_cpu_cache_sizes(self):
         assert INTEL_I7_6900.cache_named("L1").capacity_bytes == 32 * KB
         assert INTEL_I7_6900.cache_named("L2").capacity_bytes == 256 * KB

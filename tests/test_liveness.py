@@ -67,6 +67,9 @@ def _definitions(path, tree):
             fields = [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)]
             for position, field in enumerate(fields):
                 yield f"{node.name}({field}=)", "option", (node.name, field, position), span
+        # A property's span runs to its last accessor, so the
+        # ``@name.setter`` decorator is no caller of ``name``.
+        ends = {item.name: item.end_lineno for item in node.body if isinstance(item, functions)}
         for item in node.body:
             if not isinstance(item, functions):
                 continue
@@ -84,7 +87,7 @@ def _definitions(path, tree):
                     key = (node.name, arg.arg, position)
                     yield f"{node.name}({arg.arg}=)", "option", key, span
             elif _public(item.name) and not _is_accessor(item):
-                item_span = (path, item.lineno, item.end_lineno)
+                item_span = (path, item.lineno, ends[item.name])
                 yield f"{node.name}.{item.name}", "name", item.name, item_span
 
 
@@ -274,3 +277,137 @@ def test_scanner_flags_only_what_has_no_caller_and_no_row(tmp_path):
         "inner_kernel",  # a kernel only repro.ops reaches
     }
     assert stale == ["Engine.deleted"]
+
+
+def _scan(tmp_path, module, caller="", readme="# pkg\n"):
+    """Labels the scan leaves unexplained for one module and one caller."""
+    src, examples = tmp_path / "src", tmp_path / "examples"
+    _write(src, {"pkg/__init__.py": "", "pkg/core.py": module})
+    _write(examples, {"demo.py": caller})
+    (tmp_path / "README.md").write_text(readme)
+    unexplained, stale = dead_names(src / "pkg", [src, examples], tmp_path / "README.md")
+    assert not stale
+    return {entry.rsplit(": ", 1)[1] for entry in unexplained}
+
+
+ENGINE = """
+    class Engine:
+        def __init__(self, db, cache=True, *, spare=None):
+            self.db = db
+
+        @classmethod
+        def open(cls, db, **options):
+            return cls(db, **options)
+"""
+
+
+def test_a_positional_argument_passes_a_keyword(tmp_path):
+    caller = "from pkg.core import Engine\nEngine(1, False, spare=2)\n"
+    assert _scan(tmp_path, ENGINE, caller) == {"Engine.open"}
+    # One position short: ``cache`` goes unpassed.
+    caller = "from pkg.core import Engine\nEngine(1, spare=2)\n"
+    assert _scan(tmp_path, ENGINE, caller) == {"Engine.open", "Engine(cache=)"}
+
+
+def test_a_constructor_method_passes_its_keywords_on(tmp_path):
+    caller = "from pkg.core import Engine\nEngine.open(1, cache=False, spare=2)\n"
+    assert _scan(tmp_path, ENGINE, caller) == set()
+
+
+def test_a_starred_argument_ends_the_positions(tmp_path):
+    """After ``*args`` no position is known, so none is counted."""
+    caller = "from pkg.core import Engine\nargs = (1, False)\nEngine(*args, 2, spare=2)\n"
+    assert _scan(tmp_path, ENGINE, caller) == {"Engine.open", "Engine(cache=)"}
+
+
+def test_option_dataclass_fields_need_a_caller(tmp_path):
+    module = """
+        from dataclasses import dataclass
+
+
+        @dataclass(frozen=True)
+        class ResiliencePolicy:
+            max_attempts: int = 1
+            backoff_base_s: float = 0.0
+            breaker_threshold: int = 5
+    """
+    caller = "from pkg.core import ResiliencePolicy\nResiliencePolicy(3, breaker_threshold=2)\n"
+    assert _scan(tmp_path, module, caller) == {"ResiliencePolicy(backoff_base_s=)"}
+
+
+def test_an_assignment_is_no_reference(tmp_path):
+    module = """
+        def helper():
+            return 1
+    """
+    caller = "helper = None\nfor helper in range(2):\n    pass\n"
+    assert _scan(tmp_path, module, caller) == {"helper"}
+    caller = "import pkg.core\npkg.core.helper()\n"
+    assert _scan(tmp_path, module, caller) == set()
+
+
+def test_private_names_are_not_scanned(tmp_path):
+    module = """
+        def _helper():
+            return 1
+
+
+        class _Hidden:
+            def run(self):
+                return 1
+
+
+        class Shown:
+            def _step(self):
+                return 1
+    """
+    assert _scan(tmp_path, module, "from pkg.core import Shown\nShown()\n") == set()
+
+
+def test_a_property_setter_is_not_a_second_name(tmp_path):
+    module = """
+        class Gauge:
+            @property
+            def level(self):
+                return self._level
+
+            @level.setter
+            def level(self, value):
+                self._level = value
+    """
+    caller = "from pkg.core import Gauge\nGauge()\n"
+    assert _scan(tmp_path, module, caller) == {"Gauge.level"}
+    caller = "from pkg.core import Gauge\nGauge().level = 3\n"
+    assert _scan(tmp_path, module, caller) == set()
+
+
+def test_a_caller_in_the_defining_module_counts(tmp_path):
+    """Only the definition's own lines are excluded, not its whole file."""
+    module = """
+        def helper():
+            return 1
+
+
+        DEFAULT = helper()
+    """
+    assert _scan(tmp_path, module) == set()
+
+
+def test_only_rows_of_the_reason_sections_count(tmp_path):
+    module = """
+        def helper():
+            return 1
+
+
+        class Engine:
+            def __init__(self, *, spare=None):
+                self.spare = spare
+    """
+    caller = "from pkg.core import Engine\nEngine()\n"
+    elsewhere = "# pkg\n\n## Usage\n\n| name | note |\n|---|---|\n| `helper` | call it |\n"
+    assert _scan(tmp_path, module, caller, elsewhere) == {"helper", "Engine(spare=)"}
+    reasons = (
+        "# pkg\n\n## Public surface\n\n| name | why |\n|---|---|\n| `helper` | a reason |\n"
+        "\n## Configuration\n\n| option | why |\n|---|---|\n| `Engine(spare=)` | a reason |\n"
+    )
+    assert _scan(tmp_path, module, caller, reasons) == set()

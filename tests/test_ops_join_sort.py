@@ -103,6 +103,13 @@ class TestRadixPartition:
         for value in range(16):
             assert np.all(np.diff(output.payloads[radix == value]) > 0)
 
+    def test_num_partitions_is_two_to_the_radix_bits(self):
+        keys = np.arange(64, dtype=np.int32)
+        for bits in (1, 3, 6):
+            output, hist_result, _ = cpu_radix_partition(keys, radix_bits=bits)
+            assert output.num_partitions == 1 << bits == hist_result.value.size
+            assert output.partition_offsets.size == output.num_partitions
+
     def test_partition_offsets_match_histogram(self):
         keys = np.arange(64, dtype=np.int32)
         output, hist_result, _ = cpu_radix_partition(keys, radix_bits=3)

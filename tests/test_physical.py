@@ -293,6 +293,17 @@ class TestContextScopes:
             assert current().builds is outer
         assert current().builds is None
 
+    def test_nested_activation_restores_previous(self, tiny_ssb):
+        outer = ZoneMapCache(tiny_ssb)
+        inner = ZoneMapCache(tiny_ssb)
+        assert current().zones is None
+        with activate_zones(outer):
+            assert current().zones is outer
+            with activate_zones(inner):
+                assert current().zones is inner
+            assert current().zones is outer
+        assert current().zones is None
+
     def test_threads_do_not_clobber_each_other(self, tiny_ssb):
         import threading
 

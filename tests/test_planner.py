@@ -1,9 +1,11 @@
 """Tests for the cost-based join-order planner."""
 
+import numpy as np
 import pytest
 
 from repro.api import Session, available_engines
 from repro.engine import JoinOrderPlanner
+from repro.engine.expr import evaluate_pred
 from repro.engine.planner import joins_by_dimension
 from repro.ssb.queries import QUERIES
 
@@ -62,6 +64,23 @@ class TestEnumerate:
     def test_best_order_is_head_of_enumeration(self, planner):
         query = QUERIES["q3.1"]
         assert planner.best_order(query) == planner.enumerate(query)[0]
+
+    def test_selectivities_match_join_selectivity(self, planner, tiny_ssb):
+        """Each selectivity is the share of its own dimension's rows the
+        join's predicate keeps, in join-order position."""
+        query = QUERIES["q2.1"]
+        best = planner.best_order(query)
+        joins = {join.dimension: join for join in query.joins}
+        for dimension, selectivity in zip(best.join_order, best.selectivities):
+            table = tiny_ssb[dimension]
+            kept = np.count_nonzero(evaluate_pred(table, joins[dimension].predicate))
+            assert selectivity == pytest.approx(kept / table.num_rows)
+
+    def test_order_cost_scans_selectivities_when_not_given(self, planner, tiny_ssb):
+        query = QUERIES["q3.1"]
+        fact_rows = tiny_ssb["lineorder"].num_rows
+        for choice in planner.enumerate(query):
+            assert planner.estimate_order_cost(query, choice.join_order, fact_rows) == choice
 
 
 class TestPaperPlanChoice:

@@ -13,6 +13,7 @@ import pytest
 
 from repro.api import Q, QueryValidationError, Session, available_engines, col
 from repro.engine.expr import (
+    compare_values,
     evaluate_filter,
     evaluate_pred,
     predicate_leaf_count,
@@ -82,6 +83,32 @@ class TestPredAlgebra:
         mapped = tree.map_leaves(lambda s: FilterSpec(s.column, s.op, s.value, encoded=True))
         assert isinstance(mapped, Or) and isinstance(mapped.children[1], Not)
         assert all(spec.encoded for spec in mapped.leaves())
+
+
+class TestCompareValues:
+    VALUES = np.array([1, 3, 5, 7])
+
+    @pytest.mark.parametrize(
+        "op, constant, expected",
+        [
+            ("eq", 5, [False, False, True, False]),
+            ("ne", 5, [True, True, False, True]),
+            ("lt", 5, [True, True, False, False]),
+            ("le", 5, [True, True, True, False]),
+            ("gt", 3, [False, False, True, True]),
+            ("ge", 3, [False, True, True, True]),
+            ("between", (3, 5), [False, True, True, False]),
+            ("in", (1, 7, 9), [True, False, False, True]),
+        ],
+    )
+    def test_each_operator(self, op, constant, expected):
+        mask = compare_values(self.VALUES, FilterSpec("x", op, constant), constant)
+        assert mask.tolist() == expected
+
+    def test_unknown_operator_raises(self):
+        spec = FilterSpec("x", "like", 3)
+        with pytest.raises(ValueError, match="unsupported filter operator 'like'"):
+            compare_values(self.VALUES, spec, 3)
 
 
 class TestColumnDSL:

@@ -56,6 +56,14 @@ class TestDictionaryEncoder:
         encoder = DictionaryEncoder.from_values([str(i) for i in range(300)])
         assert "5" in encoder
 
+    def test_decode_value_inverts_encode_value(self):
+        encoder = DictionaryEncoder.from_values(["ASIA", "EUROPE", "AMERICA"])
+        for label in ("ASIA", "EUROPE", "AMERICA"):
+            assert encoder.decode_value(encoder.encode_value(label)) == label
+        assert encoder.decode_value(np.int32(0)) == "AMERICA"
+        with pytest.raises(IndexError):
+            encoder.decode_value(3)
+
     @settings(max_examples=25, deadline=None)
     @given(values=st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=50))
     def test_round_trip_property(self, values):
@@ -89,6 +97,11 @@ class TestTable:
         assert table.num_rows == 3
         code = table.dictionaries["s_region"].encode_value("ASIA")
         assert list(table["s_region"] == code) == [True, False, True]
+
+    def test_column_names_keep_insertion_order(self):
+        table = Table.from_arrays("t", {"b": np.arange(2), "a": np.arange(2)})
+        table.add_encoded_column("c", ["x", "y"])
+        assert table.column_names() == ["b", "a", "c"]
 
     def test_select_rows(self):
         table = self._table()

@@ -326,6 +326,13 @@ class TestZoneStats:
         assert stats.bitsets is not None
         assert peak < 8 * 2**20
 
+    def test_zone_of_maps_each_row_to_its_zone(self, tiny_ssb):
+        maps = TableZoneMaps(tiny_ssb.table("lineorder"), zone_size=256)
+        rows = np.array([0, 255, 256, 1000, maps.table.num_rows - 1])
+        np.testing.assert_array_equal(
+            maps.zone_of(rows), [0, 0, 1, 3, maps.num_zones - 1]
+        )
+
     def test_zone_size_must_be_power_of_two(self, tiny_ssb):
         with pytest.raises(ValueError, match="power of two"):
             TableZoneMaps(tiny_ssb.table("lineorder"), zone_size=1000)
