@@ -3,11 +3,11 @@
 The morsel-parallel thread pool (``run_many(workers=N)``) parallelizes
 *across* queries and tops out where NumPy holds the GIL; ``shards=N``
 parallelizes *within* a query with worker processes instead.  The fact
-table's columns (and bit-packed twins) are published once into shared
-memory, each zone-aligned row range runs the full zone-pruned pipeline in
-a pooled worker, and the parent merges the partial aggregates -- answers
-and profiles byte-identical to the single-process planes, by construction
-and by differential test.
+table's columns are published once into shared memory, each zone-aligned
+row range runs the full zone-pruned pipeline in a pooled worker, and the
+parent merges the partial aggregates -- answers and profiles
+byte-identical to the single-process planes, by construction and by
+differential test.
 
 This example runs a few queries both ways, shows the shard counters, and
 demonstrates the shared-memory lifecycle (``/dev/shm`` segments appear

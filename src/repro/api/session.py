@@ -217,10 +217,10 @@ class Session:
         self._engines: dict[str, object] = {}
         self._cache = ExecutionCache(db) if cache else None
         self._build_cache = BuildArtifactCache(db)
-        # The pruned, compression-aware scan plane (zone-map data skipping +
-        # packed column twins) is the default; ``zones=False`` falls back to
-        # the unpruned selection-vector plane.  Answers and profiles are
-        # identical either way -- only the work done differs.
+        # The pruned scan plane (zone-map data skipping) is the default;
+        # ``zones=False`` falls back to the unpruned selection-vector plane.
+        # Answers and profiles are identical either way -- only the work
+        # done differs.
         self._zone_cache = ZoneMapCache(db) if zones else None
         # Process-parallel sharded execution (``shards=N`` here or per call):
         # the executor -- worker pool + shared-memory plane -- is constructed

@@ -21,7 +21,7 @@ class ExecutionContext:
 
     cache: object | None = None  #: ExecutionCache: memoized whole passes
     builds: object | None = None  #: BuildArtifactCache: shared dimension builds
-    zones: object | None = None  #: ZoneMapCache: zone skipping, packed gathers
+    zones: object | None = None  #: ZoneMapCache: zone-map data skipping
     shards: object | None = None  #: ShardBinding: the worker-process plane
     faults: object | None = None  #: FaultPlan the instrumented sites fire from
 

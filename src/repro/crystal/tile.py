@@ -62,11 +62,6 @@ class Tile:
     def dtype(self) -> np.dtype:
         return self.values.dtype
 
-    @property
-    def itemsize(self) -> int:
-        """Bytes per item."""
-        return int(self.values.dtype.itemsize)
-
     def valid_values(self) -> np.ndarray:
         """The valid leading entries as a NumPy array view."""
         return self.values[: self.size]

@@ -31,8 +31,8 @@ one frozen :class:`~repro.context.ExecutionContext` in one ContextVar
 * ``zones`` -- a :class:`ZoneMapCache`, the data-skipping statistics of the
   pruned scan plane: one lazily-built
   :class:`~repro.storage.zonemap.TableZoneMaps` per table (zone min/max,
-  tiny-domain bitsets, packed column twins).  Statistics depend only on
-  the stored data, never on a query, so one cache serves every query a
+  tiny-domain bitsets).  Statistics depend only on the stored data, never
+  on a query, so one cache serves every query a
   :class:`~repro.api.Session` runs; it also accumulates the pipeline's
   zone skip/take/evaluate counters, surfaced through
   ``Session.cache_info("zones")``.
@@ -581,8 +581,8 @@ class ZoneInfo(NamedTuple):
     zones_evaluated: int
     rows_pruned: int
     #: Incremental zone-map maintenance events: an append-grown table whose
-    #: statistics were *extended* (sealed zones reused, tail re-reduced,
-    #: packed twins repacked only in the affected words) instead of rebuilt.
+    #: statistics were *extended* (sealed zones reused, tail re-reduced)
+    #: instead of rebuilt.
     extended: int = 0
 
 
@@ -595,7 +595,7 @@ class ZoneMapCache:
     :class:`threading.RLock` here, and each
     :class:`~repro.storage.zonemap.TableZoneMaps` guards its own lazy
     per-column construction, so racing workers build every column's
-    statistics (and packed twin) exactly once.
+    statistics exactly once.
     """
 
     def __init__(self, db: object, zone_size: int | None = None) -> None:
@@ -624,8 +624,8 @@ class ZoneMapCache:
         Version-aware: the cached :class:`TableZoneMaps` is bound to one
         frozen snapshot of the table, and a request for a *newer* version
         (the table grew by appends) extends it incrementally -- sealed-zone
-        statistics and packed-twin words carry forward, only the tail is
-        re-reduced (``extended`` counts these maintenance events).  A
+        statistics carry forward, only the tail is re-reduced (``extended``
+        counts these maintenance events).  A
         same-version request is a plain hit; anything that is not an
         append-grown successor (shrunk, replaced) rebuilds from scratch.
         One version of each table's maps is resident at a time, so every
@@ -712,6 +712,6 @@ def activate_builds(cache: BuildArtifactCache):
 
 @contextmanager
 def activate_zones(cache: "ZoneMapCache"):
-    """Enable zone-map data skipping (and packed gathers) for the duration."""
+    """Enable zone-map data skipping for the duration."""
     with activate_context(replace(current(), zones=cache)):
         yield cache

@@ -108,7 +108,7 @@ def evaluate_pred(table: Table, pred) -> np.ndarray:
     raise TypeError(f"unsupported predicate node {type(pred).__name__}")
 
 
-def evaluate_pred_at(table: Table, pred, sel: "np.ndarray | slice", packed=None) -> np.ndarray:
+def evaluate_pred_at(table: Table, pred, sel: "np.ndarray | slice") -> np.ndarray:
     """Evaluate a predicate tree only at the rows named by ``sel``.
 
     The late-materialization counterpart of :func:`evaluate_pred`: instead
@@ -120,12 +120,6 @@ def evaluate_pred_at(table: Table, pred, sel: "np.ndarray | slice", packed=None)
     one boolean per selected row, so ``sel[evaluate_pred_at(table, pred,
     sel)]`` is the refined selection vector (for a slice, the mask equals
     ``evaluate_pred(table, pred)[sel]``).
-
-    Columns named in ``packed`` gather from their packed twin
-    (:meth:`~repro.storage.compression.BitPackedColumn.unpack_at`: a
-    word-aligned gather plus shift/mask) -- the compressed scan path, which
-    touches ``bit_width`` bits per surviving row instead of a 4-byte value.
-    Twins serve row-id gathers only; a slice streams the plain column.
     """
     contiguous = isinstance(sel, slice)
     width = len(range(*sel.indices(table.num_rows))) if contiguous else sel.shape[0]
@@ -134,11 +128,7 @@ def evaluate_pred_at(table: Table, pred, sel: "np.ndarray | slice", packed=None)
     def gather(column: str) -> np.ndarray:
         values = gathered.get(column)
         if values is None:
-            if packed and column in packed and not contiguous:
-                values = packed[column].unpack_at(sel)
-            else:
-                values = table[column][sel]
-            gathered[column] = values
+            values = gathered[column] = table[column][sel]
         return values
 
     return _walk_at(table, as_pred(pred), gather, width)

@@ -63,8 +63,8 @@ and loses at every tile size: NumPy kernels at 1-2 GB/s are
 instruction-bound, so cache-resident temporaries cannot pay for the Python
 per tile (``benchmarks/bench_fig09_tile_sizes.py`` keeps both sweeps).
 
-On top of the selection vectors sits the **pruned, compression-aware scan
-plane** (on whenever the execution context carries a
+On top of the selection vectors sits the **pruned scan plane** (on
+whenever the execution context carries a
 :class:`~repro.engine.cache.ZoneMapCache`, which a
 :class:`~repro.api.Session`'s does by default): :func:`lower` folds
 each fact-filter conjunct against per-zone min/max + tiny-domain bitset
@@ -74,7 +74,7 @@ walking the maximal runs of equal class among the span's zones, one slice
 scan per *evaluate* run; :class:`ProbeJoin`
 skips fact zones whose key range cannot intersect the build's present keys
 and drops its range-validity mask when statistics prove every key in
-bounds; and sparse gathers decode ``<= 16``-bit columns from packed words.
+bounds.  Every gather reads the plain column (``ndarray.take``).
 All of it is *sound* -- zones are only skipped or taken when statistics
 prove the outcome -- so answers and profiles remain byte-identical to the seed
 executor (``tests/test_zonemap.py`` holds all three planes together, and
@@ -224,10 +224,6 @@ class BuildArtifact:
 # ----------------------------------------------------------------------
 # Execution state threaded through the operators
 # ----------------------------------------------------------------------
-
-#: A selection-vector gather reads packed words only when it touches fewer
-#: than ``1/this`` of the fact rows (see :meth:`PipelineState.packed_for`).
-PACKED_GATHER_DENOMINATOR = 32
 
 #: Rows per probe tile (a multiple of the 4096-row zone; the 512 KiB slot
 #: buffer stays L2 resident).  From ``test_probe_tile_sweep_measured`` in
@@ -381,28 +377,6 @@ class PipelineState:
             rows_pruned=int(rows_pruned),
         )
 
-    def packed_for(self, columns, width: int) -> dict | None:
-        """Packed twins for ``columns``, for a gather of ``width`` rows.
-
-        ``None`` when data skipping is off or the gather is too wide:
-        decoding packed words costs shift/mask work per value, which a real
-        machine buys back in bandwidth but a NumPy reproduction pays in
-        wall clock, so the compressed gather path is reserved for sparse
-        selections (< 1/:data:`PACKED_GATHER_DENOMINATOR` of the fact
-        rows), where the byte saving is also at its largest.  The twins
-        change only how values are read, never what is charged: the
-        profile records every fact column at its plain width.
-
-        Only a span over the whole table packs a twin on first use: packing
-        reads the whole column, and a ranged execution -- an extended
-        answer's appended rows -- must cost O(range).  A range decodes the
-        twins already packed (a shard worker's are all pre-packed).
-        """
-        if self.zones is None or width * PACKED_GATHER_DENOMINATOR > self.fact.num_rows:
-            return None
-        whole = self.lo == 0 and self.hi == self.fact.num_rows
-        return self.zones.packed_for(columns, build=whole) or None
-
 
 # ----------------------------------------------------------------------
 # Physical operators
@@ -432,8 +406,8 @@ class ScanFilter:
     zone-granular: *skip* zones are never materialized, *take-all* zones
     join the selection vector without evaluating the predicate, and only
     *evaluate* zones run :func:`~repro.engine.expr.evaluate_pred_at` --
-    one slice scan per run of such zones in span state, a gather (over
-    packed column twins where the domain fits) once rows are sparse.
+    one slice scan per run of such zones in span state, a gather once
+    rows are sparse.
     Classification is sound, so the resulting selection vector (and
     therefore the profile) is byte-identical to the unpruned scan.
     """
@@ -486,9 +460,8 @@ class ScanFilter:
             state.seed(runs)
         else:
             sel = state.sel
-            columns = self.term.columns()
             if cls is None:
-                keep = evaluate_pred_at(state.fact, self.term, sel, packed=state.packed_for(columns, sel.size))
+                keep = evaluate_pred_at(state.fact, self.term, sel)
             else:
                 # Evaluate only the survivors sitting in *evaluate* zones.
                 categories = cls.take(state.zones.zone_of(sel))
@@ -496,9 +469,7 @@ class ScanFilter:
                 undecided = np.flatnonzero(categories == 0)
                 if undecided.size:
                     subset = sel.take(undecided)
-                    keep[undecided] = evaluate_pred_at(
-                        state.fact, self.term, subset, packed=state.packed_for(columns, subset.size)
-                    )
+                    keep[undecided] = evaluate_pred_at(state.fact, self.term, subset)
                 pruned = np.count_nonzero(categories < 0)
             state.compact(np.flatnonzero(keep))
         if cls is not None:
@@ -714,7 +685,7 @@ class ProbeJoin:
                 pruned = sel.size - undecided.size
                 if pruned:
                     sel = sel.take(undecided)
-            keys = self._gather_keys(state, fact_keys, sel)
+            keys = fact_keys.take(sel)
             keep = np.flatnonzero(self._hits(artifact, keys, in_range))
             key_pieces = [keys.take(keep)] if join.payload is not None else []
             state.compact(undecided.take(keep) if pruned else keep)
@@ -740,20 +711,6 @@ class ProbeJoin:
             # Payload codes materialize at selection-vector width, in the
             # lookup's narrow dtype (lower() guarantees the name is unique).
             state.group_columns[join.payload] = self._payload(artifact, _concat(key_pieces))
-
-    def _gather_keys(self, state: PipelineState, fact_keys: np.ndarray, sel: np.ndarray) -> np.ndarray:
-        """Surviving rows' keys, read from the packed twin when one exists.
-
-        Selection-vector key gathers are the probe's compressed scan path:
-        a ``<= 16``-bit key column decodes from packed 64-bit words
-        (word-aligned gather + shift/mask) instead of touching 4-byte
-        values.  Span-state probes stream the plain column's ``[lo:hi]``
-        slice -- a sequential scan is already optimal.
-        """
-        packed = state.packed_for((self.join.source_key,), sel.size)
-        if packed is not None:
-            return packed[self.join.source_key].unpack_at(sel)
-        return fact_keys.take(sel)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ProbeJoin({self.join.dimension!r} via {self.join.source_key!r})"
@@ -1009,7 +966,7 @@ def execute_physical_partial(
     single-process plane streams whole columns, so a partial over half the
     rows costs about half the query, and a selection vector appears only
     once an operator has dropped rows.  Row ids stay global, so zone
-    classifications, packed-twin word offsets, and probe zone skipping all
+    classifications and probe zone skipping both
     apply unchanged per shard, and the range may start and stop mid-zone.
 
     ``artifacts``, when given, are the parent-built dimension lookups in

@@ -5,9 +5,9 @@ where NumPy holds the GIL: one Python process cannot use more than roughly
 one core's worth of the kernels that dominate SSB queries.  This module
 shards a *single query* across worker **processes** instead:
 
-1. The fact table's columns (and bit-packed twins) are published once per
-   ``(table, version)`` into shared memory (:mod:`repro.storage.shm`) --
-   workers map the same physical pages read-only, zero copies.
+1. The fact table's columns are published once per ``(table, version)``
+   into shared memory (:mod:`repro.storage.shm`) -- workers map the same
+   physical pages read-only, zero copies.
 2. :func:`shard_ranges` splits the fact rows into zone-aligned ranges, so
    each shard's rows cover whole zones and zone-map pruning applies per
    shard exactly as it does monolithically.
@@ -89,10 +89,10 @@ def shard_ranges(num_rows: int, shards: int, zone_size: int = DEFAULT_ZONE_SIZE)
 
     Zones are distributed as evenly as integer division allows, so every
     shard boundary (except the table's tail) lands on a zone boundary and
-    per-zone statistics, packed-word offsets, and zone-granular skipping
-    remain valid inside each shard.  With more shards than zones, the
-    excess shards get empty ranges (``start == stop``); callers skip them
-    at submission time.  Ranges partition ``[0, num_rows)`` exactly.
+    per-zone statistics and zone-granular skipping remain valid inside
+    each shard.  With more shards than zones, the excess shards get empty
+    ranges (``start == stop``); callers skip them at submission time.
+    Ranges partition ``[0, num_rows)`` exactly.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -376,7 +376,7 @@ class ShardExecutor:
             futures: dict[int, object] = {}
             try:
                 if export is None:
-                    export = self._export_for(db, fact)
+                    export = self._export_for(fact)
                     build_cache = context.builds
                     artifacts = tuple(
                         self._artifact_ref(build.fetch_artifact(db, build_cache)) for build in plan.builds
@@ -510,31 +510,21 @@ class ShardExecutor:
             old.shutdown(wait=True)
         return pool
 
-    def _export_for(self, db, fact) -> TableExport:
+    def _export_for(self, fact) -> TableExport:
         """The fact table's shared-memory manifest, one per (name, version).
 
-        Exporting warms the parent's packed twins for *every* fact column
-        first (through the active zone cache, so the parent and the workers
-        share one deterministic compression plan per version), then copies
-        columns and twin words into fresh segments.  A newer version
-        releases the previous version's segments -- workers hold their own
-        attachments, so in-flight shards on the old version finish safely;
-        the pages are freed when the last attachment closes.
+        Exporting copies the plain columns into fresh segments.  A newer
+        version releases the previous version's segments -- workers hold
+        their own attachments, so in-flight shards on the old version finish
+        safely; the pages are freed when the last attachment closes.
         """
         version = fact.version
         with self._lock:
             held = self._exports.get(fact.name)
             if held is not None and held[0] == version:
                 return held[1]
-        packed: dict = {}
-        zone_cache = current().zones
-        if zone_cache is not None:
-            maps = zone_cache.maps(db, fact)
-            if maps is not None:
-                packed = {name: maps.packed(name) for name in fact.columns}
-        export = export_table(self.registry, fact, packed)
-        names = [spec.segment for _, item in export.columns for spec in (item.spec,)]
-        names += [item.words.segment for _, item in export.packed if item is not None]
+        export = export_table(self.registry, fact)
+        names = [item.spec.segment for _, item in export.columns]
         with self._lock:
             held = self._exports.get(fact.name)
             if held is not None and held[0] == version:

@@ -12,11 +12,9 @@ steady-state tasks pay only the partial-pipeline work itself:
   SharedMemory` handles by segment name.  These must outlive every array
   view over them, so they live for the whole worker process.
 * ``_TABLES`` -- reconstructed ``(Database, ZoneMapCache)`` pairs keyed by
-  the export's ``(table, version)`` plus the zone geometry.  The zone
-  cache's :class:`~repro.storage.zonemap.TableZoneMaps` is pre-populated
-  with the parent's bit-packed twins (attached, not re-packed) for every
-  column, so a worker never derives packing eligibility or repacks; only
-  the cheap per-column min/max reductions happen worker-side, lazily.
+  the export's ``(table, version)`` plus the zone geometry.  Workers read
+  the shared plain columns; only the cheap per-column min/max reductions
+  of the zone maps happen worker-side, lazily.
 * ``_ARTIFACTS`` -- :class:`~repro.engine.physical.BuildArtifact`
   reconstructions of shm-shipped lookups, by token.
 
@@ -51,17 +49,9 @@ def _database_for(task: ShardTask) -> tuple[Database, ZoneMapCache]:
     held = _TABLES.get(key)
     if held is not None:
         return held
-    table, packed = attach_table(export, _SEGMENTS)
+    table = attach_table(export, _SEGMENTS)
     db = Database(name=f"shard-{export.name}", tables={export.name: table})
     zone_cache = ZoneMapCache(db, zone_size=task.zone_size)
-    if task.zones:
-        maps = zone_cache.maps(db, table)
-        # Pre-populate every column's packed slot with the parent's twin
-        # (or its None verdict): the compression plan is decided once, in
-        # the parent, and workers must follow it -- both to skip the O(n)
-        # packing pass and so every shard gathers from identical words.
-        for name in table.columns:
-            maps._packed[name] = packed.get(name)
     _TABLES[key] = (db, zone_cache)
     return db, zone_cache
 
@@ -111,9 +101,7 @@ def _apply_fault(task: ShardTask) -> None:
     unlink_segment(export.columns[0][1].spec.segment)
     for key in [k for k in _TABLES if k[0] == export.name and k[1] == export.version]:
         del _TABLES[key]
-    names = {item.spec.segment for _, item in export.columns}
-    names |= {item.words.segment for _, item in export.packed if item is not None}
-    for name in names:
+    for name in {item.spec.segment for _, item in export.columns}:
         segment = _SEGMENTS.pop(name, None)
         if segment is not None:
             try:

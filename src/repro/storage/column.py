@@ -36,10 +36,6 @@ class Column:
         return self.values.dtype
 
     @property
-    def itemsize(self) -> int:
-        return int(self.values.dtype.itemsize)
-
-    @property
     def nbytes(self) -> int:
         """Size of the column data in bytes."""
         return int(self.values.nbytes)

@@ -24,11 +24,7 @@ from repro.storage.column import Column
 #: Values packed per pass of :meth:`BitPackedColumn._append`: 2 MB per
 #: ``uint64`` scratch array, ~15 MB of scratch whatever the column, where
 #: packing a 3 M-row column whole held 130 MB at once.  Pack time is flat
-#: from 64 K to 512 K values per pass; 256 K is the smallest at which this
-#: one-off, single-threaded transient still tops the peak of a *served*
-#: SF 0.1 session -- below it that peak is the overlap of two in-flight cold
-#: queries' temporaries, which thread timing moves by 2.4 MB run to run
-#: (the ledger's ``serve_dash/mem_peak_mb`` then stops repeating).
+#: from 64 K to 512 K values per pass.
 PACK_CHUNK_VALUES = 1 << 18
 
 
@@ -62,36 +58,13 @@ class BitPackedColumn:
         if values.size and values.min() < 0:
             raise ValueError("bit packing requires non-negative values")
         width = bits_needed(int(values.max()) if values.size else 0)
-        # A column is its empty prefix (one zeroed guard word) extended by
+        # A column is its empty prefix (one zeroed guard word) followed by
         # every value: the bit layout lives in :meth:`_append` alone.
         empty = cls(name=name, packed=np.zeros(1, dtype=np.uint64), bit_width=width, num_values=0)
         return empty._append(values)
 
-    def extend(self, tail: np.ndarray) -> "BitPackedColumn":
-        """Append ``tail`` values, repacking only the affected words.
-
-        Values ``0 .. num_values - 1`` occupy bit positions strictly below
-        ``num_values * bit_width``, and :meth:`pack` zero-fills every later
-        position (including the guard word), so extension is a prefix copy
-        of the existing words plus OR-ing the new values in at their final
-        positions -- byte-identical to repacking the concatenated column
-        from scratch, as long as the widened column still needs
-        ``bit_width`` bits.  A tail value that needs more bits raises; the
-        caller (zone-map maintenance) repacks fresh in that case, which is
-        the same O(n) work a width change always costs.
-        """
-        tail = np.asarray(tail)
-        if tail.size and tail.min() < 0:
-            raise ValueError("bit packing requires non-negative values")
-        if tail.size and bits_needed(int(tail.max())) > self.bit_width:
-            raise ValueError(
-                f"tail needs {bits_needed(int(tail.max()))} bits, packed column "
-                f"{self.name!r} holds {self.bit_width}; repack from scratch"
-            )
-        return self._append(tail) if tail.size else self
-
     def _append(self, tail: np.ndarray) -> "BitPackedColumn":
-        """This column followed by ``tail`` (validated to fit ``bit_width``).
+        """This column followed by ``tail`` (which must fit ``bit_width``).
 
         Packs :data:`PACK_CHUNK_VALUES` values at a time, so the ``uint64``
         position / offset / shifted-value scratch is chunk-sized, never

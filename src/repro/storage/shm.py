@@ -3,7 +3,7 @@
 Process-parallel sharded execution (:mod:`repro.engine.shard`) escapes the
 GIL by running shards of a query in worker *processes*.  Shipping the fact
 table to those workers by pickle would copy gigabytes per query; instead
-the parent publishes each column (and each bit-packed twin) once into a
+the parent publishes each column once into a
 POSIX shared-memory segment (``multiprocessing.shared_memory``), and every
 worker maps the segments read-only -- the same physical pages, zero copies,
 exactly how a production scale-up engine shares its buffer pool.
@@ -28,7 +28,7 @@ Two halves live here:
   tear a segment out from under its siblings.
 
 A :class:`TableExport` is the picklable manifest tying the halves together:
-segment specs for every column and packed twin, plus the table's name,
+segment specs for every column, plus the table's name,
 version, and dictionary encoders -- everything
 :meth:`repro.storage.table.Table.from_published` needs to reconstruct a
 frozen, version-pinned view on the worker side.
@@ -67,7 +67,6 @@ import numpy as np
 
 from repro.faults import SHM_ATTACH, SHM_EXPORT, active_fault_plan
 from repro.storage.column import Column
-from repro.storage.compression import BitPackedColumn
 from repro.storage.dictionary import DictionaryEncoder
 from repro.storage.table import Table
 
@@ -364,23 +363,12 @@ class ColumnExport:
 
 
 @dataclass(frozen=True)
-class PackedExport:
-    """One bit-packed twin's word array plus its decode parameters."""
-
-    words: ShmArraySpec
-    bit_width: int
-    num_values: int
-
-
-@dataclass(frozen=True)
 class TableExport:
     """A picklable manifest of one frozen table published to shared memory.
 
     Carries everything a worker needs to reconstruct a read-only,
     version-pinned :class:`~repro.storage.table.Table` over the shared
-    pages: per-column segment specs, the bit-packed twins the parent had
-    materialized (``None`` marks a column whose domain does not pack, so
-    workers never re-derive eligibility), and the dictionary encoders for
+    pages: per-column segment specs and the dictionary encoders for
     predicate-constant resolution.
     """
 
@@ -388,85 +376,41 @@ class TableExport:
     version: int
     num_rows: int
     columns: tuple[tuple[str, ColumnExport], ...]
-    packed: tuple[tuple[str, PackedExport | None], ...] = ()
     dictionaries: dict[str, DictionaryEncoder] = field(default_factory=dict)
 
     @property
     def nbytes(self) -> int:
-        """Shared bytes the manifest points at (columns + packed twins)."""
-        total = sum(export.spec.nbytes for _, export in self.columns)
-        total += sum(export.words.nbytes for _, export in self.packed if export is not None)
-        return total
+        """Shared bytes the manifest points at."""
+        return sum(export.spec.nbytes for _, export in self.columns)
 
 
-def export_table(
-    registry: SharedMemoryRegistry,
-    table: Table,
-    packed: "dict[str, BitPackedColumn | None] | None" = None,
-) -> TableExport:
-    """Publish ``table``'s columns (and ``packed`` twins) through ``registry``.
+def export_table(registry: SharedMemoryRegistry, table: Table) -> TableExport:
+    """Publish ``table``'s columns through ``registry``.
 
     ``table`` should be a frozen snapshot so the manifest's version and the
-    shared bytes cannot disagree.  ``packed`` maps column name to its
-    bit-packed twin or ``None`` (ineligible); omitted columns simply have
-    no twin on the worker side.
+    shared bytes cannot disagree.
     """
     columns = tuple(
         (name, ColumnExport(spec=registry.share_array(column.values), encoding=column.encoding))
         for name, column in table.columns.items()
     )
-    packed_exports: list[tuple[str, PackedExport | None]] = []
-    for name, twin in (packed or {}).items():
-        if twin is None:
-            packed_exports.append((name, None))
-        else:
-            packed_exports.append(
-                (
-                    name,
-                    PackedExport(
-                        words=registry.share_array(twin.packed),
-                        bit_width=twin.bit_width,
-                        num_values=twin.num_values,
-                    ),
-                )
-            )
     return TableExport(
         name=table.name,
         version=getattr(table, "version", 0),
         num_rows=table.num_rows,
         columns=columns,
-        packed=tuple(packed_exports),
         dictionaries=dict(table.dictionaries),
     )
 
 
-def attach_table(
-    export: TableExport, segments: dict[str, shared_memory.SharedMemory]
-) -> "tuple[Table, dict[str, BitPackedColumn | None]]":
-    """Reconstruct the exported table (and twins) over shared pages.
+def attach_table(export: TableExport, segments: dict[str, shared_memory.SharedMemory]) -> Table:
+    """Reconstruct the exported table over shared pages.
 
-    Returns ``(table, packed)``: a frozen
-    :meth:`~repro.storage.table.Table.from_published` view whose column
-    arrays alias the shared segments read-only, and the packed-twin mapping
-    (``None`` entries preserved, so callers can pre-populate a worker's
-    zone maps and skip eligibility re-derivation entirely).
+    Returns a frozen :meth:`~repro.storage.table.Table.from_published` view
+    whose column arrays alias the shared segments read-only.
     """
     columns = {
         name: Column(name=name, values=attach_array(item.spec, segments), encoding=item.encoding)
         for name, item in export.columns
     }
-    packed: dict[str, BitPackedColumn | None] = {}
-    for name, item in export.packed:
-        if item is None:
-            packed[name] = None
-        else:
-            packed[name] = BitPackedColumn(
-                name=name,
-                packed=attach_array(item.words, segments),
-                bit_width=item.bit_width,
-                num_values=item.num_values,
-            )
-    table = Table.from_published(
-        export.name, export.version, columns, dictionaries=export.dictionaries
-    )
-    return table, packed
+    return Table.from_published(export.name, export.version, columns, dictionaries=export.dictionaries)

@@ -22,12 +22,13 @@ lineorder data arrives in) pruning skips most zones of a selective scan;
 on adversarially uniform data everything degenerates to *evaluate* and
 the pipeline simply runs the PR 4 selection-vector plane.
 
-:class:`TableZoneMaps` also owns the table's **packed column twins**:
-non-negative integer columns whose domain fits ``<= 16`` bits are lazily
-bit-packed (:class:`~repro.storage.compression.BitPackedColumn`) so filter
-conjuncts and probe key gathers can read packed words
-(:meth:`~repro.storage.compression.BitPackedColumn.unpack_at`) instead of
-full-width 4-byte values.
+The engine reads plain columns: every gather is an ``ndarray.take``.  In
+NumPy, decoding bit-packed words (``BitPackedColumn.unpack_at``) is
+2.6-5.6x slower than ``take`` at every gather density the engine reaches,
+and the profile prices every column at its plain width anyway, so packed
+copies cost set-up time and memory and buy nothing.  Compression lives in
+the bandwidth model and the ablation bench
+(``benchmarks/bench_ablation_extensions.py``).
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ DEFAULT_ZONE_SIZE = 4096
 #: value bitset alongside min/max.
 BITSET_DOMAIN = 64
 
-#: Largest bit width at which a column gets a packed twin for compressed
-#: gathers (the paper's small-domain SSB columns all fit).
+#: Largest bit width :meth:`TableZoneMaps.packed` packs (the paper's
+#: small-domain SSB columns all fit).
 PACKED_MAX_BITS = 16
 
 #: Tri-state zone classifications.  ``SKIP < EVALUATE < TAKE`` so predicate
@@ -255,7 +256,7 @@ class ColumnZoneStats:
 
 
 class TableZoneMaps:
-    """Lazily-built zone statistics (and packed twins) for one table.
+    """Lazily-built zone statistics for one table.
 
     Statistics are built per column on first use and memoized; the instance
     is meant to be cached per table by
@@ -274,8 +275,8 @@ class TableZoneMaps:
         self._stats: dict[str, ColumnZoneStats | None] = {}
         self._packed: dict[str, BitPackedColumn | None] = {}
         # Guards the lazy construction: morsel-parallel workers share one
-        # instance per table, and a column's reduction/packing pass should
-        # run once, not once per racing worker.
+        # instance per table, and a column's reduction pass should run
+        # once, not once per racing worker.
         self._lock = threading.Lock()
 
     @property
@@ -306,13 +307,13 @@ class TableZoneMaps:
             return self._stats[column]
 
     def packed(self, column: str) -> BitPackedColumn | None:
-        """The packed twin of ``column`` (``None`` if its domain needs > 16 bits).
+        """A bit-packed copy of ``column`` (``None`` if its domain needs > 16 bits).
 
-        Packing keys off the zone statistics: non-negative integer columns
-        whose max fits in :data:`PACKED_MAX_BITS` bits are packed once
-        (under the instance lock, like :meth:`stats`) and memoized, so
-        later selection-vector gathers can decode packed words instead of
-        touching 4-byte values.
+        Non-negative integer columns whose max fits in
+        :data:`PACKED_MAX_BITS` bits are packed once (under the instance
+        lock, like :meth:`stats`) and memoized.  The engine never calls
+        this: it reads plain columns.  The ledger's ``zonemap.packed`` span
+        target is its only reader.
         """
         if column in self._packed:
             return self._packed[column]
@@ -325,19 +326,6 @@ class TableZoneMaps:
                     self._packed[column] = BitPackedColumn.pack(self.table.column(column))
             return self._packed[column]
 
-    def packed_for(self, columns, *, build: bool = True) -> dict[str, BitPackedColumn]:
-        """Packed twins for the subset of ``columns`` that have one.
-
-        ``build=False`` returns only the twins already packed: packing reads
-        the whole column, which a caller bound to O(rows it reads) must not.
-        """
-        out = {}
-        for column in columns:
-            twin = self.packed(column) if build else self._packed.get(column)
-            if twin is not None:
-                out[column] = twin
-        return out
-
     # ------------------------------------------------------------------
     def extended_to(self, table: Table) -> "TableZoneMaps":
         """Zone maps for a grown version of this instance's table.
@@ -345,10 +333,7 @@ class TableZoneMaps:
         The incremental-maintenance path of
         :class:`~repro.engine.cache.ZoneMapCache`: instead of throwing the
         statistics away on every append, each already-built column carries
-        its sealed-zone stats forward (:meth:`ColumnZoneStats.extend`) and
-        each packed twin repacks only the affected words
-        (:meth:`~repro.storage.compression.BitPackedColumn.extend`) -- or
-        repacks fresh in the rare case an append widens the bit width.
+        its sealed-zone stats forward (:meth:`ColumnZoneStats.extend`).
         Columns never touched stay lazy, exactly as in a fresh instance.
 
         ``table`` must be a same-name, append-grown successor (the cache
@@ -358,7 +343,6 @@ class TableZoneMaps:
         ext = TableZoneMaps(table, zone_size=self.zone_size)
         with self._lock:
             carried_stats = dict(self._stats)
-            carried_packed = dict(self._packed)
         for column, stats in carried_stats.items():
             if stats is None or column not in table:
                 # None means empty/non-integer at build time; re-derive
@@ -368,19 +352,6 @@ class TableZoneMaps:
             if values.shape[0] < stats.num_rows or not np.issubdtype(values.dtype, np.integer):
                 continue
             ext._stats[column] = stats.extend(values)
-        for column, packed in carried_packed.items():
-            stats = ext._stats.get(column)
-            if stats is None:
-                continue  # stats not carried; the twin re-derives lazily
-            if stats.low < 0 or bits_needed(stats.high) > PACKED_MAX_BITS:
-                ext._packed[column] = None
-                continue
-            if packed is not None and bits_needed(stats.high) == packed.bit_width:
-                ext._packed[column] = packed.extend(table[column][packed.num_values :])
-            else:
-                # The append widened the domain past the old bit width (or
-                # the twin was never eligible before): pack fresh.
-                ext._packed[column] = BitPackedColumn.pack(table.column(column))
         return ext
 
     # ------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Property-style round-trip tests for bit-packed columns.
 
-The compressed scan path stands on one invariant: packing is lossless for
+The compression model stands on one invariant: packing is lossless for
 any non-negative integer column at any bit width.  These tests hammer that
 across random domains, the word-boundary widths (31/32/33 bits, where
 values straddle 64-bit words in every alignment), the degenerate widths
 (1-bit flags, single-value columns), and the selective decode
-(:meth:`~repro.storage.compression.BitPackedColumn.unpack_at`) that the
-executor's packed gathers rely on.
+(:meth:`~repro.storage.compression.BitPackedColumn.unpack_at`).
 """
 
 import numpy as np

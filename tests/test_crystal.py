@@ -27,7 +27,7 @@ class TestTile:
     def test_defaults(self):
         tile = Tile(values=np.arange(8, dtype=np.int32))
         assert tile.size == 8
-        assert tile.itemsize == 4
+        assert tile.values.dtype.itemsize == 4
         assert tile.matched_values().size == 8
 
     def test_partial_tile(self):

@@ -34,7 +34,6 @@ from repro.engine.shard import partial_for_range
 from repro.ingest import IngestBuffer
 from repro.service import IngestResult, QueryService
 from repro.ssb import QUERIES, QUERY_ORDER, generate_lineorder_batch, generate_ssb, schema
-from repro.storage.compression import BitPackedColumn
 from repro.storage.zonemap import DEFAULT_ZONE_SIZE, ColumnZoneStats, TableZoneMaps
 
 GUARD_S = 30.0
@@ -148,30 +147,8 @@ class TestTableAppend:
 
 
 # ----------------------------------------------------------------------
-# Incremental statistics: packed twins and zone maps extend exactly
+# Incremental statistics: zone maps extend exactly
 # ----------------------------------------------------------------------
-
-
-class TestBitPackedExtend:
-    @pytest.mark.parametrize("width_max", [1, 20, 300, 40_000])
-    def test_extend_is_byte_identical_to_fresh_pack(self, rng, width_max):
-        head = rng.integers(0, width_max + 1, 10_000)
-        tail = rng.integers(0, width_max + 1, 3_333)
-        extended = BitPackedColumn.pack(head, name="x").extend(tail)
-        fresh = BitPackedColumn.pack(np.concatenate([head, tail]), name="x")
-        assert extended.bit_width == fresh.bit_width
-        assert extended.num_values == fresh.num_values
-        np.testing.assert_array_equal(extended.packed, fresh.packed)
-        np.testing.assert_array_equal(extended.unpack(), np.concatenate([head, tail]))
-
-    def test_wider_tail_raises(self, rng):
-        packed = BitPackedColumn.pack(rng.integers(0, 8, 100), name="x")
-        with pytest.raises(ValueError, match="repack from scratch"):
-            packed.extend(np.array([1 << 20]))
-
-    def test_empty_tail_is_identity(self, rng):
-        packed = BitPackedColumn.pack(rng.integers(0, 8, 100), name="x")
-        assert packed.extend(np.empty(0, dtype=np.int64)) is packed
 
 
 class TestZoneStatsExtend:
@@ -222,9 +199,8 @@ class TestZoneStatsExtend:
     def test_extended_to_matches_fresh_maps(self, ssb):
         fact = ssb.table("lineorder")
         maps = TableZoneMaps(fact.snapshot())
-        # Touch a stats column and a packed twin so there is state to carry.
+        # Touch two stats columns so there is state to carry.
         assert maps.stats("lo_quantity") is not None
-        assert maps.packed("lo_quantity") is not None
         assert maps.stats("lo_orderdate") is not None
         fact.append(generate_lineorder_batch(ssb, 5000, seed=9))
         grown = fact.snapshot()
@@ -232,11 +208,18 @@ class TestZoneStatsExtend:
         fresh = TableZoneMaps(grown)
         for column in ("lo_quantity", "lo_orderdate"):
             TestZoneStatsExtend().equal_stats(ext.stats(column), fresh.stats(column))
-        np.testing.assert_array_equal(
-            ext.packed("lo_quantity").packed, fresh.packed("lo_quantity").packed
-        )
         # Never-touched columns stay lazy in the extended instance too.
         assert "lo_revenue" not in ext._stats
+
+    def test_extended_to_carries_no_packed_copy(self, ssb):
+        """Growth re-derives statistics only: a packed copy is never carried."""
+        fact = ssb.table("lineorder")
+        maps = TableZoneMaps(fact.snapshot())
+        assert maps.packed("lo_quantity") is not None
+        fact.append(generate_lineorder_batch(ssb, 5000, seed=9))
+        ext = maps.extended_to(fact.snapshot())
+        assert "lo_quantity" in ext._stats  # the statistics carry forward
+        assert ext._packed == {}
 
 
 # ----------------------------------------------------------------------
@@ -546,7 +529,7 @@ class TestExtendedAnswers:
 
     def test_extending_read_is_proportional_to_the_batch_not_the_table(self):
         """Clock-free: an extending read may allocate O(batch), never O(table)
-        (no rescan, no packed twin packed for the whole column)."""
+        (no rescan of the whole column)."""
         db = generate_ssb(scale_factor=0.05, seed=21)
         fact = db.table("lineorder")
         session = Session(db)

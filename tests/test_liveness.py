@@ -14,6 +14,9 @@ an ``ast.Name`` or ``ast.Attribute`` for a definition, a ``name=`` keyword
 and so ``__init__.py`` re-exports, and ``__all__`` strings are no
 references.  A kernel in ``repro.ops.cpu``/``gpu`` ``__all__`` is a
 standalone Section 4 operator, so only callers outside ``repro.ops`` count.
+The scan matches by name, not by type (Python gives an AST no types), so a
+name that is also read off another object -- ``itemsize`` of every NumPy
+``dtype`` -- looks live whoever defines it; such a name needs a hand check.
 
 A name without a caller needs a row in README § Public surface (or, for an
 option, § Configuration) that says why it stays; every row must name

@@ -38,7 +38,7 @@ from repro.engine.plan import (
 from repro.engine.shard import partial_for_range
 from repro.ssb.queries import QUERIES, And, FilterSpec, JoinSpec, Leaf, Not, Or, SSBQuery
 from repro.storage.compression import PACK_CHUNK_VALUES, BitPackedColumn
-from repro.storage.zonemap import TableZoneMaps, cluster_by
+from repro.storage.zonemap import cluster_by
 
 # ----------------------------------------------------------------------
 # Differential: selection vectors vs the full-width mask reference
@@ -134,18 +134,14 @@ class TestEvaluatePredAt:
         at = evaluate_pred_at(fact, spec, sel)
         np.testing.assert_array_equal(at, full[sel])
 
-    @pytest.mark.parametrize("twins", [None, ("lo_discount", "lo_quantity")], ids=["plain", "packed"])
-    def test_trees_match_full_width(self, tiny_ssb, rng, twins):
-        """Packed twins decode exactly: a gather through them selects the same rows."""
+    def test_trees_match_full_width(self, tiny_ssb, rng):
         fact = tiny_ssb.table("lineorder")
-        packed = None if twins is None else TableZoneMaps(fact).packed_for(twins)
-        assert packed is None or set(packed) == set(twins)
         pred = (col("lo_discount").between(1, 3) | ~(col("lo_quantity") < 30)) & (
             col("lo_orderdate") > 19920601
         )
         sel = np.flatnonzero(rng.random(fact.num_rows) < 0.1)
         full = evaluate_pred(fact, pred)
-        at = evaluate_pred_at(fact, pred, sel, packed=packed)
+        at = evaluate_pred_at(fact, pred, sel)
         np.testing.assert_array_equal(at, full[sel])
 
     def test_empty_selection_vector(self, tiny_ssb):
@@ -163,7 +159,6 @@ class TestEvaluatePredAt:
         both = np.flatnonzero(evaluate_pred(fact, first) & evaluate_pred(fact, second))
         np.testing.assert_array_equal(refined, both)
 
-    @pytest.mark.parametrize("twins", [None, ("lo_discount", "lo_quantity")], ids=["plain", "packed"])
     @pytest.mark.parametrize(
         "second",
         [
@@ -173,14 +168,12 @@ class TestEvaluatePredAt:
         ],
         ids=["band", "branchy", "mixed"],
     )
-    def test_refinement_matches_conjunction(self, tiny_ssb, second, twins):
-        """A late conjunct refines survivors to exactly the conjunction's rows,
-        whether its columns are gathered plain or through packed twins."""
+    def test_refinement_matches_conjunction(self, tiny_ssb, second):
+        """A late conjunct refines survivors to exactly the conjunction's rows."""
         fact = tiny_ssb.table("lineorder")
-        packed = None if twins is None else TableZoneMaps(fact).packed_for(twins)
         first = col("lo_orderdate") > 19940101
         sel = np.flatnonzero(evaluate_pred(fact, first))
-        refined = sel[evaluate_pred_at(fact, second, sel, packed=packed)]
+        refined = sel[evaluate_pred_at(fact, second, sel)]
         both = np.flatnonzero(evaluate_pred(fact, first) & evaluate_pred(fact, second))
         np.testing.assert_array_equal(refined, both)
 
@@ -205,15 +198,6 @@ class TestEvaluatePredAt:
         at = evaluate_pred_at(fact, pred, slice(a, b))
         assert at.dtype == bool and at.shape == (b - a,)
         np.testing.assert_array_equal(at, evaluate_pred(fact, pred)[a:b])
-
-    def test_slice_ignores_packed_twins(self, tiny_ssb):
-        """Twins serve row-id gathers; a contiguous scan streams the plain column."""
-        fact = tiny_ssb.table("lineorder")
-        packed = TableZoneMaps(fact).packed_for(("lo_quantity",))
-        assert packed  # the twin exists, so ignoring it is a choice, not an accident
-        spec = FilterSpec("lo_quantity", "lt", 25)
-        at = evaluate_pred_at(fact, spec, slice(100, 5000), packed=packed)
-        np.testing.assert_array_equal(at, evaluate_pred(fact, spec)[100:5000])
 
     @pytest.mark.parametrize("sel", [slice(10, 20), slice(5, 5), np.arange(10, 20)], ids=repr)
     def test_string_against_numeric_column_raises(self, tiny_ssb, sel):

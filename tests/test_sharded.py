@@ -27,11 +27,13 @@ Beyond the differential guarantee:
 import asyncio
 import glob
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,7 +50,9 @@ from repro.engine.plan import (
     merge_partial_aggregates,
 )
 from repro.engine.shard import ShardExecutor, partial_for_range, shard_ranges
+from repro.ssb import generate_lineorder_batch, generate_ssb
 from repro.ssb.queries import QUERIES
+from repro.storage.shm import SharedMemoryRegistry, attach_table, export_table
 from repro.storage.zonemap import DEFAULT_ZONE_SIZE, cluster_by
 
 START_METHODS = ("fork", "spawn")
@@ -395,6 +399,68 @@ class TestShardedZoneCounters:
             assert sharded.counters().shard_queries == len(QUERIES)
         assert got == expected
         assert any(skipped for skipped, _, _, _ in expected.values())  # the data really prunes
+
+
+class TestPlainColumnPlane:
+    """The engine reads plain columns: no query packs a column, and the
+    shard plane shares exactly the fact table's plain bytes."""
+
+    @staticmethod
+    def assert_plain(session, fact):
+        tables = session._zone_cache._tables
+        assert "lineorder" in tables
+        for maps in tables.values():
+            assert maps._packed == {}, maps.table.name
+        if session._shards is not None:
+            version, export, _ = session.shard_executor()._exports["lineorder"]
+            assert version == fact.version
+            assert export.nbytes == sum(column.nbytes for column in fact.columns.values())
+
+    @pytest.mark.parametrize(
+        "shards,method", [(1, None), (2, "fork"), (2, "spawn")], ids=["single", "fork", "spawn"]
+    )
+    def test_queries_never_pack(self, tiny_ssb, shards, method):
+        with Session(tiny_ssb, shards=shards, shard_start_method=method) as session:
+            for name in sorted(QUERIES):
+                session.run(QUERIES[name], cache=False)
+            assert (session._shards is not None) == (shards > 1)
+            self.assert_plain(session, tiny_ssb.table("lineorder"))
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_appended_versions_never_pack(self, shards):
+        db = generate_ssb(scale_factor=0.01, seed=7)  # its own copy: the test appends
+        with Session(db, shards=shards) as session:
+            for name in sorted(QUERIES):
+                session.run(QUERIES[name])
+            session.ingest("lineorder", generate_lineorder_batch(db, DEFAULT_ZONE_SIZE + 17, seed=5))
+            for name in sorted(QUERIES):
+                session.run(QUERIES[name])  # folds the appended rows into the memo
+            assert session.counters().execution_extensions == len(QUERIES)
+            assert session.cache_info("zones").extended >= 1
+            session.run(QUERIES["q1.1"], cache=False)  # a sharded run exports the grown version
+            self.assert_plain(session, db.table("lineorder"))
+
+    @pytest.mark.parametrize("table", ["lineorder", "date", "customer", "supplier", "part"])
+    def test_export_attach_round_trip(self, tiny_ssb, table):
+        source = tiny_ssb.table(table).snapshot()
+        segments: dict = {}
+        with SharedMemoryRegistry() as registry:
+            export = pickle.loads(pickle.dumps(export_table(registry, source)))
+            assert export.nbytes == sum(column.nbytes for column in source.columns.values())
+            attached = attach_table(export, segments)
+            try:
+                assert (attached.name, attached.version, attached.num_rows) == (
+                    source.name, source.version, source.num_rows
+                )
+                assert attached.dictionaries.keys() == source.dictionaries.keys()
+                for name, column in source.columns.items():
+                    assert not attached[name].flags.writeable
+                    assert attached.column(name).encoding == column.encoding
+                    np.testing.assert_array_equal(attached[name], column.values)
+            finally:
+                del attached  # the last views over the segments
+                for segment in segments.values():
+                    segment.close()
 
 
 # ----------------------------------------------------------------------

@@ -98,7 +98,7 @@ class TestGenerator:
         """Section 5.2: every stored column is a 4-byte value."""
         for table in tiny_ssb.tables.values():
             for column in table.columns.values():
-                assert column.itemsize == 4, f"{table.name}.{column.name}"
+                assert column.values.dtype.itemsize == 4, f"{table.name}.{column.name}"
 
     def test_region_predicate_selectivity(self, small_ssb):
         """s_region = 'AMERICA' selects ~1/5 of suppliers (uniform regions)."""

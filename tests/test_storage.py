@@ -19,7 +19,7 @@ class TestColumn:
     def test_basic_properties(self):
         column = Column("x", np.arange(10, dtype=np.int32))
         assert len(column) == 10
-        assert column.itemsize == 4
+        assert column.values.dtype.itemsize == 4
         assert column.nbytes == 40
         assert column.min() == 0 and column.max() == 9
 
@@ -207,7 +207,7 @@ def _assert_matches(table, expected):
         column = table.column(name)
         assert column.values.tobytes() == raw, (table.name, name, version)
         # Published length, never capacity: profiles charge these bytes.
-        assert column.nbytes == len(raw) == table.num_rows * column.itemsize
+        assert column.nbytes == len(raw) == table.num_rows * column.values.dtype.itemsize
     assert table.nbytes == sum(len(raw) for raw in content.values())
 
 
