@@ -4,14 +4,19 @@ The compression model stands on one invariant: packing is lossless for
 any non-negative integer column at any bit width.  These tests hammer that
 across random domains, the word-boundary widths (31/32/33 bits, where
 values straddle 64-bit words in every alignment), the degenerate widths
-(1-bit flags, single-value columns), and the selective decode
+(1-bit flags, single-value columns), columns longer than one packing
+pass (:data:`~repro.storage.compression.PACK_CHUNK_VALUES`), and the
+selective decode
 (:meth:`~repro.storage.compression.BitPackedColumn.unpack_at`).
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.storage.compression import BitPackedColumn, bits_needed
+from repro.storage.column import Column
+from repro.storage.compression import PACK_CHUNK_VALUES, BitPackedColumn, bits_needed
 
 
 class TestBitsNeeded:
@@ -82,6 +87,38 @@ class TestRoundTrip:
             np.testing.assert_array_equal(packed.unpack(), values)
 
 
+class TestChunkedPack:
+    """:meth:`BitPackedColumn.pack` writes :data:`PACK_CHUNK_VALUES` values a pass."""
+
+    @pytest.mark.parametrize("width", [1, 6, 31, 33])
+    def test_round_trip_across_chunks(self, rng, width):
+        """Two whole passes and a ragged third decode exactly, at both ends
+        of every pass."""
+        n = 2 * PACK_CHUNK_VALUES + 5
+        values = rng.integers(0, 1 << width, size=n)
+        values[-1] = (1 << width) - 1
+        packed = BitPackedColumn.pack(values)
+        assert packed.bit_width == width
+        assert packed.packed.shape == ((n * width + 63) // 64 + 1,)
+        np.testing.assert_array_equal(packed.unpack(), values)
+        edges = np.array([0, PACK_CHUNK_VALUES - 1, PACK_CHUNK_VALUES, 2 * PACK_CHUNK_VALUES, n - 1])
+        np.testing.assert_array_equal(packed.unpack_at(edges), values[edges])
+
+    def test_scratch_is_chunk_sized(self, rng):
+        """A 3 M-row column: one column-sized ``uint64`` temporary alone
+        would be 23 MB, and packing it whole once held 130 MB."""
+        values = rng.integers(0, 51, 3_000_000).astype(np.int32)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            packed = BitPackedColumn.pack(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert packed.bit_width == 6
+        assert peak < 24 * 2**20
+
+
 class TestUnpackAt:
     @pytest.mark.parametrize("width", [1, 4, 13, 31, 32, 33])
     def test_matches_full_unpack(self, rng, width):
@@ -117,3 +154,24 @@ class TestSizeAccounting:
         assert packed.packed_bytes == int(np.ceil(12_345 * 6 / 8))
         assert packed.uncompressed_bytes == 12_345 * 4
         assert packed.compression_ratio == pytest.approx(4 * 8 / 6, rel=0.01)
+
+    def test_empty_column_ratio_is_one(self):
+        packed = BitPackedColumn.pack(np.array([], dtype=np.int64))
+        assert packed.packed_bytes == 0
+        assert packed.compression_ratio == 1.0
+
+    def test_decode_rate_caps_scan_speedup(self):
+        """Free decode earns the whole bandwidth gain; a slow decoder earns
+        less, and a decoder slower than the plain read loses time."""
+        packed = BitPackedColumn.pack(np.arange(11))  # 4 bits of 32
+        assert packed.scan_speedup() == packed.compression_ratio
+        # decode = 4 ops / throughput * 1e9 bytes-equivalent per value
+        assert packed.scan_speedup(compute_throughput=1e12) == pytest.approx(4 / 0.5)
+        assert packed.scan_speedup(compute_throughput=4e9) == pytest.approx(4 / 1.0)
+        assert packed.scan_speedup(compute_throughput=5e8) == pytest.approx(4 / 8.0)
+
+    def test_packing_a_column_keeps_its_name(self):
+        column = Column("lo_discount", np.arange(11, dtype=np.int32))
+        assert BitPackedColumn.pack(column).name == "lo_discount"
+        assert BitPackedColumn.pack(column, name="d").name == "d"
+        assert BitPackedColumn.pack(np.arange(3)).name == "column"

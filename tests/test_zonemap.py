@@ -1,4 +1,4 @@
-"""The pruned, compression-aware scan plane (zone maps + packed gathers).
+"""The pruned scan plane (zone maps over plain columns).
 
 Zone-map data skipping may only ever *remove work*, never change results:
 the differential suites here hold the pruned plane byte-identical (answers
@@ -344,6 +344,14 @@ class TestZoneStats:
         assert maps.packed("lo_orderdate") is None  # ~25 bits
         twin = maps.packed("lo_quantity")
         np.testing.assert_array_equal(twin.unpack(), tiny_ssb.table("lineorder")["lo_quantity"])
+
+    def test_packed_is_memoized_per_column(self, tiny_ssb):
+        """Each column packs (or is refused) once; a repeat call returns the memo."""
+        maps = TableZoneMaps(tiny_ssb.table("lineorder"))
+        twin = maps.packed("lo_quantity")
+        assert maps.packed("lo_quantity") is twin
+        assert maps.packed("lo_orderdate") is None
+        assert maps._packed == {"lo_quantity": twin, "lo_orderdate": None}
 
 
 # ----------------------------------------------------------------------
