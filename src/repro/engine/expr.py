@@ -50,7 +50,9 @@ def compare_values(values: np.ndarray, spec: FilterSpec, constant) -> np.ndarray
         return values >= constant
     if op == "between":
         low, high = constant
-        return (values >= low) & (values <= high)
+        keep = values >= low
+        keep &= values <= high
+        return keep
     if op == "in":
         return np.isin(values, np.asarray(constant))
     raise ValueError(f"unsupported filter operator {op!r}")

@@ -27,11 +27,14 @@ an operator actually drops a row, "every row of the span is alive" is a state
 conjunct and the first probe
 read ``column[lo:hi]`` views, the sequential tile loads the paper prices at
 ``bytes / bandwidth`` (Sections 3.2 and 4.1-4.2), never a span-wide gather.
-The first operator that drops rows compacts the survivors once
-(``np.flatnonzero``), and every downstream operator -- later filter
-conjuncts, probes, payload gathers, the measure expression, the group-by --
-works at selection-vector width.  Payload codes ride along in the narrow
-dtype of their dimension's lookup, and the grouped aggregate factorizes
+The filter conjuncts hold dense survivors as a span mask (a byte a row,
+less than an ``int64`` id per survivor) and still read views; the
+survivors compact once (``np.flatnonzero``) -- past
+:data:`SPARSE_SPAN_RATIO`, after the last conjunct, or in the first probe
+that drops rows -- and every downstream operator -- later filter
+conjuncts, probes, payload gathers, the measure expression, the group-by
+-- works at selection-vector width.  Payload codes ride along in the
+narrow dtype of their dimension's lookup, and the grouped aggregate factorizes
 packed-radix int64 keys (:func:`~repro.engine.plan.factorize_group_keys`)
 instead of sorting row tuples.  Only the *mechanics* changed: answers and
 profiles stay byte-identical to the full-width mask reference, so the cost
@@ -234,6 +237,10 @@ class BuildArtifact:
 #: 17.2/16.5.
 PROBE_TILE_ROWS = 64 * 1024
 
+#: The scan holds its survivors as a span mask (a byte a row) until fewer
+#: than one span row in this many survives, then as ``int64`` row ids.
+SPARSE_SPAN_RATIO = 8
+
 
 def _concat(pieces: list) -> np.ndarray:
     """Already-ascending pieces as one array (no copy for a single piece)."""
@@ -276,6 +283,8 @@ class PipelineState:
     zone_cache: ZoneMapCache | None = None
     #: Selection vector of surviving fact row ids (``None`` = whole span alive).
     sel: np.ndarray | None = None
+    #: Dense survivors of the filter conjuncts, a boolean per span row.
+    mask: np.ndarray | None = None
     #: Filter columns already charged to the profile (each exactly once).
     charged: set = field(default_factory=set)
     #: Build artifacts by logical-join identity (``id()``), for the probes
@@ -347,6 +356,25 @@ class PipelineState:
             for name, codes in self.group_columns.items():
                 self.group_columns[name] = codes.take(at)
 
+    def narrow_span(self, mask: np.ndarray | None) -> None:
+        """Take ``mask`` (one boolean per span row, ``None``: all alive) as
+        the survivors -- as the mask itself while at least one span row in
+        :data:`SPARSE_SPAN_RATIO` survives, as the selection vector past that."""
+        if mask is None:
+            return
+        self.rows_alive = float(np.count_nonzero(mask))
+        if self.rows_alive * SPARSE_SPAN_RATIO >= self.hi - self.lo:
+            self.mask = mask
+        else:
+            self.mask = None
+            self.seed([(self.lo, self.hi, np.flatnonzero(mask))])
+
+    def settle(self) -> None:
+        """Leave the scan's span mask for the selection vector (or the span)."""
+        if self.mask is not None:
+            self.seed([(self.lo, self.hi, _survivors(self.mask))])
+            self.mask = None
+
     def compact(self, keep: np.ndarray) -> None:
         """Shrink the selection vector (and every carried payload) to ``keep``.
 
@@ -395,19 +423,20 @@ class ScanFilter:
     :class:`~repro.engine.plan.FilterStage` recording the term's row shrink
     and branchiness.
 
-    In span state the conjunct scans ``column[lo:hi]`` views and compacts
-    the survivors into the selection vector once (``np.flatnonzero``);
-    every later conjunct evaluates only at the surviving row ids
-    (:func:`~repro.engine.expr.evaluate_pred_at`), so a selective leading
-    term makes the rest of the predicate nearly free.
+    While the survivors are dense the conjunct scans ``column[lo:hi]``
+    views into the span's boolean mask
+    (:meth:`PipelineState.narrow_span`); once they are sparse they are the
+    selection vector, and the conjunct evaluates only at the surviving row
+    ids (:func:`~repro.engine.expr.evaluate_pred_at`), so a selective
+    leading term makes the rest of the predicate nearly free.
 
     With a zone classification attached (the pruning pass in :func:`lower`
     folds the term against the fact table's zone statistics), the scan is
-    zone-granular: *skip* zones are never materialized, *take-all* zones
-    join the selection vector without evaluating the predicate, and only
-    *evaluate* zones run :func:`~repro.engine.expr.evaluate_pred_at` --
-    one slice scan per run of such zones in span state, a gather once
-    rows are sparse.
+    zone-granular: *skip* zones are never read, *take-all* zones keep
+    their survivors without evaluating the predicate, and only *evaluate*
+    zones run :func:`~repro.engine.expr.evaluate_pred_at` -- one slice
+    scan per run of such zones while the mask holds the survivors, a
+    gather once they are row ids.
     Classification is sound, so the resulting selection vector (and
     therefore the profile) is byte-identical to the unpruned scan.
     """
@@ -448,16 +477,24 @@ class ScanFilter:
             cls = None  # classified against other data or geometry; ignore
         pruned = 0
         if state.sel is None:
-            runs = []
+            mask = state.mask  # None: every row of the span is alive
             for category, a, b in state.zone_runs(cls):
-                if category == ZONE_SKIP:
-                    pruned += b - a
-                elif category == ZONE_TAKE:
-                    runs.append((a, b, None))
-                else:
+                if category == ZONE_TAKE:
+                    continue
+                if category == ZONE_EVALUATE:
                     keep = evaluate_pred_at(state.fact, self.term, slice(a, b))
-                    runs.append((a, b, _survivors(keep)))
-            state.seed(runs)
+                    if mask is None and b - a == state.hi - state.lo:
+                        mask = keep
+                        continue
+                if mask is None:
+                    mask = np.ones(state.hi - state.lo, dtype=bool)
+                rows = mask[a - state.lo : b - state.lo]
+                if category == ZONE_SKIP:
+                    pruned += int(np.count_nonzero(rows))
+                    rows[:] = False
+                else:
+                    rows &= keep
+            state.narrow_span(mask)
         else:
             sel = state.sel
             if cls is None:
@@ -686,9 +723,14 @@ class ProbeJoin:
                 if pruned:
                     sel = sel.take(undecided)
             keys = fact_keys.take(sel)
-            keep = np.flatnonzero(self._hits(artifact, keys, in_range))
-            key_pieces = [keys.take(keep)] if join.payload is not None else []
-            state.compact(undecided.take(keep) if pruned else keep)
+            keep = _survivors(self._hits(artifact, keys, in_range))
+            if keep is not None:
+                state.compact(undecided.take(keep) if pruned else keep)
+                if join.payload is not None:
+                    keys = keys.take(keep)
+            elif pruned:  # every gathered key hit: only the pruned rows drop
+                state.compact(undecided)
+            key_pieces = [keys] if join.payload is not None else []
         if cls is not None:
             state.record_zones(cls, pruned)
         selectivity = state.rows_alive / probe_rows if probe_rows else 0.0
@@ -914,6 +956,7 @@ def _run_pipeline(
 
     for scan in plan.filters:
         scan.run(state)
+    state.settle()
     state.profile.fact_filter_selectivity = state.rows_alive / n if n else 0.0
 
     for build, probe in zip(plan.builds, plan.probes):

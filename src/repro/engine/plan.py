@@ -287,7 +287,8 @@ def factorize_group_keys(key_arrays: list[np.ndarray]) -> tuple[np.ndarray, np.n
     packed = np.zeros(key_arrays[0].shape[0], dtype=np.int64)
     for array, low, width in zip(key_arrays, lows, widths):
         packed *= width
-        packed += array.astype(np.int64) - low
+        packed += array
+        packed -= low
 
     if span <= PACKED_DENSE_LIMIT:
         counts = np.bincount(packed, minlength=span)

@@ -38,7 +38,7 @@ from repro.engine.plan import (
 from repro.engine.shard import partial_for_range
 from repro.ssb.queries import QUERIES, And, FilterSpec, JoinSpec, Leaf, Not, Or, SSBQuery
 from repro.storage.compression import PACK_CHUNK_VALUES, BitPackedColumn
-from repro.storage.zonemap import cluster_by
+from repro.storage.zonemap import ZONE_EVALUATE, ZONE_SKIP, ZONE_TAKE, cluster_by
 
 # ----------------------------------------------------------------------
 # Differential: selection vectors vs the full-width mask reference
@@ -481,6 +481,118 @@ class TestTiledProbe:
 
 
 # ----------------------------------------------------------------------
+# The scan: survivors as a span mask while dense, as row ids once sparse
+# ----------------------------------------------------------------------
+
+SCAN_TERMS = {
+    "dense": col("lo_quantity") < 46,  # ~90 % survive: the mask stays
+    "band": col("lo_discount").between(4, 6),  # ~27 %
+    "rare": col("lo_quantity") < 3,  # ~4 %: below one in eight, row ids from here
+    "dates": col("lo_orderdate").between(19930601, 19951231),  # skip, take and evaluate zones
+}
+SCAN_ORDERS = [
+    ("dense", "band", "rare"),
+    ("dates", "dense", "band"),
+    ("rare", "dates", "band"),
+    ("band", "rare", "dates", "dense"),
+    ("dense", "dates"),
+]
+SCAN_SPANS = [(0, None), (1000, -777), (3 * 4096 + 5, 9 * 4096 - 1)]  # (lo, hi); hi < 0 counts from the end
+
+
+@pytest.fixture(scope="module")
+def clustered_tiny(tiny_ssb):
+    return cluster_by(tiny_ssb, "lineorder", "lo_orderdate")
+
+
+def _scan_query(db, order, join):
+    pred = SCAN_TERMS[order[0]]
+    for name in order[1:]:
+        pred = pred & SCAN_TERMS[name]
+    builder = Q("lineorder").where(pred)
+    if join == "none":
+        return builder.agg("sum", "lo_revenue").build(db), list(pred.children) if len(order) > 1 else [pred]
+    fact_dates = db.table("lineorder")["lo_orderdate"]
+    # Last date of zone 1 when zone 2 starts on a later day: every fact zone
+    # past it is skipped by the probe, and every key before it hits.
+    filters = {"all-hit": [], "prefix": [("d_datekey", "le", int(fact_dates[2 * 4096 - 1]))]}[join]
+    assert join == "all-hit" or fact_dates[2 * 4096] > fact_dates[2 * 4096 - 1]
+    query = (
+        builder.join("date", on=("lo_orderdate", "d_datekey"), filters=filters, payload="d_year")
+        .group_by("d_year")
+        .agg("count")
+        .build(db)
+    )
+    return query, list(pred.children) if len(order) > 1 else [pred]
+
+
+def _expected_zone_counts(db, maps, terms, lo, hi):
+    """The scan's zone counters by definition: each conjunct counts its
+    classes over the span's zones, and prunes the rows still alive before
+    it that sit in its skip zones."""
+    fact = db.table("lineorder")
+    zones = maps.zone_of(np.arange(lo, hi))
+    span_zones = np.unique(zones)
+    alive = np.ones(hi - lo, dtype=bool)
+    counts = np.zeros(4, dtype=np.int64)  # skipped, taken, evaluated, rows pruned
+    for term in terms:
+        cls = maps.classify(term)
+        if cls is not None:
+            counts += [
+                np.count_nonzero(cls[span_zones] == ZONE_SKIP),
+                np.count_nonzero(cls[span_zones] == ZONE_TAKE),
+                np.count_nonzero(cls[span_zones] == ZONE_EVALUATE),
+                np.count_nonzero(alive & (cls[zones] == ZONE_SKIP)),
+            ]
+        alive &= evaluate_pred(fact, term)[lo:hi]
+    return counts.tolist()
+
+
+class TestScanRepresentations:
+    """The filter conjuncts hold the survivors as a span mask while dense
+    and as row ids once sparse; answers, profiles and zone counters must not
+    show which, in any order of conjuncts, over any span."""
+
+    @pytest.mark.parametrize("span", SCAN_SPANS, ids=["whole", "cut", "mid-zone"])
+    @pytest.mark.parametrize("join", ["none", "all-hit", "prefix"])
+    @pytest.mark.parametrize("order", SCAN_ORDERS, ids=["-".join(order) for order in SCAN_ORDERS])
+    def test_value_profile_and_zone_counters(self, clustered_tiny, order, join, span):
+        db = clustered_tiny
+        n = db.table("lineorder").num_rows
+        lo, end = span
+        hi = n if end is None else end if end > 0 else n + end
+        query, terms = _scan_query(db, order, join)
+        zones = ZoneMapCache(db)
+        with activate_zones(zones):
+            maps = zones.maps(db, db.table("lineorder"))
+            if (lo, hi) == (0, n):
+                value, profile = execute_query(db, query)
+                expected = execute_query_monolithic(db, query)
+            else:
+                # Checked against the same range's partial with zones off.
+                partial, profile = partial_for_range(db, query, lo, hi)
+                value = merge_partial_aggregates([partial])
+        if (lo, hi) != (0, n):
+            with activate_zones(None):
+                plain, plain_profile = partial_for_range(db, query, lo, hi)
+            expected = merge_partial_aggregates([plain]), plain_profile
+        assert (value, profile) == expected
+        info = zones.info()
+        scanned = [info.zones_skipped, info.zones_taken, info.zones_evaluated, info.rows_pruned]
+        if join == "none":  # with a join the probe adds its own zone counts
+            assert scanned == _expected_zone_counts(db, maps, terms, lo, hi)
+
+    def test_every_row_dropped_by_a_skip_zone(self, clustered_tiny):
+        """A conjunct no zone can satisfy clears the mask unread."""
+        db = clustered_tiny
+        query = Q("lineorder").where((col("lo_quantity") < 46) & (col("lo_orderdate") < 19000101)).agg("count").build(db)
+        zones = ZoneMapCache(db)
+        with activate_zones(zones):
+            assert execute_query(db, query) == execute_query_monolithic(db, query)
+        assert zones.info().rows_pruned == int(np.count_nonzero(db.table("lineorder")["lo_quantity"] < 46))
+
+
+# ----------------------------------------------------------------------
 # The data plane's rules, held without a clock
 # ----------------------------------------------------------------------
 
@@ -500,6 +612,20 @@ class TestDataPlaneRules:
             physical.execute_physical(small_ssb, plan)  # statistics and builds now cached
             peak = _peak_bytes(lambda: physical.execute_physical(small_ssb, plan))
         assert peak < 8 * n
+
+    @pytest.mark.parametrize("zones", [True, False], ids=["zones", "plain"])
+    def test_dense_scan_never_widens_the_whole_span(self, small_ssb, zones):
+        """Row ids for the ~90 % a dense leading conjunct keeps would cost
+        ``7.2 x n`` bytes by themselves; the scan holds them as a one-byte
+        mask until they thin out, so the conjunct chain peaks near ``3 x n``."""
+        n = small_ssb.table("lineorder").num_rows
+        pred = (col("lo_quantity") < 46) & col("lo_discount").between(4, 6) & (col("lo_extendedprice") >= 2_000_000)
+        query = Q("lineorder").where(pred).agg("count").build(small_ssb)
+        with activate_zones(ZoneMapCache(small_ssb) if zones else None):
+            plan = lower_query(query, small_ssb)
+            physical.execute_physical(small_ssb, plan)  # statistics now cached
+            peak = _peak_bytes(lambda: physical.execute_physical(small_ssb, plan))
+        assert peak < 4 * n
 
     def test_pack_scratch_is_chunk_sized(self, rng):
         values = rng.integers(0, 1000, size=4_000_000).astype(np.int32)
