@@ -41,6 +41,7 @@ from repro.ops.cpu import (
     cpu_radix_sort,
     cpu_select,
 )
+from repro.ops.cpu.hash_join import PROBE_OPS, RANDOM_EFFICIENCY
 from repro.ops.cpu.project import sigmoid
 from repro.ops.gpu import (
     gpu_hash_join_build,
@@ -185,10 +186,6 @@ def run_figure12(exec_n: int = DEFAULT_EXEC_N, paper_n: int = PAPER_MICRO_N, see
 JOIN_HASH_TABLE_SIZES = [8 << 10 << i for i in range(0, 18, 2)]  # 8KB,32KB,...,512MB
 JOIN_HASH_TABLE_SIZES.append(1 << 30)
 
-#: Variant-specific parameters mirrored from repro.ops.cpu.hash_join.
-_CPU_PROBE_OPS = {"scalar": 6.0, "simd": 11.0, "prefetch": 8.5}
-_CPU_RANDOM_EFFICIENCY = {"scalar": 0.62, "simd": 0.62, "prefetch": 0.72}
-
 
 def _cpu_join_probe_ms(probe_rows: float, ht_bytes: float, variant: str, sim: CPUSimulator) -> float:
     """Simulated CPU probe time at paper scale (mirrors the operator's traffic)."""
@@ -197,9 +194,9 @@ def _cpu_join_probe_ms(probe_rows: float, ht_bytes: float, variant: str, sim: CP
         random_accesses=probe_rows,
         random_working_set_bytes=ht_bytes,
         random_access_bytes=8.0,
-        compute_ops=probe_rows * _CPU_PROBE_OPS[variant],
+        compute_ops=probe_rows * PROBE_OPS[variant],
     )
-    return sim.run(traffic, random_efficiency=_CPU_RANDOM_EFFICIENCY[variant]).milliseconds
+    return sim.run(traffic, random_efficiency=RANDOM_EFFICIENCY[variant]).milliseconds
 
 
 def _gpu_join_probe_ms(probe_rows: float, ht_bytes: float, sim: GPUSimulator) -> float:

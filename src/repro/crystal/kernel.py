@@ -72,11 +72,10 @@ class CrystalKernel:
         threads_per_block: int = 128,
         items_per_thread: int = 4,
         label: str = "crystal-kernel",
-        simulator: GPUSimulator | None = None,
     ) -> None:
         self.body = body
         self.label = label
-        self.simulator = simulator or GPUSimulator()
+        self.simulator = GPUSimulator()
         self.launch = KernelLaunch(
             threads_per_block=threads_per_block,
             items_per_thread=items_per_thread,

@@ -11,6 +11,11 @@ Each operator comes in the variants the paper evaluates:
   table.
 * Radix partitioning / LSB radix sort following Polychroniou & Ross, and
   the partitioned radix join built on them.
+
+A kernel and its :mod:`repro.ops.gpu` twin share one answer path -- the
+hash-table build, the radix-partition pass and the radix-sort loop live
+here -- and differ only in their bill: the traffic they charge and the
+simulator that prices it.
 """
 
 from repro.ops.cpu.hash_join import cpu_hash_join_build, cpu_hash_join_probe

@@ -11,9 +11,14 @@ The join is split into the two standard phases:
   8-key round needs two gathers plus de-interleaving), and ``prefetch``
   (group prefetching, which only helps once the table spills out of the LLC
   and costs extra instructions when it does not).
+
+:func:`join_build` is the build phase the GPU shares; each device adds only
+its traffic and its simulator call.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -21,38 +26,33 @@ from repro.hardware.counters import TrafficCounter
 from repro.ops.base import OperatorResult
 from repro.ops.hash_table import LinearProbingHashTable
 from repro.sim.cpu import CPUSimulator
-
-_PROBE_VARIANTS = ("scalar", "simd", "prefetch")
+from repro.sim.timing import TimeBreakdown
 
 #: Scalar-equivalent instruction cost per probed tuple for each variant.
 #: The SIMD variant's gathers and de-interleave shuffles do not vectorize
 #: the probe loop's latency chain, so its per-tuple cost is the highest
 #: (this is what makes CPU SIMD slower than CPU Scalar in Figure 13).
-_PROBE_OPS = {"scalar": 6.0, "simd": 11.0, "prefetch": 8.5}
+PROBE_OPS = {"scalar": 6.0, "simd": 11.0, "prefetch": 8.5}
 
 #: Effective fraction of DRAM bandwidth achieved on probe misses.  Group
 #: prefetching keeps more misses in flight and gets closer to peak.
-_RANDOM_EFFICIENCY = {"scalar": 0.62, "simd": 0.62, "prefetch": 0.72}
+RANDOM_EFFICIENCY = {"scalar": 0.62, "simd": 0.62, "prefetch": 0.72}
 
 
-def cpu_hash_join_build(
+def join_build(
     build_keys: np.ndarray,
     build_values: np.ndarray,
-    fill_factor: float = 0.5,
-    simulator: CPUSimulator | None = None,
+    device: str,
+    price: Callable[[TrafficCounter, LinearProbingHashTable], TimeBreakdown],
 ) -> tuple[LinearProbingHashTable, OperatorResult]:
-    """Build the shared hash table from the build relation.
+    """Build the hash table from the build relation, billed by ``price``.
 
-    Returns the table and the simulated build-phase execution (the build
-    scans the build relation once and scatters one slot write per tuple;
-    writes to a large table stream to memory, as the paper's discussion of
-    the build phase notes).
+    The build scans the build relation once and scatters one slot write
+    per tuple.  ``price(traffic, table)`` adds what only the device does to
+    that traffic and returns the simulated time.
     """
-    simulator = simulator or CPUSimulator()
     build_keys = np.asarray(build_keys)
-    build_values = np.asarray(build_values)
-    table = LinearProbingHashTable.build(build_keys, build_values, fill_factor=fill_factor)
-
+    table = LinearProbingHashTable.build(build_keys, build_values)
     n = build_keys.shape[0]
     traffic = TrafficCounter(
         sequential_read_bytes=float(n * 8),
@@ -61,12 +61,11 @@ def cpu_hash_join_build(
         random_access_bytes=float(table.slot_bytes),
         compute_ops=float(n) * 4.0,
     )
-    execution = simulator.run(traffic, label="cpu-join-build")
     result = OperatorResult(
         value=table,
-        time=execution.time,
+        time=price(traffic, table),
         traffic=traffic,
-        device="cpu",
+        device=device,
         variant="build",
         stats={
             "build_rows": float(n),
@@ -77,12 +76,28 @@ def cpu_hash_join_build(
     return table, result
 
 
+def cpu_hash_join_build(
+    build_keys: np.ndarray, build_values: np.ndarray
+) -> tuple[LinearProbingHashTable, OperatorResult]:
+    """Build the shared hash table from the build relation.
+
+    Returns the table and the simulated build-phase execution; writes to a
+    large table stream to memory, as the paper's discussion of the build
+    phase notes.
+    """
+    return join_build(
+        build_keys,
+        build_values,
+        "cpu",
+        lambda traffic, table: CPUSimulator().run(traffic, label="cpu-join-build").time,
+    )
+
+
 def cpu_hash_join_probe(
     probe_keys: np.ndarray,
     probe_values: np.ndarray,
     table: LinearProbingHashTable,
     variant: str = "scalar",
-    simulator: CPUSimulator | None = None,
 ) -> OperatorResult:
     """Probe the hash table and compute ``SUM(A.v + B.v)`` over matches.
 
@@ -90,15 +105,14 @@ def cpu_hash_join_probe(
         probe_keys / probe_values: Columns of the probe relation.
         table: Hash table produced by :func:`cpu_hash_join_build`.
         variant: ``"scalar"``, ``"simd"``, or ``"prefetch"``.
-        simulator: Override the CPU simulator.
 
     Returns:
         An :class:`~repro.ops.base.OperatorResult` whose value is the
         checksum (a float) and whose stats include the match count.
     """
-    if variant not in _PROBE_VARIANTS:
-        raise ValueError(f"unknown CPU probe variant {variant!r}; expected one of {_PROBE_VARIANTS}")
-    simulator = simulator or CPUSimulator()
+    if variant not in PROBE_OPS:
+        raise ValueError(f"unknown CPU probe variant {variant!r}; expected one of {tuple(PROBE_OPS)}")
+    simulator = CPUSimulator()
     probe_keys = np.asarray(probe_keys)
     probe_values = np.asarray(probe_values)
     if probe_keys.shape != probe_values.shape:
@@ -113,14 +127,14 @@ def cpu_hash_join_probe(
         random_accesses=float(n),
         random_working_set_bytes=float(table.size_bytes),
         random_access_bytes=float(table.slot_bytes),
-        compute_ops=float(n) * _PROBE_OPS[variant],
+        compute_ops=float(n) * PROBE_OPS[variant],
         atomic_updates=float(simulator.spec.cores),
         atomic_targets=1.0,
     )
     execution = simulator.run(
         traffic,
         use_simd=False,
-        random_efficiency=_RANDOM_EFFICIENCY[variant],
+        random_efficiency=RANDOM_EFFICIENCY[variant],
         label=f"cpu-join-probe-{variant}",
     )
     return OperatorResult(

@@ -34,21 +34,16 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 def cpu_project(
     x1: np.ndarray,
     x2: np.ndarray,
-    a: float = 2.0,
-    b: float = 3.0,
     udf: Callable[[np.ndarray], np.ndarray] | None = None,
     variant: str = "opt",
-    simulator: CPUSimulator | None = None,
 ) -> OperatorResult:
-    """Compute ``udf(a * x1 + b * x2)`` over two float columns.
+    """Compute ``udf(2 * x1 + 3 * x2)`` over two float columns.
 
     Args:
         x1, x2: Input columns (4-byte floats in the microbenchmark).
-        a, b: Linear-combination coefficients.
         udf: Optional user-defined function applied to the combination
             (Q2 uses :func:`sigmoid`); ``None`` reproduces Q1.
         variant: ``"naive"`` or ``"opt"``.
-        simulator: Override the CPU simulator (defaults to the paper CPU).
 
     Returns:
         An :class:`~repro.ops.base.OperatorResult` whose value is the
@@ -60,9 +55,8 @@ def cpu_project(
     x2 = np.asarray(x2, dtype=np.float32)
     if x1.shape != x2.shape:
         raise ValueError("x1 and x2 must have equal length")
-    simulator = simulator or CPUSimulator()
 
-    combined = a * x1 + b * x2
+    combined = 2.0 * x1 + 3.0 * x2
     result = udf(combined).astype(np.float32) if udf is not None else combined.astype(np.float32)
 
     n = x1.shape[0]
@@ -72,7 +66,7 @@ def cpu_project(
         sequential_write_bytes=float(result.nbytes),
         compute_ops=float(n) * ops_per_element,
     )
-    execution = simulator.run(
+    execution = CPUSimulator().run(
         traffic,
         use_simd=(variant == "opt"),
         non_temporal_writes=(variant == "opt"),

@@ -15,19 +15,28 @@ import numpy as np
 
 from repro.hardware.counters import TrafficCounter
 from repro.ops.base import OperatorResult
-from repro.ops.cpu.radix_partition import cpu_radix_partition, radix_of
+from repro.ops.cpu.radix_partition import RadixPartitionOutput, cpu_radix_partition
 from repro.ops.hash_table import LinearProbingHashTable
 from repro.sim.cpu import CPUSimulator
 from repro.sim.timing import TimeBreakdown
 
+#: Each partition's hash table is sized to fit this budget: the per-core L2.
+_PARTITION_BUDGET_BYTES = 96 * 1024
 
-def _partitions_needed(build_rows: int, target_partition_bytes: int, fill_factor: float) -> int:
-    """Radix bits needed so each partition's hash table fits the target size."""
-    table_bytes = build_rows / fill_factor * 8.0
+
+def _partitions_needed(build_rows: int) -> int:
+    """Radix bits needed so each partition's half-full hash table fits the budget."""
+    table_bytes = build_rows / 0.5 * 8.0
     bits = 0
-    while (table_bytes / (1 << bits)) > target_partition_bytes and bits < 16:
+    while (table_bytes / (1 << bits)) > _PARTITION_BUDGET_BYTES and bits < 16:
         bits += 1
     return bits
+
+
+def _runs(output: RadixPartitionOutput) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each partition's keys and payloads: one contiguous, stably ordered run."""
+    bounds = [*output.partition_offsets.tolist(), output.keys.shape[0]]
+    return [(output.keys[lo:hi], output.payloads[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def cpu_radix_join(
@@ -35,9 +44,6 @@ def cpu_radix_join(
     build_values: np.ndarray,
     probe_keys: np.ndarray,
     probe_values: np.ndarray,
-    target_partition_bytes: int = 96 * 1024,
-    fill_factor: float = 0.5,
-    simulator: CPUSimulator | None = None,
 ) -> OperatorResult:
     """Radix-partitioned hash join computing ``SUM(A.v + B.v)`` over matches.
 
@@ -48,12 +54,7 @@ def cpu_radix_join(
     Args:
         build_keys / build_values: The (smaller) build relation.
         probe_keys / probe_values: The probe relation.
-        target_partition_bytes: Partition hash tables are sized to fit within
-            this budget (the per-core L2 by default).
-        fill_factor: Hash-table fill factor within each partition.
-        simulator: Override the CPU simulator.
     """
-    simulator = simulator or CPUSimulator()
     build_keys = np.asarray(build_keys)
     build_values = np.asarray(build_values)
     probe_keys = np.asarray(probe_keys)
@@ -61,7 +62,7 @@ def cpu_radix_join(
     if build_keys.shape != build_values.shape or probe_keys.shape != probe_values.shape:
         raise ValueError("key and value columns must align")
 
-    radix_bits = _partitions_needed(build_keys.shape[0], target_partition_bytes, fill_factor)
+    radix_bits = _partitions_needed(build_keys.shape[0])
     time = TimeBreakdown()
     traffic = TrafficCounter()
 
@@ -69,28 +70,16 @@ def cpu_radix_join(
         build_parts = [(build_keys, build_values)]
         probe_parts = [(probe_keys, probe_values)]
     else:
-        build_out, b_hist, b_shuffle = cpu_radix_partition(
-            build_keys, build_values, radix_bits=radix_bits, simulator=simulator
-        )
-        probe_out, p_hist, p_shuffle = cpu_radix_partition(
-            probe_keys, probe_values, radix_bits=radix_bits, simulator=simulator
-        )
+        build_out, b_hist, b_shuffle = cpu_radix_partition(build_keys, build_values, radix_bits=radix_bits)
+        probe_out, p_hist, p_shuffle = cpu_radix_partition(probe_keys, probe_values, radix_bits=radix_bits)
         for label, result in (
             ("partition.build.hist", b_hist), ("partition.build.shuffle", b_shuffle),
             ("partition.probe.hist", p_hist), ("partition.probe.shuffle", p_shuffle),
         ):
             time.merge(result.time, prefix=label + ".")
             traffic.merge(result.traffic)
-
-        build_radix = radix_of(build_out.keys, radix_bits, 0)
-        probe_radix = radix_of(probe_out.keys, radix_bits, 0)
-        build_parts = []
-        probe_parts = []
-        for p in range(1 << radix_bits):
-            build_mask = build_radix == p
-            probe_mask = probe_radix == p
-            build_parts.append((build_out.keys[build_mask], build_out.payloads[build_mask]))
-            probe_parts.append((probe_out.keys[probe_mask], probe_out.payloads[probe_mask]))
+        build_parts = _runs(build_out)
+        probe_parts = _runs(probe_out)
 
     # Join each partition pair with a cache-resident hash table.
     checksum = 0.0
@@ -99,7 +88,7 @@ def cpu_radix_join(
     for (b_keys, b_values), (p_keys, p_values) in zip(build_parts, probe_parts):
         if b_keys.shape[0] == 0 or p_keys.shape[0] == 0:
             continue
-        table = LinearProbingHashTable.build(b_keys, b_values, fill_factor=fill_factor)
+        table = LinearProbingHashTable.build(b_keys, b_values)
         partition_table_bytes = max(partition_table_bytes, float(table.size_bytes))
         found, payload = table.probe(p_keys)
         checksum += float(np.sum(p_values[found].astype(np.float64) + payload[found].astype(np.float64)))
@@ -113,7 +102,7 @@ def cpu_radix_join(
         random_access_bytes=8.0,
         compute_ops=float(probe_keys.shape[0] + build_keys.shape[0]) * 6.0,
     )
-    join_exec = simulator.run(join_traffic, label="partitioned-join")
+    join_exec = CPUSimulator().run(join_traffic, label="partitioned-join")
     time.merge(join_exec.time, prefix="join.")
     traffic.merge(join_traffic)
 

@@ -14,6 +14,9 @@ output partitions by ``r`` bits of the key, in two phases:
 Beyond 8 radix bits the per-thread buffers (``2^r`` cache lines) no longer
 fit in L1 and the shuffle phase falls off the bandwidth-bound plateau, which
 is the knee in Figure 14b.
+
+:func:`partition_pass` is the functional pass the GPU variants share; each
+device adds only its bill (traffic and simulator call) for the two phases.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import numpy as np
 from repro.hardware.counters import TrafficCounter
 from repro.ops.base import OperatorResult
 from repro.sim.cpu import CPUSimulator
+from repro.sim.timing import TimeBreakdown
 
 #: Number of software threads the partitioning is striped over.
 _NUM_THREADS = 16
@@ -44,10 +48,6 @@ class RadixPartitionOutput:
     radix_bits: int
     start_bit: int
 
-    @property
-    def num_partitions(self) -> int:
-        return 1 << self.radix_bits
-
 
 def radix_of(keys: np.ndarray, radix_bits: int, start_bit: int) -> np.ndarray:
     """Extract the ``radix_bits`` bits starting at ``start_bit`` of each key."""
@@ -55,12 +55,60 @@ def radix_of(keys: np.ndarray, radix_bits: int, start_bit: int) -> np.ndarray:
     return (keys.astype(np.int64) >> start_bit) & mask
 
 
+def partition_pass(
+    keys: np.ndarray, payloads: np.ndarray | None, radix_bits: int, start_bit: int
+) -> tuple[RadixPartitionOutput, np.ndarray]:
+    """One stable radix-partition pass: the output and its histogram.
+
+    Both devices compute this answer; only the cost of its histogram and
+    shuffle phases differs.
+    """
+    keys = np.asarray(keys)
+    payloads = np.zeros_like(keys) if payloads is None else np.asarray(payloads)
+    if payloads.shape != keys.shape:
+        raise ValueError("payloads must align with keys")
+    radix = radix_of(keys, radix_bits, start_bit)
+    histogram = np.bincount(radix, minlength=1 << radix_bits).astype(np.int64)
+    offsets = np.zeros(1 << radix_bits, dtype=np.int64)
+    np.cumsum(histogram[:-1], out=offsets[1:])
+    order = np.argsort(radix, kind="stable")
+    output = RadixPartitionOutput(
+        keys=keys[order],
+        payloads=payloads[order],
+        partition_offsets=offsets,
+        radix_bits=radix_bits,
+        start_bit=start_bit,
+    )
+    return output, histogram
+
+
+def phase_results(
+    output: RadixPartitionOutput,
+    histogram: np.ndarray,
+    device: str,
+    variant: str,
+    histogram_bill: tuple[TrafficCounter, TimeBreakdown],
+    shuffle_bill: tuple[TrafficCounter, TimeBreakdown],
+) -> tuple[OperatorResult, OperatorResult]:
+    """The histogram and shuffle results of one pass, each from its bill."""
+    return tuple(
+        OperatorResult(
+            value=value,
+            time=time,
+            traffic=traffic,
+            device=device,
+            variant=variant,
+            stats={"rows": float(output.keys.shape[0]), "radix_bits": float(output.radix_bits)},
+        )
+        for value, (traffic, time) in ((histogram, histogram_bill), (None, shuffle_bill))
+    )
+
+
 def cpu_radix_partition(
     keys: np.ndarray,
     payloads: np.ndarray | None = None,
     radix_bits: int = 8,
     start_bit: int = 0,
-    simulator: CPUSimulator | None = None,
 ) -> tuple[RadixPartitionOutput, OperatorResult, OperatorResult]:
     """Run one stable radix-partition pass on the CPU.
 
@@ -69,46 +117,21 @@ def cpu_radix_partition(
     """
     if radix_bits <= 0 or radix_bits > 16:
         raise ValueError("radix_bits must be in [1, 16]")
-    keys = np.asarray(keys)
-    if payloads is None:
-        payloads = np.zeros_like(keys)
-    payloads = np.asarray(payloads)
-    if payloads.shape != keys.shape:
-        raise ValueError("payloads must align with keys")
-    simulator = simulator or CPUSimulator()
-
-    n = keys.shape[0]
+    output, histogram = partition_pass(keys, payloads, radix_bits, start_bit)
+    simulator = CPUSimulator()
+    n = output.keys.shape[0]
     num_partitions = 1 << radix_bits
-    radix = radix_of(keys, radix_bits, start_bit)
+    moved_bytes = float(output.keys.nbytes + output.payloads.nbytes)
 
-    # --- histogram phase -------------------------------------------------
-    histogram = np.bincount(radix, minlength=num_partitions).astype(np.int64)
     histogram_traffic = TrafficCounter(
-        sequential_read_bytes=float(keys.nbytes),
+        sequential_read_bytes=float(output.keys.nbytes),
         sequential_write_bytes=float(num_partitions * 8 * _NUM_THREADS),
         compute_ops=float(n) * 2.0,
     )
-    histogram_exec = simulator.run(histogram_traffic, use_simd=True, label="cpu-radix-histogram")
-    histogram_result = OperatorResult(
-        value=histogram,
-        time=histogram_exec.time,
-        traffic=histogram_traffic,
-        device="cpu",
-        variant="stable",
-        stats={"rows": float(n), "radix_bits": float(radix_bits)},
-    )
-
-    # --- shuffle phase ---------------------------------------------------
-    offsets = np.zeros(num_partitions, dtype=np.int64)
-    np.cumsum(histogram[:-1], out=offsets[1:])
-    order = np.argsort(radix, kind="stable")
-    out_keys = keys[order]
-    out_payloads = payloads[order]
-
     shuffle_traffic = TrafficCounter(
-        sequential_read_bytes=float(keys.nbytes + payloads.nbytes),
-        sequential_write_bytes=float(keys.nbytes + payloads.nbytes),
-        shared_bytes=float(keys.nbytes + payloads.nbytes),
+        sequential_read_bytes=moved_bytes,
+        sequential_write_bytes=moved_bytes,
+        shared_bytes=moved_bytes,
         compute_ops=float(n) * 4.0,
     )
     # Once the per-thread partition buffers exceed L1, partially-filled buffer
@@ -119,26 +142,14 @@ def cpu_radix_partition(
     buffer_bytes = num_partitions * line_bytes
     if buffer_bytes > _L1_BUFFER_BYTES:
         overflow_fraction = 1.0 - _L1_BUFFER_BYTES / buffer_bytes
-        tuple_bytes = float(keys.dtype.itemsize + payloads.dtype.itemsize)
+        tuple_bytes = float(output.keys.dtype.itemsize + output.payloads.dtype.itemsize)
         amplification = overflow_fraction * float(n) * max(line_bytes - tuple_bytes, 0.0)
         shuffle_traffic.sequential_write_bytes += amplification
-    shuffle_exec = simulator.run(
+    histogram_time = simulator.run(histogram_traffic, use_simd=True, label="cpu-radix-histogram").time
+    shuffle_time = simulator.run(
         shuffle_traffic, use_simd=True, non_temporal_writes=True, label="cpu-radix-shuffle"
+    ).time
+    return output, *phase_results(
+        output, histogram, "cpu", "stable",
+        (histogram_traffic, histogram_time), (shuffle_traffic, shuffle_time),
     )
-    shuffle_result = OperatorResult(
-        value=None,
-        time=shuffle_exec.time,
-        traffic=shuffle_traffic,
-        device="cpu",
-        variant="stable",
-        stats={"rows": float(n), "radix_bits": float(radix_bits)},
-    )
-
-    output = RadixPartitionOutput(
-        keys=out_keys,
-        payloads=out_payloads,
-        partition_offsets=offsets,
-        radix_bits=radix_bits,
-        start_bit=start_bit,
-    )
-    return output, histogram_result, shuffle_result

@@ -42,7 +42,6 @@ def cpu_select(
     y: np.ndarray,
     threshold: float,
     variant: str = "simd_pred",
-    simulator: CPUSimulator | None = None,
 ) -> OperatorResult:
     """Run ``SELECT y FROM R WHERE y < threshold`` on the CPU.
 
@@ -50,7 +49,6 @@ def cpu_select(
         y: Input column.
         threshold: Selection constant ``v``.
         variant: ``"if"``, ``"pred"``, or ``"simd_pred"``.
-        simulator: Override the CPU simulator (defaults to the paper CPU).
 
     Returns:
         An :class:`~repro.ops.base.OperatorResult` whose value is the array
@@ -59,7 +57,6 @@ def cpu_select(
     if variant not in _VARIANTS:
         raise ValueError(f"unknown CPU select variant {variant!r}; expected one of {_VARIANTS}")
     y = np.asarray(y)
-    simulator = simulator or CPUSimulator()
 
     mask = y < threshold
     matched = y[mask]
@@ -98,7 +95,7 @@ def cpu_select(
         non_temporal = True
         traffic.compute_ops = float(n) * 2.0
 
-    execution = simulator.run(
+    execution = CPUSimulator().run(
         traffic,
         use_simd=use_simd,
         non_temporal_writes=non_temporal,

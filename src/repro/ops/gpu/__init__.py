@@ -8,6 +8,12 @@
 * Hash join (Q4): ``block_load`` + ``block_lookup`` + ``block_aggregate``.
 * Radix partitioning / sort: the stable (LSB, 7 bits per pass) and unstable
   (MSB, 8 bits per pass) GPU variants.
+
+Each kernel returns the same answer as its :mod:`repro.ops.cpu` twin and
+differs only in its bill.  The hash-join build and the radix kernels reuse
+the CPU side's answer path and add their traffic and launch; the kernels
+that run a ``CrystalKernel`` keep their tile bodies, since the tile is what
+Section 3.3 reproduces.
 """
 
 from repro.ops.gpu.hash_join import gpu_hash_join_build, gpu_hash_join_probe

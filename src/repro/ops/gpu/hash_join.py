@@ -7,15 +7,21 @@ import numpy as np
 from repro.crystal import BlockContext, CrystalKernel, Tile, block_aggregate, block_load, block_lookup
 from repro.hardware.counters import TrafficCounter
 from repro.ops.base import OperatorResult
+from repro.ops.cpu.hash_join import join_build
 from repro.ops.hash_table import LinearProbingHashTable
 from repro.sim.gpu import GPUSimulator, KernelLaunch
+from repro.sim.timing import TimeBreakdown
+
+
+def _price_build(traffic: TrafficCounter, table: LinearProbingHashTable) -> TimeBreakdown:
+    # Each thread inserts its tuple with an atomic compare-and-swap on the slot.
+    traffic.atomic_updates = traffic.random_accesses
+    traffic.atomic_targets = float(table.num_slots)
+    return GPUSimulator().run_kernel(traffic, KernelLaunch(label="gpu-join-build")).time
 
 
 def gpu_hash_join_build(
-    build_keys: np.ndarray,
-    build_values: np.ndarray,
-    fill_factor: float = 0.5,
-    simulator: GPUSimulator | None = None,
+    build_keys: np.ndarray, build_values: np.ndarray
 ) -> tuple[LinearProbingHashTable, OperatorResult]:
     """Build the hash table on the GPU.
 
@@ -24,44 +30,13 @@ def gpu_hash_join_build(
     build phase scales linearly with the build relation (the paper's
     build-phase discussion).
     """
-    simulator = simulator or GPUSimulator()
-    build_keys = np.asarray(build_keys)
-    build_values = np.asarray(build_values)
-    table = LinearProbingHashTable.build(build_keys, build_values, fill_factor=fill_factor)
-
-    n = build_keys.shape[0]
-    traffic = TrafficCounter(
-        sequential_read_bytes=float(n * 8),
-        random_accesses=float(n),
-        random_working_set_bytes=float(table.size_bytes),
-        random_access_bytes=float(table.slot_bytes),
-        atomic_updates=float(n),
-        atomic_targets=float(table.num_slots),
-        compute_ops=float(n) * 4.0,
-    )
-    execution = simulator.run_kernel(traffic, KernelLaunch(label="gpu-join-build"))
-    result = OperatorResult(
-        value=table,
-        time=execution.time,
-        traffic=traffic,
-        device="gpu",
-        variant="build",
-        stats={
-            "build_rows": float(n),
-            "hash_table_bytes": float(table.size_bytes),
-            "collisions": float(table.build_stats.collisions),
-        },
-    )
-    return table, result
+    return join_build(build_keys, build_values, "gpu", _price_build)
 
 
 def gpu_hash_join_probe(
     probe_keys: np.ndarray,
     probe_values: np.ndarray,
     table: LinearProbingHashTable,
-    threads_per_block: int = 128,
-    items_per_thread: int = 4,
-    simulator: GPUSimulator | None = None,
 ) -> OperatorResult:
     """Probe the hash table and compute ``SUM(A.v + B.v)`` on the GPU.
 
@@ -85,14 +60,7 @@ def gpu_hash_join_probe(
         total = block_aggregate(ctx, Tile(values=contributions), op="sum", counter_name="checksum")
         return total
 
-    kernel = CrystalKernel(
-        body,
-        threads_per_block=threads_per_block,
-        items_per_thread=items_per_thread,
-        label="gpu-join-probe",
-        simulator=simulator,
-    )
-    result = kernel.run()
+    result = CrystalKernel(body, label="gpu-join-probe").run()
     checksum = float(result.value)
     n = probe_keys.shape[0]
     return OperatorResult(

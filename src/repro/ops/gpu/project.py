@@ -8,20 +8,14 @@ import numpy as np
 
 from repro.crystal import BlockContext, CrystalKernel, Tile, block_load, block_store
 from repro.ops.base import OperatorResult
-from repro.sim.gpu import GPUSimulator
 
 
 def gpu_project(
     x1: np.ndarray,
     x2: np.ndarray,
-    a: float = 2.0,
-    b: float = 3.0,
     udf: Callable[[np.ndarray], np.ndarray] | None = None,
-    threads_per_block: int = 128,
-    items_per_thread: int = 4,
-    simulator: GPUSimulator | None = None,
 ) -> OperatorResult:
-    """Compute ``udf(a * x1 + b * x2)`` with a single fused GPU kernel.
+    """Compute ``udf(2 * x1 + 3 * x2)`` with a single fused GPU kernel.
 
     The kernel performs two ``block_load``s (one per column), the arithmetic
     on register-resident tiles, and a ``block_store`` of the result -- so it
@@ -38,7 +32,7 @@ def gpu_project(
     def body(ctx: BlockContext) -> np.ndarray:
         tile1 = block_load(ctx, x1)
         tile2 = block_load(ctx, x2)
-        combined = a * tile1.values + b * tile2.values
+        combined = 2.0 * tile1.values + 3.0 * tile2.values
         if udf is not None:
             combined = udf(combined)
             ctx.charge_compute(combined.shape[0] * 20.0)
@@ -48,14 +42,7 @@ def gpu_project(
         block_store(ctx, result_tile, out, 0, combined.shape[0])
         return out
 
-    kernel = CrystalKernel(
-        body,
-        threads_per_block=threads_per_block,
-        items_per_thread=items_per_thread,
-        label="gpu-project",
-        simulator=simulator,
-    )
-    result = kernel.run()
+    result = CrystalKernel(body, label="gpu-project").run()
     return OperatorResult(
         value=result.value,
         time=result.time,

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.hardware.counters import TrafficCounter
 from repro.ops.base import OperatorResult
-from repro.ops.cpu.radix_partition import RadixPartitionOutput, radix_of
+from repro.ops.cpu.radix_partition import RadixPartitionOutput, partition_pass, phase_results
 from repro.sim.gpu import GPUSimulator, KernelLaunch
 
 #: Maximum radix bits per pass for the stable (per-thread offsets) variant.
@@ -36,9 +36,6 @@ def gpu_radix_partition(
     radix_bits: int = 7,
     start_bit: int = 0,
     stable: bool = True,
-    threads_per_block: int = 128,
-    items_per_thread: int = 4,
-    simulator: GPUSimulator | None = None,
 ) -> tuple[RadixPartitionOutput, OperatorResult, OperatorResult]:
     """Run one radix-partition pass on the GPU.
 
@@ -56,88 +53,45 @@ def gpu_radix_partition(
             f"{'stable' if stable else 'unstable'} GPU radix partitioning supports at most "
             f"{max_bits} bits per pass, got {radix_bits}"
         )
-    keys = np.asarray(keys)
-    if payloads is None:
-        payloads = np.zeros_like(keys)
-    payloads = np.asarray(payloads)
-    if payloads.shape != keys.shape:
-        raise ValueError("payloads must align with keys")
-    simulator = simulator or GPUSimulator()
-
-    n = keys.shape[0]
+    output, histogram = partition_pass(keys, payloads, radix_bits, start_bit)
+    simulator = GPUSimulator()
+    n = output.keys.shape[0]
     num_partitions = 1 << radix_bits
-    tile_size = threads_per_block * items_per_thread
+    tile_size = KernelLaunch().tile_size
     num_tiles = -(-n // tile_size) if n else 0
-    radix = radix_of(keys, radix_bits, start_bit)
+    histogram_bytes = float(num_tiles * num_partitions * 4)
+    moved_bytes = float(output.keys.nbytes + output.payloads.nbytes)
 
-    # --- histogram phase -------------------------------------------------
-    histogram = np.bincount(radix, minlength=num_partitions).astype(np.int64)
     histogram_traffic = TrafficCounter(
-        sequential_read_bytes=float(keys.nbytes),
-        sequential_write_bytes=float(num_tiles * num_partitions * 4),
-        shared_bytes=float(num_tiles * num_partitions * 4),
+        sequential_read_bytes=float(output.keys.nbytes),
+        sequential_write_bytes=histogram_bytes,
+        shared_bytes=histogram_bytes,
         compute_ops=float(n) * 2.0,
     )
     histogram_launch = KernelLaunch(
-        threads_per_block=threads_per_block,
-        items_per_thread=items_per_thread,
         shared_bytes_per_block=num_partitions * 4,
-        registers_per_thread=32,
-        barriers_per_tile=2,
         grid_tiles=num_tiles,
         label="gpu-radix-histogram",
     )
-    histogram_exec = simulator.run_kernel(histogram_traffic, histogram_launch)
-    histogram_result = OperatorResult(
-        value=histogram,
-        time=histogram_exec.time,
-        traffic=histogram_traffic,
-        device="gpu",
-        variant="stable" if stable else "unstable",
-        stats={"rows": float(n), "radix_bits": float(radix_bits)},
-    )
-
-    # --- shuffle phase ---------------------------------------------------
-    offsets = np.zeros(num_partitions, dtype=np.int64)
-    np.cumsum(histogram[:-1], out=offsets[1:])
-    order = np.argsort(radix, kind="stable")
-    out_keys = keys[order]
-    out_payloads = payloads[order]
-
     # Per-thread offset arrays of the stable variant consume registers and
     # spill beyond 7 bits; per-block offsets of the unstable variant live in
     # shared memory.
     registers_per_thread = 32 + (num_partitions if stable else 0)
     shuffle_traffic = TrafficCounter(
-        sequential_read_bytes=float(keys.nbytes + payloads.nbytes + num_tiles * num_partitions * 4),
-        sequential_write_bytes=float(keys.nbytes + payloads.nbytes),
-        shared_bytes=float(keys.nbytes + payloads.nbytes),
+        sequential_read_bytes=moved_bytes + histogram_bytes,
+        sequential_write_bytes=moved_bytes,
+        shared_bytes=moved_bytes,
         compute_ops=float(n) * 4.0,
     )
     shuffle_launch = KernelLaunch(
-        threads_per_block=threads_per_block,
-        items_per_thread=items_per_thread,
         shared_bytes_per_block=tile_size * 8 + num_partitions * 4,
         registers_per_thread=min(registers_per_thread, 255),
         barriers_per_tile=3,
         grid_tiles=num_tiles,
         label="gpu-radix-shuffle",
     )
-    shuffle_exec = simulator.run_kernel(shuffle_traffic, shuffle_launch)
-    shuffle_result = OperatorResult(
-        value=None,
-        time=shuffle_exec.time,
-        traffic=shuffle_traffic,
-        device="gpu",
-        variant="stable" if stable else "unstable",
-        stats={"rows": float(n), "radix_bits": float(radix_bits)},
+    return output, *phase_results(
+        output, histogram, "gpu", "stable" if stable else "unstable",
+        (histogram_traffic, simulator.run_kernel(histogram_traffic, histogram_launch).time),
+        (shuffle_traffic, simulator.run_kernel(shuffle_traffic, shuffle_launch).time),
     )
-
-    output = RadixPartitionOutput(
-        keys=out_keys,
-        payloads=out_payloads,
-        partition_offsets=offsets,
-        radix_bits=radix_bits,
-        start_bit=start_bit,
-    )
-    return output, histogram_result, shuffle_result

@@ -11,87 +11,35 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hardware.counters import TrafficCounter
 from repro.ops.base import OperatorResult
+from repro.ops.cpu.radix_sort import radix_sort
 from repro.ops.gpu.radix_partition import MAX_STABLE_BITS, MAX_UNSTABLE_BITS, gpu_radix_partition
-from repro.sim.gpu import GPUSimulator
-from repro.sim.timing import TimeBreakdown
-
-
-def _pass_plan(key_bits: int, max_bits: int) -> list[int]:
-    """Split ``key_bits`` into per-pass radix widths of at most ``max_bits``.
-
-    Matches the paper's plans: 32 bits at <=7 bits/pass -> [6, 6, 6, 7, 7];
-    32 bits at <=8 bits/pass -> [8, 8, 8, 8].
-    """
-    num_passes = -(-key_bits // max_bits)
-    base = key_bits // num_passes
-    remainder = key_bits - base * num_passes
-    plan = [base] * num_passes
-    for i in range(remainder):
-        plan[num_passes - 1 - i] += 1
-    return plan
 
 
 def gpu_radix_sort(
     keys: np.ndarray,
     payloads: np.ndarray | None = None,
-    key_bits: int = 32,
     variant: str = "msb",
-    simulator: GPUSimulator | None = None,
 ) -> OperatorResult:
     """Sort 32-bit keys (with payloads) on the GPU.
 
+    Both variants are charged pass by pass at their own widths; for both,
+    the sorted output comes from the shared stable passes from the low bits.
+
     Args:
-        keys: Key column (non-negative integers).
+        keys: Key column (non-negative integers below 2**32).
         payloads: Optional payload column.
-        key_bits: Number of key bits to order.
         variant: ``"msb"`` (unstable passes, 8 bits each) or ``"lsb"``
             (stable passes, at most 7 bits each).
-        simulator: Override the GPU simulator.
     """
     if variant not in ("msb", "lsb"):
         raise ValueError(f"unknown GPU sort variant {variant!r}")
-    keys = np.asarray(keys)
-    if payloads is None:
-        payloads = np.zeros_like(keys)
-    payloads = np.asarray(payloads)
-    if np.any(keys < 0):
-        raise ValueError("radix sort expects non-negative keys")
-    simulator = simulator or GPUSimulator()
-
     stable = variant == "lsb"
-    max_bits = MAX_STABLE_BITS if stable else MAX_UNSTABLE_BITS
-    plan = _pass_plan(key_bits, max_bits)
-
-    total_time = TimeBreakdown()
-    total_traffic = TrafficCounter()
-    current_keys, current_payloads = keys, payloads
-    # For cost purposes both variants are charged pass by pass; the
-    # functional result is produced with LSB ordering (stable passes from
-    # the low bits), which yields an identical sorted output.
-    start_bit = 0
-    for pass_index, bits in enumerate(plan):
-        output, hist_result, shuffle_result = gpu_radix_partition(
-            current_keys,
-            current_payloads,
-            radix_bits=bits,
-            start_bit=start_bit,
-            stable=stable,
-            simulator=simulator,
-        )
-        current_keys, current_payloads = output.keys, output.payloads
-        start_bit += bits
-        total_time.merge(hist_result.time, prefix=f"pass{pass_index}.hist.")
-        total_time.merge(shuffle_result.time, prefix=f"pass{pass_index}.shuffle.")
-        total_traffic.merge(hist_result.traffic)
-        total_traffic.merge(shuffle_result.traffic)
-
-    return OperatorResult(
-        value=(current_keys, current_payloads),
-        time=total_time,
-        traffic=total_traffic,
-        device="gpu",
-        variant=variant,
-        stats={"rows": float(keys.shape[0]), "passes": float(len(plan))},
+    return radix_sort(
+        keys,
+        payloads,
+        MAX_STABLE_BITS if stable else MAX_UNSTABLE_BITS,
+        lambda k, p, bits, start: gpu_radix_partition(k, p, bits, start_bit=start, stable=stable),
+        "gpu",
+        variant,
     )

@@ -35,6 +35,9 @@ from repro.sim.gpu import GPUSimulator, KernelLaunch
 
 _VARIANTS = ("if", "pred")
 
+#: Threads the independent-threads baseline strides the column over.
+_NUM_THREADS = 409600
+
 
 def gpu_select(
     y: np.ndarray,
@@ -42,7 +45,6 @@ def gpu_select(
     variant: str = "pred",
     threads_per_block: int = 128,
     items_per_thread: int = 4,
-    simulator: GPUSimulator | None = None,
 ) -> OperatorResult:
     """Run ``SELECT y FROM R WHERE y < threshold`` as one fused Crystal kernel."""
     if variant not in _VARIANTS:
@@ -64,7 +66,6 @@ def gpu_select(
         threads_per_block=threads_per_block,
         items_per_thread=items_per_thread,
         label=f"gpu-select-{variant}",
-        simulator=simulator,
     )
     result = kernel.run()
     n = y.shape[0]
@@ -87,8 +88,6 @@ def gpu_select(
 def gpu_select_independent_threads(
     y: np.ndarray,
     threshold: float,
-    num_threads: int = 409600,
-    simulator: GPUSimulator | None = None,
 ) -> OperatorResult:
     """The three-kernel thread-per-stride selection of Figure 4(a).
 
@@ -99,7 +98,7 @@ def gpu_select_independent_threads(
     differs (two full reads, intermediate arrays, and scattered writes).
     """
     y = np.asarray(y)
-    simulator = simulator or GPUSimulator()
+    simulator = GPUSimulator()
     n = y.shape[0]
 
     mask = y < threshold
@@ -108,22 +107,22 @@ def gpu_select_independent_threads(
     # K1: strided read + per-thread counts.
     k1_traffic = TrafficCounter(
         sequential_read_bytes=float(y.nbytes),
-        sequential_write_bytes=float(num_threads * 4),
+        sequential_write_bytes=float(_NUM_THREADS * 4),
         compute_ops=float(n),
     )
     k1 = simulator.run_kernel(k1_traffic, KernelLaunch(items_per_thread=1, label="k1-count"))
 
     # K2: prefix sum over the per-thread counts (a Thrust-style scan).
     k2_traffic = TrafficCounter(
-        sequential_read_bytes=float(num_threads * 4),
-        sequential_write_bytes=float(num_threads * 4),
-        compute_ops=float(num_threads),
+        sequential_read_bytes=float(_NUM_THREADS * 4),
+        sequential_write_bytes=float(_NUM_THREADS * 4),
+        compute_ops=float(_NUM_THREADS),
     )
     k2 = simulator.run_kernel(k2_traffic, KernelLaunch(items_per_thread=1, label="k2-prefix-sum"))
 
     # K3: second full read plus scattered, uncoalesced writes of the matches.
     k3_traffic = TrafficCounter(
-        sequential_read_bytes=float(y.nbytes + num_threads * 4),
+        sequential_read_bytes=float(y.nbytes + _NUM_THREADS * 4),
         random_accesses=float(matched.shape[0]),
         random_working_set_bytes=float(max(matched.nbytes, 1)),
         random_access_bytes=32.0,

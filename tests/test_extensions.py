@@ -41,11 +41,11 @@ class TestRadixJoin:
         assert radix.value == pytest.approx(baseline.value)
 
     def test_partitions_fit_target_budget(self, join_inputs):
+        """Partition tables fit the per-core L2 budget of 96 KB (within a power of two)."""
         build_keys, build_values, probe_keys, probe_values, _ = join_inputs
-        result = cpu_radix_join(
-            build_keys, build_values, probe_keys, probe_values, target_partition_bytes=32 * 1024
-        )
-        assert result.stat("partition_hash_table_bytes") <= 2 * 32 * 1024
+        result = cpu_radix_join(build_keys, build_values, probe_keys, probe_values)
+        assert result.stat("radix_bits") > 0
+        assert result.stat("partition_hash_table_bytes") <= 2 * 96 * 1024
 
     def test_small_build_skips_partitioning(self):
         rng = np.random.default_rng(3)

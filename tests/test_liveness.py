@@ -5,15 +5,17 @@ A name that only tests reach reproduces nothing, so one AST pass over
 
 * every public top-level function and class of ``src/repro``, and every
   public method or property of a public class;
-* every defaulted keyword of a public class's ``__init__``, plus the fields
-  of the option dataclasses (``ResiliencePolicy``, ``DurabilityConfig``).
+* every defaulted keyword of a public class's ``__init__`` and of a kernel
+  in ``repro.ops.cpu``/``gpu`` ``__all__``, plus the fields of the option
+  dataclasses (``ResiliencePolicy``, ``DurabilityConfig``).
 
 A name is live when a caller file refers to it outside its own definition:
 an ``ast.Name`` or ``ast.Attribute`` for a definition, a ``name=`` keyword
-(or a positional argument) of a call to its class for a keyword.  Imports,
-and so ``__init__.py`` re-exports, and ``__all__`` strings are no
+(or a positional argument) of a call to its class or kernel for a keyword.
+Imports, and so ``__init__.py`` re-exports, and ``__all__`` strings are no
 references.  A kernel in ``repro.ops.cpu``/``gpu`` ``__all__`` is a
-standalone Section 4 operator, so only callers outside ``repro.ops`` count.
+standalone Section 4 operator, so only callers outside ``repro.ops`` count
+for its name; a kernel that passes another kernel's keyword is its caller.
 The scan matches by name, not by type (Python gives an AST no types), so a
 name that is also read off another object -- ``itemsize`` of every NumPy
 ``dtype`` -- looks live whoever defines it; such a name needs a hand check.
@@ -52,11 +54,28 @@ def _is_accessor(node):
     )
 
 
-def _definitions(path, tree):
+def _defaulted(arguments, skip):
+    """``(keyword, position)`` of each defaulted parameter in ``arguments``.
+
+    The first ``skip`` positional parameters (``self``) take no position a
+    caller fills; a keyword-only parameter has none.
+    """
+    positional = arguments.posonlyargs + arguments.args
+    defaulted = positional[len(positional) - len(arguments.defaults):]
+    found = [(arg.arg, positional.index(arg) - skip) for arg in defaulted]
+    found += [
+        (arg.arg, None)
+        for arg, default in zip(arguments.kwonlyargs, arguments.kw_defaults)
+        if default is not None
+    ]
+    return found
+
+
+def _definitions(path, tree, kernels):
     """``(label, kind, key, span)`` of each public name ``tree`` defines.
 
     ``kind`` is ``"name"`` (looked up by ``key``, a bare name) or
-    ``"option"`` (``key`` is ``(class, keyword, position)``).
+    ``"option"`` (``key`` is ``(class or kernel, keyword, position)``).
     """
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
@@ -65,6 +84,9 @@ def _definitions(path, tree):
         span = (path, node.lineno, node.end_lineno)
         yield node.name, "name", node.name, span
         if not isinstance(node, ast.ClassDef):
+            if node.name in kernels:
+                for keyword, position in _defaulted(node.args, 0):
+                    yield f"{node.name}({keyword}=)", "option", (node.name, keyword, position), span
             continue
         if node.name in OPTION_DATACLASSES:
             fields = [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)]
@@ -77,18 +99,9 @@ def _definitions(path, tree):
             if not isinstance(item, functions):
                 continue
             if item.name == "__init__":
-                arguments = item.args
-                positional = arguments.posonlyargs + arguments.args
-                defaulted = positional[len(positional) - len(arguments.defaults):]
-                defaulted = [(arg, positional.index(arg) - 1) for arg in defaulted]
-                defaulted += [
-                    (arg, None)
-                    for arg, default in zip(arguments.kwonlyargs, arguments.kw_defaults)
-                    if default is not None
-                ]
-                for arg, position in defaulted:
-                    key = (node.name, arg.arg, position)
-                    yield f"{node.name}({arg.arg}=)", "option", key, span
+                for keyword, position in _defaulted(item.args, 1):
+                    key = (node.name, keyword, position)
+                    yield f"{node.name}({keyword}=)", "option", key, span
             elif _public(item.name) and not _is_accessor(item):
                 item_span = (path, item.lineno, ends[item.name])
                 yield f"{node.name}.{item.name}", "name", item.name, item_span
@@ -155,15 +168,15 @@ def dead_names(package, callers, readme):
     a README row; ``stale_rows`` lists rows that name nothing defined.
     """
     package = Path(package)
+    kernels = _kernels(package)
     names, options, definitions = {}, {}, []
     for directory in callers:
         for path in sorted(Path(directory).rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             if path.is_relative_to(package):
-                definitions.extend(_definitions(path, tree))
+                definitions.extend(_definitions(path, tree, kernels))
             _references(path, tree, names, options)
 
-    kernels = _kernels(package)
     plane = package / OPERATOR_PLANE
 
     def counts(reference, span, kernel):
@@ -252,19 +265,21 @@ def test_scanner_flags_only_what_has_no_caller_and_no_row(tmp_path):
             __all__ = ["inner_kernel", "outer_kernel"]
         """,
         "pkg/ops/cpu/kernels.py": """
-            def inner_kernel():
-                return 1
+            def inner_kernel(rows=1):
+                return rows
 
 
-            def outer_kernel():
-                return inner_kernel()
+            def outer_kernel(rows, variant="a", width=4, spare=None):
+                if spare is not None:
+                    return outer_kernel(rows, spare=None)
+                return inner_kernel(rows=rows)
         """,
     })
     _write(examples, {"demo.py": """
         from pkg import helper
         from pkg.ops.cpu import outer_kernel
         helper()
-        outer_kernel()
+        outer_kernel(2, "b", width=8)
     """})
     readme = tmp_path / "README.md"
     readme.write_text(
@@ -278,6 +293,7 @@ def test_scanner_flags_only_what_has_no_caller_and_no_row(tmp_path):
         "Engine(spare=)",  # a keyword no call passes
         "unused_function",  # an __init__ re-export and an __all__ string are no callers
         "inner_kernel",  # a kernel only repro.ops reaches
+        "outer_kernel(spare=)",  # a kernel keyword only its own body passes
     }
     assert stale == ["Engine.deleted"]
 

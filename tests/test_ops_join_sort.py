@@ -19,7 +19,7 @@ from repro.ops.gpu import (
     gpu_radix_partition,
     gpu_radix_sort,
 )
-from repro.ops.gpu.radix_sort import _pass_plan
+from repro.ops.cpu.radix_sort import _pass_plan
 
 
 @pytest.fixture(scope="module")
@@ -107,8 +107,7 @@ class TestRadixPartition:
         keys = np.arange(64, dtype=np.int32)
         for bits in (1, 3, 6):
             output, hist_result, _ = cpu_radix_partition(keys, radix_bits=bits)
-            assert output.num_partitions == 1 << bits == hist_result.value.size
-            assert output.partition_offsets.size == output.num_partitions
+            assert output.partition_offsets.size == 1 << bits == hist_result.value.size
 
     def test_partition_offsets_match_histogram(self):
         keys = np.arange(64, dtype=np.int32)
@@ -138,6 +137,15 @@ class TestRadixPartition:
         _, _, shuffle8 = cpu_radix_partition(keys, radix_bits=8)
         _, _, shuffle11 = cpu_radix_partition(keys, radix_bits=11)
         assert shuffle11.seconds > shuffle8.seconds * 1.2
+
+
+@pytest.fixture(params=["cpu", "gpu-msb", "gpu-lsb"])
+def sort(request):
+    """Each radix sort: the CPU's and both GPU variants."""
+    if request.param == "cpu":
+        return cpu_radix_sort
+    variant = request.param.removeprefix("gpu-")
+    return lambda keys: gpu_radix_sort(keys, variant=variant)
 
 
 class TestRadixSort:
@@ -183,6 +191,17 @@ class TestRadixSort:
             cpu_radix_sort(np.array([-1, 3]))
         with pytest.raises(ValueError):
             gpu_radix_sort(np.array([-1, 3]))
+
+    @pytest.mark.parametrize("keys", [[2**40, 3, 1], [2**32 + 1, 2**32, 5]], ids=["2**40", "2**32"])
+    def test_rejects_keys_wider_than_32_bits(self, sort, keys):
+        """The passes order only the low 32 bits, so a wider key would come back unsorted."""
+        with pytest.raises(ValueError, match="32-bit"):
+            sort(np.array(keys, dtype=np.int64))
+
+    def test_rejects_float_keys(self, sort):
+        """Radix extraction truncates a float key, so ``[1.7, 1.2]`` would come back as is."""
+        with pytest.raises(ValueError, match="integer keys"):
+            sort(np.array([1.7, 1.2]))
 
     @settings(max_examples=15, deadline=None)
     @given(keys=hnp.arrays(np.int64, st.integers(min_value=1, max_value=2000),

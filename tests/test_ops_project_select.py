@@ -22,7 +22,7 @@ def columns():
 class TestProjectCorrectness:
     def test_cpu_linear_combination(self, columns):
         x1, x2 = columns
-        result = cpu_project(x1, x2, a=2.0, b=3.0, variant="naive")
+        result = cpu_project(x1, x2, variant="naive")
         assert np.allclose(result.value, 2 * x1 + 3 * x2, rtol=1e-5)
 
     def test_cpu_udf(self, columns):
