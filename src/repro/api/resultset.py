@@ -88,15 +88,13 @@ class ResultSet:
             records = () if result.value is None else ((result.value,),)
             return cls(result, spec, (label,), records)
         columns = spec.group_by + (label,)
-        decoders = _decoders(db, spec)
-        decoded = []
-        for key, aggregate in result.value.items():
-            row = tuple(
-                decoder.decode_value(code) if decoder is not None else code
-                for code, decoder in zip(key, decoders)
-            )
-            decoded.append(row + (aggregate,))
-        return cls(result, spec, columns, tuple(decoded))
+        # Column by column: transpose the group keys, decode each column's
+        # codes in one pass, and zip the records back together.
+        labels = [
+            codes if decoder is None else decoder.decode(codes)
+            for codes, decoder in zip(zip(*result.value), _decoders(db, spec))
+        ]
+        return cls(result, spec, columns, tuple(zip(*labels, result.value.values())))
 
     # ------------------------------------------------------------------
     # Delegation to the underlying engine result.

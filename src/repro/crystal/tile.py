@@ -54,9 +54,9 @@ class Tile:
                 raise ValueError("bitmap length must match values length")
 
     @classmethod
-    def empty(cls, dtype=np.int32) -> "Tile":
+    def empty(cls) -> "Tile":
         """An empty tile (zero valid items)."""
-        return cls(values=np.empty(0, dtype=dtype), size=0)
+        return cls(values=np.empty(0, dtype=np.int32), size=0)
 
     @property
     def dtype(self) -> np.dtype:

@@ -827,13 +827,15 @@ class Aggregate:
             # row-wise ``np.unique(..., axis=0)`` structured sort.
             unique_keys, inverse = factorize_group_keys([state.group_columns[name] for name in self.group_by])
             num_groups = len(unique_keys)
+            # ``tolist`` hands over Python ints and floats in bulk, not one
+            # NumPy scalar per group; ``zip`` turns key columns into tuples.
             if op == "avg":
                 sums = grouped_aggregate_values("sum", measure, inverse, num_groups)
                 counts = grouped_aggregate_values("count", None, inverse, num_groups)
-                totals = [(float(total), int(n)) for total, n in zip(sums, counts)]
+                totals = list(zip(sums.tolist(), counts.astype(np.int64).tolist()))
             else:
                 totals = grouped_aggregate_values(op, measure, inverse, num_groups).tolist()
-            payload = {tuple(int(x) for x in key): total for key, total in zip(unique_keys, totals)}
+            payload = dict(zip(zip(*unique_keys.T.tolist()), totals))
         profile.num_groups = max(len(payload), 1)
         profile.output_row_bytes = float(8 + 4 * len(self.group_by))
         return PartialAggregate(op=op, grouped=True, group_by=tuple(self.group_by), payload=payload)

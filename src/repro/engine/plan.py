@@ -507,7 +507,13 @@ def finalize_partial(partial: PartialAggregate) -> object:
     """
     if not partial.grouped:
         return _final_value(partial.op, partial.payload)
-    return {key: _final_value(partial.op, partial.payload[key]) for key in sorted(partial.payload)}
+    payload = partial.payload
+    keys = sorted(payload)
+    if keys == list(payload) and set(map(type, payload.values())) == {float}:
+        # Already the answer (``_final_value`` of a float is that float) and in
+        # key order: a copy reuses the stored key hashes instead of rehashing.
+        return dict(payload)
+    return {key: _final_value(partial.op, payload[key]) for key in keys}
 
 
 def merge_partial_aggregates(partials) -> object:

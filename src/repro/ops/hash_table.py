@@ -21,6 +21,8 @@ import numpy as np
 EMPTY_KEY = np.int64(-1)
 #: Logical bytes per slot: a 4-byte key and a 4-byte payload.
 SLOT_BYTES = 8
+#: Keys per slot a built table is sized for (the paper uses 50 %).
+FILL_FACTOR = 0.5
 
 
 def _next_power_of_two(value: int) -> int:
@@ -65,26 +67,23 @@ class LinearProbingHashTable:
         cls,
         keys: np.ndarray,
         values: np.ndarray | None = None,
-        fill_factor: float = 0.5,
     ) -> "LinearProbingHashTable":
         """Build a table over ``keys`` (and optional payloads).
 
-        ``fill_factor`` controls how many slots are allocated relative to the
-        number of keys (the paper uses 50%).
+        The table has ``len(keys) / FILL_FACTOR`` slots, rounded up to a
+        power of two.
         """
         keys = np.asarray(keys)
         if keys.ndim != 1:
             raise ValueError("keys must be a one-dimensional array")
         if np.any(keys < 0):
             raise ValueError("keys must be non-negative (the sentinel is negative)")
-        if not 0.0 < fill_factor <= 1.0:
-            raise ValueError("fill factor must be in (0, 1]")
         if values is None:
             values = np.zeros_like(keys)
         values = np.asarray(values)
         if values.shape != keys.shape:
             raise ValueError("values must align with keys")
-        num_slots = max(1, int(np.ceil(keys.shape[0] / fill_factor)))
+        num_slots = max(1, int(np.ceil(keys.shape[0] / FILL_FACTOR)))
         table = cls(num_slots)
         table.insert(keys, values)
         return table

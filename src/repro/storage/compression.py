@@ -47,14 +47,14 @@ class BitPackedColumn:
 
     # ------------------------------------------------------------------
     @classmethod
-    def pack(cls, column: Column | np.ndarray, name: str | None = None) -> "BitPackedColumn":
+    def pack(cls, column: Column | np.ndarray) -> "BitPackedColumn":
         """Pack a non-negative integer column into its minimal bit width."""
         if isinstance(column, Column):
             values = column.values
-            name = name or column.name
+            name = column.name
         else:
             values = np.asarray(column)
-            name = name or "column"
+            name = "column"
         if values.size and values.min() < 0:
             raise ValueError("bit packing requires non-negative values")
         width = bits_needed(int(values.max()) if values.size else 0)

@@ -53,13 +53,12 @@ class DictionaryEncoder:
         """Encode an iterable of values into an int32 code array."""
         return np.fromiter((self.encode_value(v) for v in values), dtype=np.int32)
 
-    def decode_value(self, code: int) -> str:
-        """Original string for a code; raises ``IndexError`` when out of range."""
-        return self.values[int(code)]
-
     def decode(self, codes) -> list[str]:
-        """Decode an array of codes back into strings."""
-        return [self.decode_value(c) for c in np.asarray(codes)]
+        """Original strings for a sequence of codes, in one pass.
+
+        Raises ``IndexError`` for a code out of range.
+        """
+        return list(map(self.values.__getitem__, codes))
 
     def __len__(self) -> int:
         return len(self.values)

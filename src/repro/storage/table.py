@@ -151,11 +151,11 @@ class Table:
         return view
 
     @classmethod
-    def from_arrays(cls, name: str, arrays: dict[str, np.ndarray], device: Device = Device.CPU) -> "Table":
+    def from_arrays(cls, name: str, arrays: dict[str, np.ndarray]) -> "Table":
         """Build a table from a mapping of column name to array."""
         table = cls(name=name)
         for column_name, values in arrays.items():
-            table.add_column(Column(name=column_name, values=values, device=device))
+            table.add_column(Column(name=column_name, values=values))
         return table
 
     def add_column(self, column: Column) -> None:

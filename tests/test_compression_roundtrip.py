@@ -173,5 +173,4 @@ class TestSizeAccounting:
     def test_packing_a_column_keeps_its_name(self):
         column = Column("lo_discount", np.arange(11, dtype=np.int32))
         assert BitPackedColumn.pack(column).name == "lo_discount"
-        assert BitPackedColumn.pack(column, name="d").name == "d"
         assert BitPackedColumn.pack(np.arange(3)).name == "column"

@@ -107,7 +107,7 @@ class TestBitPacking:
 
     def test_round_trip_small_domain(self):
         values = np.array([0, 1, 2, 3, 7, 5, 4], dtype=np.int64)
-        packed = BitPackedColumn.pack(values, name="x")
+        packed = BitPackedColumn.pack(values)
         assert packed.bit_width == 3
         assert np.array_equal(packed.unpack(), values)
 
@@ -120,7 +120,7 @@ class TestBitPacking:
     def test_compression_ratio_for_ssb_like_columns(self):
         # lo_discount has 11 distinct values -> 4 bits vs 32 bits stored.
         discount = np.arange(11)
-        packed = BitPackedColumn.pack(discount, name="lo_discount")
+        packed = BitPackedColumn.pack(discount)
         assert packed.compression_ratio == pytest.approx(8.0, rel=0.2)
         assert packed.scan_speedup() == pytest.approx(packed.compression_ratio)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ops.hash_table import EMPTY_KEY, LinearProbingHashTable
+from repro.ops.hash_table import EMPTY_KEY, FILL_FACTOR, LinearProbingHashTable
 
 
 class TestBuild:
@@ -24,9 +24,13 @@ class TestBuild:
         with pytest.raises(ValueError):
             LinearProbingHashTable.build(np.arange(4), np.arange(3))
 
-    def test_build_rejects_bad_fill_factor(self):
-        with pytest.raises(ValueError):
-            LinearProbingHashTable.build(np.arange(4), fill_factor=0.0)
+    @pytest.mark.parametrize("num_keys", [0, 1, 3, 100, 1000])
+    def test_build_sizes_the_table_at_the_fill_factor(self, num_keys):
+        table = LinearProbingHashTable.build(np.arange(num_keys))
+        wanted = max(1, int(np.ceil(num_keys / FILL_FACTOR)))
+        # The smallest power of two that holds the keys at FILL_FACTOR.
+        assert table.num_slots >= wanted > table.num_slots // 2
+        assert table.build_stats.fill_factor <= FILL_FACTOR
 
     def test_insert_over_capacity(self):
         table = LinearProbingHashTable(num_slots=4)

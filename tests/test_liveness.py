@@ -5,13 +5,16 @@ A name that only tests reach reproduces nothing, so one AST pass over
 
 * every public top-level function and class of ``src/repro``, and every
   public method or property of a public class;
-* every defaulted keyword of a public class's ``__init__`` and of a kernel
-  in ``repro.ops.cpu``/``gpu`` ``__all__``, plus the fields of the option
-  dataclasses (``ResiliencePolicy``, ``DurabilityConfig``).
+* every defaulted keyword of a public class's ``__init__`` and public
+  classmethods and of a kernel in ``repro.ops.cpu``/``gpu`` ``__all__``,
+  plus the fields of the option dataclasses (``ResiliencePolicy``,
+  ``DurabilityConfig``).
 
 A name is live when a caller file refers to it outside its own definition:
 an ``ast.Name`` or ``ast.Attribute`` for a definition, a ``name=`` keyword
-(or a positional argument) of a call to its class or kernel for a keyword.
+(or a positional argument) of a call to its class or kernel for a keyword,
+and of a call through its class (``Table.from_arrays(...)``) for a
+classmethod's keyword.
 Imports, and so ``__init__.py`` re-exports, and ``__all__`` strings are no
 references.  A kernel in ``repro.ops.cpu``/``gpu`` ``__all__`` is a
 standalone Section 4 operator, so only callers outside ``repro.ops`` count
@@ -52,6 +55,10 @@ def _is_accessor(node):
         isinstance(decorator, ast.Attribute) and decorator.attr in ("setter", "deleter")
         for decorator in node.decorator_list
     )
+
+
+def _is_classmethod(node):
+    return any(getattr(decorator, "id", None) == "classmethod" for decorator in node.decorator_list)
 
 
 def _defaulted(arguments, skip):
@@ -105,6 +112,10 @@ def _definitions(path, tree, kernels):
             elif _public(item.name) and not _is_accessor(item):
                 item_span = (path, item.lineno, ends[item.name])
                 yield f"{node.name}.{item.name}", "name", item.name, item_span
+                if _is_classmethod(item):
+                    label = f"{node.name}.{item.name}"
+                    for keyword, position in _defaulted(item.args, 1):
+                        yield f"{label}({keyword}=)", "option", (label, keyword, position), span
 
 
 def _references(path, tree, names, options):
@@ -120,14 +131,18 @@ def _references(path, tree, names, options):
             # positions; a constructor method, ``Session.open(...)``, passes
             # its keywords on.
             callees = {getattr(func, "id", None), getattr(func, "attr", None)} - {None}
-            passed = [(owner, keyword.arg) for owner in callees for keyword in node.keywords]
+            arguments = [keyword.arg for keyword in node.keywords]
             for position, arg in enumerate(node.args):
                 if isinstance(arg, ast.Starred):
                     break
-                passed += [(owner, position) for owner in callees]
+                arguments.append(position)
+            passed = [(callee, argument) for callee in callees for argument in arguments]
             if isinstance(func, ast.Attribute):
                 owner = getattr(func.value, "id", getattr(func.value, "attr", None))
                 passed += [(owner, keyword.arg) for keyword in node.keywords]
+                # ``Table.from_arrays(...)`` passes its arguments to that
+                # classmethod, not to every method called ``from_arrays``.
+                passed += [(f"{owner}.{func.attr}", argument) for argument in arguments]
             for key in passed:
                 options.setdefault(key, []).append((path, node.lineno))
 
@@ -326,6 +341,26 @@ def test_a_positional_argument_passes_a_keyword(tmp_path):
     # One position short: ``cache`` goes unpassed.
     caller = "from pkg.core import Engine\nEngine(1, spare=2)\n"
     assert _scan(tmp_path, ENGINE, caller) == {"Engine.open", "Engine(cache=)"}
+
+
+def test_a_classmethod_keyword_needs_a_call_through_its_class(tmp_path):
+    module = """
+        class Table:
+            @classmethod
+            def build(cls, keys, values=None, fill=0.5):
+                return cls()
+
+
+        class Stats:
+            @classmethod
+            def build(cls, column, values, size):
+                return cls()
+    """
+    # ``Stats.build``'s third argument fills no position of ``Table.build``.
+    caller = "from pkg.core import Stats, Table\nTable.build(1, 2)\nStats.build(1, 2, 3)\n"
+    assert _scan(tmp_path, module, caller) == {"Table.build(fill=)"}
+    caller = "from pkg.core import Stats, Table\nTable.build(1, fill=0.25)\nStats.build(1, 2, 3)\n"
+    assert _scan(tmp_path, module, caller) == {"Table.build(values=)"}
 
 
 def test_a_constructor_method_passes_its_keywords_on(tmp_path):

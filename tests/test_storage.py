@@ -56,13 +56,14 @@ class TestDictionaryEncoder:
         encoder = DictionaryEncoder.from_values([str(i) for i in range(300)])
         assert "5" in encoder
 
-    def test_decode_value_inverts_encode_value(self):
+    def test_decode_inverts_encode_value(self):
         encoder = DictionaryEncoder.from_values(["ASIA", "EUROPE", "AMERICA"])
-        for label in ("ASIA", "EUROPE", "AMERICA"):
-            assert encoder.decode_value(encoder.encode_value(label)) == label
-        assert encoder.decode_value(np.int32(0)) == "AMERICA"
+        labels = ["ASIA", "EUROPE", "AMERICA"]
+        assert encoder.decode([encoder.encode_value(label) for label in labels]) == labels
+        assert encoder.decode((np.int32(0), 2)) == ["AMERICA", "EUROPE"]
+        assert encoder.decode(()) == []
         with pytest.raises(IndexError):
-            encoder.decode_value(3)
+            encoder.decode([0, 3])
 
     @settings(max_examples=25, deadline=None)
     @given(values=st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=50))
